@@ -230,22 +230,38 @@ class RuntimeMonitor:
             reason=reason,
         )
 
-    def _finish(self, verdict: ValidationVerdict) -> ValidationVerdict:
-        _verdicts_counter().labels(status=verdict.status).inc()
+    def _finish(self, verdicts: list[ValidationVerdict]) -> list[ValidationVerdict]:
+        """Tally one batch's verdicts, then run the rejection hook on each.
+
+        ``monitor_verdicts_total`` takes one increment per status present
+        (by that status's count), not one per image: the counter values
+        are the same, at a fraction of the metric lookups per batch.
+        """
+        by_status: dict[str, int] = {}
+        for verdict in verdicts:
+            by_status[verdict.status] = by_status.get(verdict.status, 0) + 1
+        counter = _verdicts_counter()
+        for status, count in by_status.items():
+            counter.labels(status=status).inc(count)
         with self._lock:
-            # Both increments of a degraded verdict land under one lock
-            # hold, so health() can never observe the tallies mid-update.
-            if verdict.status == resilience.QUARANTINED:
-                self.stats["quarantined"] += 1
-            else:
-                if verdict.status == resilience.DEGRADED:
-                    self.stats["degraded"] += 1
-                self.stats["accepted" if verdict.accepted else "rejected"] += 1
+            # The whole batch's tallies land under one lock hold, so
+            # health() can never observe a degraded verdict without its
+            # accepted/rejected half.
+            stats = self.stats
+            for verdict in verdicts:
+                if verdict.status == resilience.QUARANTINED:
+                    stats["quarantined"] += 1
+                else:
+                    if verdict.status == resilience.DEGRADED:
+                        stats["degraded"] += 1
+                    stats["accepted" if verdict.accepted else "rejected"] += 1
         # The rejection hook runs outside the lock: a slow or re-entrant
         # callback must not stall other serving threads' bookkeeping.
-        if not verdict.accepted and self.on_reject is not None:
-            self.on_reject(verdict)
-        return verdict
+        if self.on_reject is not None:
+            for verdict in verdicts:
+                if not verdict.accepted:
+                    self.on_reject(verdict)
+        return verdicts
 
     # -- serving ---------------------------------------------------------------
 
@@ -264,10 +280,12 @@ class RuntimeMonitor:
             report = self.guard.inspect(images)
             span.set(batch=report.count)
             if report.batch_reason is not None:
-                return [
-                    self._finish(self._quarantine_verdict(report.batch_reason))
-                    for _ in range(report.count)
-                ]
+                return self._finish(
+                    [
+                        self._quarantine_verdict(report.batch_reason)
+                        for _ in range(report.count)
+                    ]
+                )
             batch = report.images
             ok_mask = report.ok_mask
             scored = self._score(batch[ok_mask]) if ok_mask.any() else []
@@ -276,13 +294,11 @@ class RuntimeMonitor:
             for index in range(report.count):
                 if index in report.sample_reasons:
                     verdicts.append(
-                        self._finish(
-                            self._quarantine_verdict(report.sample_reasons[index])
-                        )
+                        self._quarantine_verdict(report.sample_reasons[index])
                     )
                 else:
-                    verdicts.append(self._finish(next(scored_iter)))
-            return verdicts
+                    verdicts.append(next(scored_iter))
+            return self._finish(verdicts)
 
     def _score(self, images: np.ndarray) -> list[ValidationVerdict]:
         """Score guard-approved images, isolating substrate failures."""

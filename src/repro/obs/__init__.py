@@ -28,6 +28,12 @@ bit-identical to the instrumented run (pinned by the golden-trace suite in
 :func:`set_enabled` overrides it at runtime (``None`` re-reads the
 environment).
 
+**Bounded retention.** The process-global tracer keeps only the most
+recent :data:`GLOBAL_SPAN_LIMIT` spans (a ring), so a long-running server
+does not grow with every scored batch. A :class:`Tracer` built by hand
+keeps every span unless its exporter is given a ``maxlen``: golden-trace
+tests and whole-run trace dumps read all of them.
+
 **Test isolation.** :func:`use` swaps in a scoped registry/tracer (and
 optionally forces the switch) for a ``with`` block, so golden-trace tests
 observe exactly their own pipeline under a
@@ -79,16 +85,22 @@ __all__ = [
     "timed",
     "clock",
     "ENV_SWITCH",
+    "GLOBAL_SPAN_LIMIT",
 ]
 
 #: Environment variable that disables every observability hook when "0".
 ENV_SWITCH = "REPRO_OBS"
 
+#: Spans the process-global tracer retains (most recent first to survive).
+#: A batch-8 ``monitor.classify`` emits 9 spans and a validator refit about
+#: 110, so this holds the last couple of hundred scoring calls.
+GLOBAL_SPAN_LIMIT = 2048
+
 _lock = threading.RLock()
 _state: dict[str, Any] = {
     "enabled": None,  # None = not yet read from the environment
     "registry": MetricsRegistry(),
-    "tracer": Tracer(),
+    "tracer": Tracer(exporter=InMemorySpanExporter(maxlen=GLOBAL_SPAN_LIMIT)),
 }
 
 
@@ -246,14 +258,25 @@ def span(name: str, **attributes: Any):
     return get_tracer().span(name, **attributes)
 
 
-@contextmanager
-def _timed_observe(series) -> Iterator[None]:
-    read = get_tracer().clock
-    start = read()
-    try:
-        yield
-    finally:
-        series.observe(read() - start)
+class _Timed:
+    """Observes the tracer-clock duration of a ``with`` block into a series.
+
+    A plain class, not a ``@contextmanager`` generator, for the same reason
+    as :meth:`Tracer.span`: it wraps every per-layer scoring call.
+    """
+
+    __slots__ = ("_series", "_read", "_start")
+
+    def __init__(self, series) -> None:
+        self._series = series
+        self._read = _state["tracer"].clock
+
+    def __enter__(self) -> None:
+        self._start = self._read()
+
+    def __exit__(self, *exc_info) -> bool:
+        self._series.observe(self._read() - self._start)
+        return False
 
 
 def timed(series):
@@ -261,7 +284,7 @@ def timed(series):
     ``series`` (a histogram child); a shared no-op context when disabled."""
     if not enabled():
         return _NULL_SPAN_CONTEXT
-    return _timed_observe(series)
+    return _Timed(series)
 
 
 def clock() -> float:

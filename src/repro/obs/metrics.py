@@ -21,7 +21,10 @@ exactly the series that were actually touched — never a phantom zero.
 Exporters: :meth:`MetricsRegistry.render_prometheus` (text exposition
 format) and :meth:`MetricsRegistry.snapshot` / ``render_json`` (JSON).
 
-All mutation is guarded by a per-registry lock. The hot-path kill switch
+All mutation is guarded by a per-registry lock; looking up a family or a
+series that already exists is one unlocked dict hit, and only creation
+takes the lock (families and series, once installed, are never replaced).
+The hot-path kill switch
 lives one level up in :mod:`repro.obs` — this module is always "on"; it is
 the accessor functions in the package root that hand out null objects when
 ``REPRO_OBS=0``.
@@ -32,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from bisect import bisect_left
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -161,13 +165,12 @@ class Histogram:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one observation (NaN lands in the +Inf bucket)."""
         value = float(value)
-        position = len(self.bounds)  # +Inf bucket unless a bound catches it
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                position = index
-                break
+        if value == value:
+            position = bisect_left(self.bounds, value)  # first bound >= value
+        else:  # NaN compares false against every bound: +Inf
+            position = len(self.bounds)
         with self._lock:
             self.bucket_counts[position] += 1
             self.sum += value
@@ -250,9 +253,19 @@ class MetricFamily:
         self._lock = lock
         self._bounds = bounds
         self._children: dict[tuple[str, ...], object] = {}
+        # Call-site ``labels(**kw)`` items -> series: the lock-free fast
+        # path. Only validated, str-valued combinations are inserted.
+        self._by_items: dict[tuple, object] = {}
 
     def labels(self, **labels: str) -> Counter | Gauge | Histogram:
         """The concrete series for one label-value combination."""
+        items = tuple(labels.items())
+        try:
+            child = self._by_items.get(items)
+        except TypeError:  # an unhashable label value: take the slow path
+            child = None
+        if child is not None:
+            return child
         if set(labels) != set(self.label_names):
             raise ValueError(
                 f"metric {self.name!r} declares labels {self.label_names}, "
@@ -267,6 +280,10 @@ class MetricFamily:
                 else:
                     child = _KINDS[self.kind](self._lock)
                 self._children[key] = child
+            if all(type(value) is str for value in labels.values()):
+                # Only str-valued calls take the fast path, so a hit can
+                # never alias values that stringify apart (1, 1.0, True).
+                self._by_items[items] = child
             return child
 
     def _default_child(self):
@@ -340,30 +357,39 @@ class MetricsRegistry:
         kind: str,
         help: str,
         labels: tuple[str, ...],
-        bounds: tuple[float, ...] | None = None,
+        bounds: Iterable[float] | None = None,
     ) -> MetricFamily:
-        labels = tuple(labels)
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = MetricFamily(name, kind, help, labels, self._lock, bounds)
-                self._families[name] = family
-                return family
+        family = self._families.get(name)
+        if family is None:
+            with self._lock:
+                family = self._families.get(name)
+                if family is None:
+                    if bounds is not None:
+                        bounds = tuple(float(b) for b in bounds)
+                    family = MetricFamily(
+                        name, kind, help, tuple(labels), self._lock, bounds
+                    )
+                    self._families[name] = family
+                    return family
         if family.kind != kind:
             raise ValueError(
                 f"metric {name!r} already registered as a {family.kind}, "
                 f"cannot re-register as a {kind}"
             )
-        if family.label_names != labels:
+        if family.label_names != tuple(labels):
             raise ValueError(
                 f"metric {name!r} already declares labels {family.label_names}, "
-                f"cannot re-register with {labels}"
+                f"cannot re-register with {tuple(labels)}"
             )
-        if kind == "histogram" and bounds is not None and family._bounds != bounds:
-            raise ValueError(
-                f"histogram {name!r} already uses bounds {family._bounds}, "
-                f"cannot re-register with {bounds}"
-            )
+        if kind == "histogram" and bounds is not None:
+            # Call sites pass the same bounds tuple every time: ``tuple`` of
+            # a tuple is the tuple itself, and the comparison is elementwise.
+            bounds = tuple(bounds)
+            if family._bounds != bounds:
+                raise ValueError(
+                    f"histogram {name!r} already uses bounds {family._bounds}, "
+                    f"cannot re-register with {bounds}"
+                )
         return family
 
     def counter(
@@ -386,7 +412,7 @@ class MetricsRegistry:
         bounds: Iterable[float] = DEFAULT_TIME_BUCKETS,
     ) -> MetricFamily:
         """Get or register the histogram family ``name`` (idempotent)."""
-        return self._family(name, "histogram", help, labels, tuple(float(b) for b in bounds))
+        return self._family(name, "histogram", help, labels, bounds)
 
     def families(self) -> list[MetricFamily]:
         """Registered families, name-sorted."""

@@ -22,8 +22,7 @@ Usage::
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 __all__ = ["profile_section", "profiled", "STAGE_HISTOGRAM"]
 
@@ -44,21 +43,16 @@ class _NullSection:
 _NULL_SECTION = _NullSection()
 
 
-@contextmanager
-def _timed(stage: str) -> Iterator[None]:
+def _timed(stage: str):
     from repro import obs
 
-    clock = obs.get_tracer().clock
-    histogram = obs.histogram(
-        STAGE_HISTOGRAM,
-        help="Wall-clock seconds spent in profiled stages",
-        labels=("stage",),
-    ).labels(stage=stage)
-    start = clock()
-    try:
-        yield
-    finally:
-        histogram.observe(clock() - start)
+    return obs.timed(
+        obs.histogram(
+            STAGE_HISTOGRAM,
+            help="Wall-clock seconds spent in profiled stages",
+            labels=("stage",),
+        ).labels(stage=stage)
+    )
 
 
 def profile_section(stage: str):

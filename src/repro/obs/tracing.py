@@ -21,9 +21,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from contextlib import contextmanager
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 __all__ = [
     "Span",
@@ -85,11 +85,17 @@ class Span:
 
 
 class InMemorySpanExporter:
-    """Collects finished spans (finish order) and reconstructs their tree."""
+    """Collects finished spans (finish order) and reconstructs their tree.
 
-    def __init__(self) -> None:
+    ``maxlen`` bounds retention to the most recent ``maxlen`` spans (a
+    ring: the oldest finished span is dropped first); the default,
+    ``None``, keeps every span, which is what golden-trace tests and
+    whole-run trace dumps need.
+    """
+
+    def __init__(self, maxlen: int | None = None) -> None:
         self._lock = threading.Lock()
-        self._spans: list[Span] = []
+        self._spans: deque[Span] = deque(maxlen=maxlen)
 
     def export(self, span: Span) -> None:
         """Record a finished span (called by the tracer, finish order)."""
@@ -194,29 +200,51 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
+    def span(self, name: str, **attributes: Any) -> "_SpanContext":
         """Open a child span of the current span for the enclosed block.
 
-        The span closes (and exports) on exit; an escaping exception marks
-        ``status`` with the exception type before re-raising.
+        The span opens on entry and closes (and exports) on exit; an
+        escaping exception marks ``status`` with the exception type and
+        propagates.
         """
-        stack = self._stack()
-        parent = stack[-1].span_id if stack else None
+        return _SpanContext(self, name, attributes)
+
+
+class _SpanContext:
+    """The context manager :meth:`Tracer.span` returns.
+
+    A plain ``__enter__``/``__exit__`` pair rather than a
+    ``@contextmanager`` generator: spans open on every scoring call, and a
+    generator frame per span costs several times the span itself.
+    """
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_span", "_stack")
+
+    def __init__(self, tracer: Tracer, name: str, attributes: dict) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        stack = tracer._stack()
         span = Span(
-            name=name,
-            span_id=next(self._ids),
-            parent_id=parent,
-            start=self.clock(),
-            attributes=dict(attributes),
+            self._name,
+            next(tracer._ids),
+            stack[-1].span_id if stack else None,
+            tracer.clock(),
+            self._attributes,
         )
         stack.append(span)
-        try:
-            yield span
-        except BaseException as exc:
-            span.status = f"error:{type(exc).__name__}"
-            raise
-        finally:
-            span.end = self.clock()
-            stack.pop()
-            self.exporter.export(span)
+        self._span = span
+        self._stack = stack
+        return span
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        span = self._span
+        if exc_type is not None:
+            span.status = f"error:{exc_type.__name__}"
+        span.end = self._tracer.clock()
+        self._stack.pop()
+        self._tracer.exporter.export(span)
+        return False

@@ -13,6 +13,12 @@ Backpressure is explicit: a full queue makes :meth:`offer` return
 ``False`` immediately (the server turns that into a structured
 ``OVERLOADED`` verdict) instead of letting requests pile up unboundedly.
 
+The window is a deadline, fixed when the batch opens: a consumer with a
+partial batch blocks for exactly the time left until that deadline (an
+arrival or :meth:`~MicroBatcher.close` wakes it early) and flushes when
+none is left, so a batch that no further arrival can fill costs
+``max_wait_ms`` of idle time, not more.
+
 The clock is injectable (default ``time.monotonic``). Deadline arithmetic
 — "has this batch's wait window expired?" — runs entirely on the injected
 clock, so tests drive flush decisions deterministically with a
@@ -147,12 +153,13 @@ class MicroBatcher:
     def next_batch(self) -> list | None:
         """Block for the next coalesced batch; ``None`` once closed and drained.
 
-        The first dequeued request opens the batch and starts its wait
-        window (``max_wait_ms`` on the injected clock). Requests already
-        queued are absorbed immediately; the window only governs how long
-        to linger for *future* arrivals. Flush happens on whichever comes
-        first: ``max_batch`` requests gathered, the window expiring, or
-        the batcher closing.
+        The first dequeued request opens the batch and sets its deadline
+        (``max_wait_ms`` after opening, on the injected clock). Requests
+        already queued are absorbed immediately; the deadline only governs
+        how long to linger for *future* arrivals, and the consumer blocks
+        for exactly the time left until it. Flush happens on whichever
+        comes first: ``max_batch`` requests gathered, the deadline
+        reached, or the batcher closing.
         """
         with self._not_empty:
             while not self._queue and not self._closed:
@@ -165,12 +172,15 @@ class MicroBatcher:
                 if self._queue:
                     batch.append(self._queue.popleft())
                     continue
-                if self._closed or self.clock() >= deadline:
+                if self._closed:
                     break
-                # Real-time block between arrivals, bounded so an injected
-                # clock (whose "remaining" never shrinks on its own) still
-                # re-checks the window and close flag periodically.
-                self._not_empty.wait(timeout=0.005)
+                remaining = deadline - self.clock()
+                if remaining <= 0:
+                    break
+                # An arrival or close() notifies; otherwise the wait ends at
+                # the deadline. (An injected clock that has not advanced
+                # just re-arms the wait for the window it still shows.)
+                self._not_empty.wait(timeout=remaining)
             _queue_depth_gauge().set(len(self._queue))
             return batch
 

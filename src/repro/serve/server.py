@@ -139,12 +139,12 @@ class ServeConfig:
     overrides it.
 
     ``latency_slo_ms`` (optional) arms adaptive load shedding: when the
-    projected queue wait — an EWMA blend of observed per-request waits
-    and per-batch service times, smoothed with ``shed_alpha`` — exceeds
-    the SLO, ``submit`` sheds the request immediately with a structured
-    ``OVERLOADED`` verdict carrying the projection, instead of queueing
-    work that is already late. The static ``queue_depth`` bound remains
-    the hard backstop. ``supervision`` tunes the worker supervisor
+    projected queue wait — the live backlog, in batches, times the
+    per-batch service time (an EWMA smoothed with ``shed_alpha``) —
+    exceeds the SLO, ``submit`` sheds the request immediately with a
+    structured ``OVERLOADED`` verdict carrying the projection, instead of
+    queueing work that is already late. An empty queue always admits.
+    The static ``queue_depth`` bound remains the hard backstop. ``supervision`` tunes the worker supervisor
     (restart backoff, restart budget, stall replacement); ``None`` uses
     :class:`~repro.serve.supervisor.SupervisorConfig` defaults.
     """
@@ -209,7 +209,6 @@ class ValidationServer:
         self._lock = threading.Lock()
         self._started = False
         self._closed = False
-        self._wait_ewma = Ewma(self.config.shed_alpha)
         self._service_ewma = Ewma(self.config.shed_alpha)
         self.supervisor = WorkerSupervisor(
             self, self.config.supervision, clock=self._clock
@@ -397,24 +396,20 @@ class ValidationServer:
     def _projected_wait_s(self) -> float | None:
         """Estimated queue wait for a request submitted right now.
 
-        ``None`` until the first batch has been observed — the shedder
-        never rejects on a made-up number. Otherwise the larger of the
-        smoothed observed wait and the backlog-based projection
-        (batches ahead of us × smoothed batch service time ÷ workers).
+        ``None`` until the first batch has been scored — the shedder never
+        rejects on a made-up number. Otherwise the batches queued ahead of
+        the request (the live backlog over ``max_batch``, rounded up) times
+        the smoothed batch service time, shared over the workers. The
+        projection reads the backlog afresh on every call, so it falls as
+        soon as the queue drains: an empty queue projects 0 and always
+        admits, and a slow batch (a cold monitor's first, say) cannot shut
+        the door for good.
         """
-        wait = self._wait_ewma.value
         service = self._service_ewma.value
-        if wait is None and service is None:
+        if service is None:
             return None
-        projected = 0.0
-        if service is not None:
-            batches_ahead = math.ceil(
-                (len(self.batcher) + 1) / self.config.max_batch
-            )
-            projected = batches_ahead * service / self.config.workers
-        if wait is not None:
-            projected = max(projected, wait)
-        return projected
+        batches_ahead = math.ceil(len(self.batcher) / self.config.max_batch)
+        return batches_ahead * service / self.config.workers
 
     # -- worker side -----------------------------------------------------------
 
@@ -523,11 +518,10 @@ class ValidationServer:
 
     def _process(self, batch: list[_Ticket]) -> None:
         now = self._clock()
+        waits = _wait_seconds_histogram()
         live: list[_Ticket] = []
         for ticket in batch:
-            wait = max(0.0, now - ticket.enqueued_at)
-            _wait_seconds_histogram().observe(wait)
-            self._wait_ewma.observe(wait)
+            waits.observe(max(0.0, now - ticket.enqueued_at))
             if ticket.deadline is not None and now > ticket.deadline:
                 self._resolve_rejection(
                     ticket.future,
@@ -622,7 +616,6 @@ class ValidationServer:
                 "supervisor": self.supervisor.snapshot(),
                 "shedding": {
                     "latency_slo_ms": self.config.latency_slo_ms,
-                    "ewma_wait_s": self._wait_ewma.value,
                     "ewma_service_s": self._service_ewma.value,
                     "projected_wait_s": self._projected_wait_s(),
                 },

@@ -152,7 +152,51 @@ _BOUNDS = st.lists(
 ).map(lambda bs: tuple(sorted(float(b) for b in bs)))
 
 
+def _linear_bucket(bounds, value):
+    """The bucket an upper-inclusive linear scan picks (+Inf past the end)."""
+    for index, bound in enumerate(bounds):
+        if value <= bound:
+            return index
+    return len(bounds)
+
+
+_FLOAT_BOUNDS = st.lists(
+    st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=8, unique=True
+).map(lambda bs: tuple(sorted(bs)))
+
+
+def _edge_values(bounds):
+    """Values on, and one ulp either side of, each bound, plus NaN/±inf."""
+    edge = st.sampled_from(bounds)
+    return st.lists(
+        st.one_of(
+            edge,
+            edge.map(lambda b: math.nextafter(b, -math.inf)),
+            edge.map(lambda b: math.nextafter(b, math.inf)),
+            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        max_size=30,
+    )
+
+
 class TestHistogramProperties:
+    @given(case=_FLOAT_BOUNDS.flatmap(lambda b: st.tuples(st.just(b), _edge_values(b))))
+    def test_buckets_match_linear_scan(self, case):
+        bounds, values = case
+        hist = Histogram(bounds=bounds)
+        expected = [0] * (len(bounds) + 1)
+        for value in values:
+            hist.observe(value)
+            expected[_linear_bucket(bounds, value)] += 1
+        assert hist.bucket_counts == expected
+
+    def test_nan_and_infinities(self):
+        hist = Histogram(bounds=(1.0, 2.0))
+        for value in (math.nan, math.inf, -math.inf):
+            hist.observe(value)
+        assert hist.bucket_counts == [1, 0, 2]
+
     @given(bounds=_BOUNDS, values=_OBSERVATIONS)
     def test_cumulative_counts_monotone_and_consistent(self, bounds, values):
         hist = Histogram(bounds=bounds)
@@ -228,8 +272,25 @@ class TestRegistry:
 
     def test_bounds_conflict_rejected(self, registry):
         registry.histogram("h", bounds=(1.0, 2.0))
+        assert registry.histogram("h", bounds=[1, 2]) is registry.histogram(
+            "h", bounds=(1.0, 2.0)
+        )
         with pytest.raises(ValueError, match="already uses bounds"):
             registry.histogram("h", bounds=(3.0,))
+
+    def test_labels_hit_and_miss_agree(self, registry):
+        family = registry.counter("m_total", labels=("a", "b"))
+        series = family.labels(a="x", b=1)
+        # Keyword order and value type do not split a series.
+        assert family.labels(b="1", a="x") is series
+        assert family.labels(a="x", b=1) is series
+        # Values that compare equal but stringify apart stay apart.
+        assert family.labels(a="x", b=True) is not series
+        assert family.labels(a="x", b=1.0) is not series
+        with pytest.raises(ValueError, match="declares labels"):
+            family.labels(a="x")
+        with pytest.raises(ValueError, match="declares labels"):
+            family.labels(a="x", b=1, c=2)
 
     def test_snapshot_contains_only_touched_series(self, registry):
         registry.counter("untouched_total", labels=("result",))
@@ -353,6 +414,24 @@ class TestTracer:
         with tracer.span("s", a=1) as span:
             span.set(b=2)
         assert exporter.spans[0].attributes == {"a": 1, "b": 2}
+
+    def test_span_set_after_close(self):
+        # Callers may annotate a span with results computed after its
+        # block ends (the benchmark's wrappers do).
+        exporter = InMemorySpanExporter()
+        tracer = Tracer(clock=ManualClock(), exporter=exporter)
+        with tracer.span("s") as span:
+            pass
+        span.set(images=8)
+        assert exporter.spans[0].attributes == {"images": 8}
+
+    def test_bounded_exporter_keeps_most_recent(self):
+        exporter = InMemorySpanExporter(maxlen=3)
+        tracer = Tracer(clock=ManualClock(), exporter=exporter)
+        for index in range(5):
+            with tracer.span(f"s{index}"):
+                pass
+        assert [span.name for span in exporter.spans] == ["s2", "s3", "s4"]
 
     def test_orphan_span_becomes_root(self):
         exporter = InMemorySpanExporter()

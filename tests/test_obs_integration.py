@@ -552,7 +552,8 @@ class TestServeSupervisionMetrics:
         queued = server.submit(test_x[0])
         assert not queued.done()
         server.submit(test_x[1])  # queue_depth=1: shed queue_full
-        server._wait_ewma.observe(5.0)  # 5s projected wait >> 10ms SLO
+        # One queued batch ahead at 5 s per batch: projected 5 s >> 10 ms SLO.
+        server._service_ewma.observe(5.0)
         server.submit(test_x[2])  # shed slo
         for _ in range(server.config.supervision.restart_budget):
             server.supervisor.breaker.record_failure()  # force the budget out
@@ -578,3 +579,73 @@ class TestServeSupervisionMetrics:
             "shed_breaker": 1.0,
             "shed_shutdown": 1.0,
         }
+
+
+class TestHotPathParity:
+    """Retention bounds and per-batch metric updates match per-image ones."""
+
+    def _monitor(self, trained_tiny_model):
+        model, train_x, train_y, test_x, _ = trained_tiny_model
+        validator = DeepValidator(
+            model, ValidatorConfig(seed=0, nu=0.2, max_per_class=40)
+        )
+        validator.fit(train_x, train_y)
+        validator.calibrate_threshold(test_x[:16], test_x[16:32])
+        return RuntimeMonitor(validator), test_x
+
+    def test_global_tracer_is_bounded_and_fresh_tracer_is_not(
+        self, trained_tiny_model
+    ):
+        monitor, test_x = self._monitor(trained_tiny_model)
+        limit = obs.GLOBAL_SPAN_LIMIT
+        fresh = Tracer()
+
+        def classify(index):
+            # A distinct batch per call, so every call scores (and traces)
+            # the whole pipeline rather than hitting the score cache.
+            monitor.classify(test_x[:2] + np.float32(1e-6 * (index + 1)))
+
+        calls = 0
+        with obs.use(registry=MetricsRegistry(), tracer=fresh, enabled=True):
+            while len(fresh.exporter.spans) <= limit + 50:
+                classify(calls)
+                calls += 1
+        emitted = len(fresh.exporter.spans)
+        assert emitted > limit  # a hand-built Tracer keeps every span
+
+        global_tracer = obs.get_tracer()
+        with obs.use(registry=MetricsRegistry(), enabled=True):
+            for index in range(calls):
+                classify(calls + index)
+        retained = global_tracer.exporter.spans
+        assert len(retained) == limit
+        # The ring keeps the most recent spans: the last call's root ends it.
+        assert retained[-1].name == "monitor.classify"
+        assert len(fresh.exporter.spans) == emitted  # untouched since
+
+    def test_verdict_counter_matches_per_image_statuses(
+        self, scoped, trained_tiny_model
+    ):
+        registry = scoped[0]
+        monitor, test_x = self._monitor(trained_tiny_model)
+        registry.reset()
+        batch = test_x[32:40].copy()
+        batch[1, 0, 0, 0] = np.nan  # quarantined per image
+        batch[5, 0, 0, 0] = np.inf
+        verdicts = monitor.classify(batch)
+        # A whole-batch rejection: a rank-2 input quarantines all 3 rows.
+        verdicts += monitor.classify(np.zeros((3, 5), dtype=np.float32))
+        expected: dict[str, float] = {}
+        for verdict in verdicts:
+            expected[verdict.status] = expected.get(verdict.status, 0.0) + 1.0
+        assert expected["QUARANTINED"] == 5.0
+        assert len(expected) >= 2  # scored statuses beside the quarantines
+        snap = registry.snapshot()
+        counted = {
+            s["labels"]["status"]: s["value"]
+            for s in snap["monitor_verdicts_total"]["series"]
+        }
+        assert counted == expected
+        stats = monitor.stats
+        assert stats["quarantined"] == 5
+        assert stats["accepted"] + stats["rejected"] == len(verdicts) - 5

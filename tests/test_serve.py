@@ -128,6 +128,65 @@ class TestMicroBatcher:
         # Flushed by the window (well before any 64-wide batch could form).
         assert time.monotonic() - start < 5.0
 
+    @staticmethod
+    def _spied(batcher: MicroBatcher, clock: ManualClock) -> list:
+        """Replace the consumer's condition wait with a spy that records
+        each requested timeout and advances ``clock`` by it, as if the
+        wait ran out with no arrival."""
+        waits: list = []
+
+        def wait(timeout=None):
+            waits.append(timeout)
+            clock.advance(timeout)
+            return False
+
+        batcher._not_empty.wait = wait
+        return waits
+
+    def test_partial_batch_flushes_at_exactly_max_wait(self):
+        clock = ManualClock()
+        batcher = MicroBatcher(max_batch=8, max_wait_ms=2.0, clock=clock)
+        waits = self._spied(batcher, clock)
+        batcher.offer("a")
+        assert batcher.next_batch() == ["a"]
+        # One wait, for the whole window, and the flush lands on the
+        # deadline: no fixed-step overshoot past max_wait_ms.
+        assert waits == [0.002]
+        assert clock() == 0.002
+
+    def test_unfillable_batch_flushes_at_deadline(self):
+        # Sixteen requests outstanding (a closed-loop client's window),
+        # max_batch=32: nothing else can arrive, so the batch must go at
+        # its deadline.
+        clock = ManualClock(start=100.0)
+        batcher = MicroBatcher(max_batch=32, max_wait_ms=2.0, clock=clock)
+        waits = self._spied(batcher, clock)
+        for item in range(16):
+            batcher.offer(item)
+        assert batcher.next_batch() == list(range(16))
+        assert len(waits) == 1
+        assert clock() == pytest.approx(100.002)
+
+    def test_wait_is_the_time_left_to_the_deadline(self):
+        clock = ManualClock()
+        batcher = MicroBatcher(max_batch=4, max_wait_ms=5.0, clock=clock)
+        waits: list = []
+
+        def wait(timeout=None):
+            # The first wait ends early with an arrival 3 ms in; the
+            # second must ask only for the 2 ms left of the window.
+            waits.append(timeout)
+            clock.advance(0.003 if len(waits) == 1 else timeout)
+            if len(waits) == 1:
+                batcher._queue.append("b")
+            return True
+
+        batcher._not_empty.wait = wait
+        batcher.offer("a")
+        assert batcher.next_batch() == ["a", "b"]
+        assert waits == [pytest.approx(0.005), pytest.approx(0.002)]
+        assert clock() == pytest.approx(0.005)
+
     def test_backpressure(self):
         batcher = MicroBatcher(queue_depth=2)
         assert batcher.offer(1)
@@ -723,23 +782,89 @@ class TestAdaptiveShedding:
 
     def test_sheds_when_projection_exceeds_slo(self, fitted_validator, stream):
         server = self._server(fitted_validator, latency_slo_ms=10.0)
-        server._wait_ewma.observe(5.0)  # 5s observed wait >> 10ms SLO
-        verdict = server.submit(stream[0]).result(timeout=0)
+        server._service_ewma.observe(5.0)  # 5 s per batch >> 10 ms SLO
+        # An empty queue admits whatever the service estimate says ...
+        assert not server.submit(stream[0]).done()
+        # ... and one queued batch ahead projects a 5 s wait.
+        verdict = server.submit(stream[1]).result(timeout=0)
         assert verdict.status == OVERLOADED
         assert "SLO" in verdict.reason
         assert verdict.detail["projected_wait_ms"] == pytest.approx(5_000.0)
         assert verdict.detail["slo_ms"] == 10.0
         assert server.stats()["shed_slo"] == 1
 
-    def test_projection_blends_wait_and_backlog(self, fitted_validator):
+    def test_projection_is_backlog_times_service(self, fitted_validator, stream):
         server = self._server(
-            fitted_validator, max_batch=4, workers=2, latency_slo_ms=1_000.0
+            fitted_validator, max_batch=4, workers=2, latency_slo_ms=10_000.0
         )
         server._service_ewma.observe(0.8)
-        # Empty queue: one batch ahead of us, split over two workers.
+        # Empty queue: nothing ahead of a new request.
+        assert server._projected_wait_s() == 0.0
+        for image in stream[:4]:
+            server.submit(image)
+        # One full batch ahead, shared over two workers.
         assert server._projected_wait_s() == pytest.approx(0.4)
-        server._wait_ewma.observe(1.0)  # observed wait dominates
-        assert server._projected_wait_s() == pytest.approx(1.0)
+        server.submit(stream[4])
+        assert server._projected_wait_s() == pytest.approx(0.8)
+
+    def _drive(self, fitted_validator, seconds_per_batch, **config):
+        """A never-started server on a manual clock, plus its clock; the
+        test dequeues and scores batches itself, and each scored batch
+        advances the clock by ``seconds_per_batch``."""
+        clock = ManualClock()
+        monitor = RuntimeMonitor(fitted_validator)
+        server = ValidationServer(
+            monitor,
+            ServeConfig(
+                max_wait_ms=0.0, supervision=_manual_supervision(), **config
+            ),
+            clock=clock,
+        )
+        return server, slow_classify(monitor, seconds_per_batch, clock=clock)
+
+    def test_cold_first_batch_does_not_latch(self, fitted_validator, stream):
+        # A cold monitor's first batch takes 200 ms, four times the SLO.
+        server, slow = self._drive(fitted_validator, 0.2, latency_slo_ms=50.0)
+        with slow:
+            first = server.submit(stream[0])
+            server._process(server.batcher.next_batch())
+            assert first.result(timeout=0).status in (
+                resilience.VALIDATED,
+                resilience.FLAGGED,
+            )
+            assert server._service_ewma.value == pytest.approx(0.2)
+            # The queue is empty, so the next request is admitted.
+            second = server.submit(stream[1])
+            assert not second.done()
+            server._process(server.batcher.next_batch())
+            assert second.result(timeout=0).status != OVERLOADED
+        assert server.stats()["shed_slo"] == 0
+
+    def test_overload_then_idle_admits_again(self, fitted_validator, stream):
+        server, slow = self._drive(
+            fitted_validator, 0.1, max_batch=2, latency_slo_ms=50.0
+        )
+        with slow:
+            server.submit(stream[0])
+            server._process(server.batcher.next_batch())  # service: 100 ms
+            # Overload: with one request queued, every further arrival
+            # projects a 100 ms wait and is shed.
+            queued = server.submit(stream[1])
+            shed = [server.submit(image) for image in stream[2:6]]
+            assert all(f.result(timeout=0).status == OVERLOADED for f in shed)
+            assert server.stats()["shed_slo"] == 4
+            # Idle: the worker drains the backlog ...
+            server._process(server.batcher.next_batch())
+            assert queued.result(timeout=0).status != OVERLOADED
+            assert len(server.batcher) == 0
+            # ... and the server admits again, with the same service
+            # estimate that shed the requests above.
+            assert server._service_ewma.value == pytest.approx(0.1)
+            again = server.submit(stream[6])
+            assert not again.done()
+            server._process(server.batcher.next_batch())
+            assert again.result(timeout=0).status != OVERLOADED
+        assert server.stats()["shed_slo"] == 4
 
     def test_static_queue_bound_remains_the_backstop(
         self, fitted_validator, stream
@@ -826,8 +951,10 @@ class TestServeHealth:
             assert supervisor["deaths"] == supervisor["restarts"] == 0
             assert supervisor["state"] == "closed"
             shedding = health["server"]["shedding"]
+            assert set(shedding) == {
+                "latency_slo_ms", "ewma_service_s", "projected_wait_s",
+            }
             assert shedding["latency_slo_ms"] == 5_000.0
-            assert shedding["ewma_wait_s"] is not None
             assert shedding["ewma_service_s"] is not None
             assert shedding["projected_wait_s"] is not None
             assert health["monitor"]["status"] == "ok"

@@ -10,11 +10,24 @@ Column layout: ``im2col`` returns shape ``(C*K*K, out_h*out_w*N)`` where the
 column index runs spatial-position-major, batch-minor. ``col2im`` is its
 exact adjoint (scatter-add), which is what the convolution backward pass
 needs.
+
+Convolution forwards run their GEMM over *row blocks* of that column
+matrix: :func:`conv_block_rows` decides how many output rows one block
+holds. The Tensor path (``ops.conv2d``) and the compiled inference plan
+(``repro.infer``) both ask it, so they hand BLAS the same block shapes and
+stay bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: Byte budget for one row block of im2col columns. Blocks this size stay
+#: resident in a core's L2 cache between the column build and the GEMM
+#: that reads them; a full-chunk column matrix (tens of MB at batch 256)
+#: does not. 128 KiB to 1 MiB measured alike on a 2 MiB-L2 core; 2 MiB was
+#: slower.
+COLUMN_BLOCK_BYTES = 512 * 1024
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -26,6 +39,21 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
             f"stride={stride} pad={pad}"
         )
     return out
+
+
+def conv_block_rows(
+    channels: int, kernel: int, out_w: int, batch: int, itemsize: int, out_h: int
+) -> int:
+    """Output rows per im2col block of a convolution forward.
+
+    As many rows as fit :data:`COLUMN_BLOCK_BYTES` of columns
+    (``channels * kernel**2`` by ``rows * out_w * batch``), at least one and
+    at most ``out_h`` — so when the whole column matrix fits, the forward is
+    one block, a single GEMM. BLAS results depend on the operand widths it
+    is given, so every conv forward must block by this rule.
+    """
+    row_bytes = channels * kernel * kernel * out_w * batch * itemsize
+    return max(1, min(out_h, COLUMN_BLOCK_BYTES // max(row_bytes, 1)))
 
 
 def im2col(

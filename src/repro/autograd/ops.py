@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.im2col import col2im, conv_output_size, im2col
+from repro.autograd.im2col import col2im, conv_block_rows, conv_output_size, im2col
 from repro.autograd.tensor import Tensor
 
 
@@ -200,9 +200,20 @@ def conv2d(
     out_h = conv_output_size(height, kernel, stride, pad)
     out_w = conv_output_size(width, kernel, stride, pad)
 
-    cols = im2col(x.data, kernel, stride, pad)  # (C*K*K, N*out_h*out_w)
+    cols = im2col(x.data, kernel, stride, pad)  # (C*K*K, out_h*out_w*N)
     weight_mat = weight.data.reshape(filters, -1)  # (F, C*K*K)
-    out = weight_mat @ cols  # (F, N*out_h*out_w)
+    out = np.empty((filters, cols.shape[1]), np.result_type(weight_mat, cols))
+    # One GEMM per row block, with the compiled plan's block rule and
+    # operand layout (a contiguous block; for 1x1/stride-1 a slice of the
+    # source), so the two forwards agree to the last bit.
+    rows = conv_block_rows(in_channels, kernel, out_w, batch, cols.itemsize, out_h)
+    span = out_w * batch
+    for y0 in range(0, out_h, rows):
+        block = slice(y0 * span, min(y0 + rows, out_h) * span)
+        operand = cols[:, block]
+        if kernel > 1 or stride > 1:
+            operand = np.ascontiguousarray(operand)
+        np.matmul(weight_mat, operand, out=out[:, block])
     out = out.reshape(filters, out_h, out_w, batch).transpose(3, 0, 1, 2)
     if bias is not None:
         out = out + bias.data.reshape(1, filters, 1, 1)

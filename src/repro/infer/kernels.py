@@ -26,7 +26,8 @@ __all__ = [
     "conv_output_size",
     "channel_major",
     "write_nchw",
-    "im2col_pooled",
+    "conv_source",
+    "im2col_rows",
     "pool_cols_pooled",
     "max_pool_fold",
     "batchnorm_eval",
@@ -88,50 +89,56 @@ def write_nchw(out: np.ndarray, x: np.ndarray, tile_n: int = 128, tile_f: int = 
     return out
 
 
-def im2col_pooled(
-    images: np.ndarray,
-    kernel: int,
-    stride: int,
-    pad: int,
-    ws: WorkspacePool,
-    key: tuple,
+def conv_source(
+    images: np.ndarray, pad: int, ws: WorkspacePool, key: tuple
 ) -> np.ndarray:
-    """:func:`repro.autograd.im2col.im2col` into pooled buffers.
+    """``images`` (N, C, H, W) as the zero-padded channel-major array
+    ``(C, H + 2*pad, W + 2*pad, N)`` that :func:`im2col_rows` reads.
 
-    Identical values and column layout — ``(C*K*K, out_h*out_w*N)``,
-    spatial-position-major, batch-minor — but built from a channel-major
-    source (one staging pass at most, none when the input already carries
-    the layout) so each of the K² window copies moves contiguous runs, and
-    all buffers live in the workspace pool instead of being reallocated
-    per call. The padded buffer's zero border is written once at
-    allocation; only the interior is refreshed on reuse. 1×1/stride-1
-    windows need no column copy at all — the channel-major source *is* the
-    column matrix.
+    A channel-major input with no padding is read in place; otherwise the
+    input is copied once, straight into the pooled padded buffer when there
+    is padding. That buffer's zero border is written once at allocation;
+    only the interior is refreshed on reuse.
     """
+    if pad == 0:
+        return _as_channel_major(images, ws, (*key, "chwn"))
     batch, channels, height, width = images.shape
-    out_h = conv_output_size(height, kernel, stride, pad)
-    out_w = conv_output_size(width, kernel, stride, pad)
-    source = _as_channel_major(images, ws, (*key, "chwn"))
-    if pad > 0:
-        padded, _ = ws.zeroed(
-            (*key, "pad"),
-            (channels, height + 2 * pad, width + 2 * pad, batch),
-            images.dtype,
-        )
-        padded[:, pad:-pad, pad:-pad, :] = source
-        source = padded
-    if kernel == 1 and stride == 1:
-        return source.reshape(channels, out_h * out_w * batch)
-    cols = ws.scratch(
-        (*key, "cols"),
-        (channels, kernel, kernel, out_h, out_w, batch),
+    padded, _ = ws.zeroed(
+        (*key, "pad"),
+        (channels, height + 2 * pad, width + 2 * pad, batch),
         images.dtype,
     )
+    padded[:, pad:-pad, pad:-pad, :] = images.transpose(1, 2, 3, 0)
+    return padded
+
+
+def im2col_rows(
+    source: np.ndarray,
+    kernel: int,
+    stride: int,
+    out_w: int,
+    y0: int,
+    rows: int,
+    out: np.ndarray,
+) -> np.ndarray:
+    """The :func:`repro.autograd.im2col.im2col` columns of output rows
+    ``[y0, y0 + rows)``, built from a :func:`conv_source` array.
+
+    Identical values and column layout to the matching column slice of the
+    full matrix — ``(C*K*K, rows*out_w*N)``, spatial-position-major,
+    batch-minor — written C-contiguous into the front of the flat buffer
+    ``out``. Reading a channel-major source, each of the K² window copies
+    moves contiguous runs of N.
+    """
+    channels, _, _, batch = source.shape
+    size = channels * kernel * kernel * rows * out_w * batch
+    cols = out[:size].reshape(channels, kernel, kernel, rows, out_w, batch)
     for ky in range(kernel):
-        y_stop = ky + stride * out_h
+        y_start = ky + stride * y0
+        y_rows = slice(y_start, y_start + stride * rows, stride)
         for kx in range(kernel):
-            x_stop = kx + stride * out_w
-            cols[:, ky, kx] = source[:, ky:y_stop:stride, kx:x_stop:stride, :]
+            x_cols = slice(kx, kx + stride * out_w, stride)
+            cols[:, ky, kx] = source[:, y_rows, x_cols, :]
     return cols.reshape(channels * kernel * kernel, -1)
 
 

@@ -28,10 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
+from repro.autograd.im2col import conv_block_rows
 from repro.infer.kernels import (
     batchnorm_eval,
     conv_output_size,
-    im2col_pooled,
+    conv_source,
+    im2col_rows,
     max_pool_fold,
     pool_cols_pooled,
     write_nchw,
@@ -90,6 +92,11 @@ class Step:
     the caller's :class:`WorkspacePool`.
     """
 
+    #: Whether this step, first in a stage, should read the previous
+    #: stage's contiguous NCHW probe rather than the layout that stage
+    #: computed in (see :meth:`InferencePlan._forward_chunk`).
+    reads_probe = False
+
     def out_spec(self, x):
         """``(shape, dtype)`` of the output for input ``x``.
 
@@ -102,9 +109,10 @@ class Step:
         """Execute the step on ``x``.
 
         With ``out`` (a contiguous buffer of exactly :meth:`out_spec`'s
-        shape/dtype) the result is written in place; without it, the step
+        shape/dtype) the result is also written there. Either way the step
         may return a pooled buffer or a view — valid only until the next
-        chunk.
+        chunk — in whatever layout it computed in (channel-major for convs
+        and pools).
         """
         raise NotImplementedError
 
@@ -134,14 +142,33 @@ class ConvStep(Step):
         batch, out_h, out_w = self._geometry(x)
         weight = m.weight.data
         filters = weight.shape[0]
-        cols = im2col_pooled(x, m.kernel, m.stride, m.pad, ws, (self.key,))
         weight_mat = weight.reshape(filters, -1)
+        source = conv_source(x, m.pad, ws, (self.key,))
         gemm = ws.scratch(
             (self.key, "gemm"),
             (filters, out_h * out_w * batch),
             np.result_type(x.dtype, weight.dtype),
         )
-        np.matmul(weight_mat, cols, out=gemm)
+        # One GEMM per row block of columns, by the rule ``ops.conv2d``
+        # uses: the block widths reach BLAS unchanged, so results match.
+        rows = conv_block_rows(x.shape[1], m.kernel, out_w, batch, x.itemsize, out_h)
+        span = out_w * batch
+        pointwise = m.kernel == 1 and m.stride == 1
+        if pointwise:
+            # The channel-major source *is* the column matrix.
+            source_cols = source.reshape(x.shape[1], -1)
+        else:
+            buf = ws.scratch(
+                (self.key, "cols"), (weight_mat.shape[1] * rows * span,), x.dtype
+            )
+        for y0 in range(0, out_h, rows):
+            y1 = min(y0 + rows, out_h)
+            block = slice(y0 * span, y1 * span)
+            if pointwise:
+                cols = source_cols[:, block]
+            else:
+                cols = im2col_rows(source, m.kernel, m.stride, out_w, y0, y1 - y0, buf)
+            np.matmul(weight_mat, cols, out=gemm[:, block])
         if m.bias is not None:
             # Bias added in GEMM coordinates (channel-major, before the
             # NCHW transpose): every output element pairs the same two
@@ -149,9 +176,9 @@ class ConvStep(Step):
             # so results are bit-identical — but the loop runs contiguous.
             np.add(gemm, m.bias.data.reshape(filters, 1), out=gemm)
         view = gemm.reshape(filters, out_h, out_w, batch).transpose(3, 0, 1, 2)
-        if out is None:
-            return view
-        return write_nchw(out, view)
+        if out is not None:
+            write_nchw(out, view)
+        return view
 
 
 class DenseStep(Step):
@@ -202,9 +229,9 @@ class ReluStep(Step):
         # Tensor path pays the same transpose in its probe reshape-copy,
         # untiled.
         np.maximum(source, 0.0, out=dest)
-        if out is None:
-            return view
-        return write_nchw(out, view)
+        if out is not None:
+            write_nchw(out, view)
+        return view
 
 
 class TanhStep(Step):
@@ -225,9 +252,9 @@ class TanhStep(Step):
             return write_nchw(out, result)
         source, dest, view = pooled
         np.tanh(source, out=dest)
-        if out is None:
-            return view
-        return write_nchw(out, view)
+        if out is not None:
+            write_nchw(out, view)
+        return view
 
 
 class SoftmaxStep(Step):
@@ -257,6 +284,10 @@ class FlattenStep(Step):
     its last bits, and :class:`~repro.nn.layers.Flatten` guarantees its
     consumer a C-contiguous operand.
     """
+
+    # Reshaping the contiguous probe is free; a channel-major view would
+    # need a second transpose copy of the same values.
+    reads_probe = True
 
     def __init__(self, key: str) -> None:
         self.key = key
@@ -306,9 +337,9 @@ class MaxPoolStep(Step):
     def run(self, x, ws: WorkspacePool, out=None):
         acc = max_pool_fold(x, self.kernel, self.stride, ws, (self.key,))
         view = acc.transpose(3, 0, 1, 2)
-        if out is None:
-            return view
-        return write_nchw(out, view)
+        if out is not None:
+            write_nchw(out, view)
+        return view
 
 
 class AvgPoolStep(Step):
@@ -559,7 +590,14 @@ class InferencePlan:
                 # Fused probe extraction: the stage tail writes straight
                 # into the flattened (N, features) buffer the scorer reads.
                 flat = np.empty((shape[0], _prod(shape[1:])), dtype=dtype)
-                x = last.run(x, ws, out=flat.reshape(shape))
+                probe = flat.reshape(shape)
+                x = last.run(x, ws, out=probe)
+                # The next stage reads the layout this tail computed in
+                # (channel-major after convs and pools, so its convs and
+                # pools need no staging copy), unless it starts by
+                # flattening the probe.
+                if not is_final and self.stages[position + 1][1][0].reads_probe:
+                    x = probe
             else:
                 x = last.run(x, ws)
                 flat = x.reshape(batch, -1).copy()

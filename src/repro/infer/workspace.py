@@ -143,6 +143,10 @@ class WorkspacePool:
 
     # -- introspection ---------------------------------------------------------
 
+    def buffers(self) -> dict[tuple, np.ndarray]:
+        """The calling thread's buffers, keyed ``(key, shape, dtype)``."""
+        return dict(self._pool().buffers)
+
     @property
     def stats(self) -> dict[str, int]:
         """Hit/miss/buffer accounting aggregated across all threads."""

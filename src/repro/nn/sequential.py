@@ -255,6 +255,10 @@ class ProbedSequential(Module):
                     for probe in probes
                 ],
             )
+        if len(probs) == 1:
+            # One chunk: its arrays are fresh per chunk and never alias the
+            # plan's workspace, so hand them over without a copy.
+            return probs[0], [slot[0] for slot in reps]
         return (
             np.concatenate(probs, axis=0),
             [np.concatenate(slot, axis=0) for slot in reps],

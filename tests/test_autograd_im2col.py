@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autograd.im2col import col2im, conv_output_size, im2col
+from repro.autograd import im2col as im2col_module
+from repro.autograd.im2col import col2im, conv_block_rows, conv_output_size, im2col
 
 
 class TestConvOutputSize:
@@ -14,6 +15,23 @@ class TestConvOutputSize:
     def test_rejects_nonpositive_output(self):
         with pytest.raises(ValueError):
             conv_output_size(2, 5, 1, 0)
+
+
+class TestConvBlockRows:
+    def test_all_rows_when_the_columns_fit(self):
+        # 2 channels x 3x3 kernel x 10 wide x 4 images x 4 bytes = 2880 B/row.
+        assert conv_block_rows(2, 3, 10, 4, 4, 10) == 10
+
+    def test_rows_that_fit_the_budget(self, monkeypatch):
+        monkeypatch.setattr(im2col_module, "COLUMN_BLOCK_BYTES", 3 * 2880 + 100)
+        assert conv_block_rows(2, 3, 10, 4, 4, 10) == 3
+
+    def test_at_least_one_row(self, monkeypatch):
+        monkeypatch.setattr(im2col_module, "COLUMN_BLOCK_BYTES", 1)
+        assert conv_block_rows(2, 3, 10, 4, 4, 10) == 1
+
+    def test_empty_batch_is_one_block(self):
+        assert conv_block_rows(2, 3, 10, 0, 4, 10) == 10
 
 
 class TestIm2col:

@@ -21,6 +21,7 @@ from repro.autograd import (
     tanh,
     where,
 )
+from repro.autograd import im2col as im2col_module
 from repro.autograd.ops import global_avg_pool2d
 
 
@@ -159,6 +160,14 @@ class TestConv:
         w = randn(3, 2, 3, 3, seed=20)
         b = randn(3, seed=21)
         assert gradcheck(lambda x, w, b: conv2d(x, w, b, stride=2, pad=1), [x, w, b])
+
+    def test_conv_gradients_across_row_blocks(self, monkeypatch):
+        # A one-byte budget runs the forward GEMM one output row at a time.
+        monkeypatch.setattr(im2col_module, "COLUMN_BLOCK_BYTES", 1)
+        x = randn(2, 2, 5, 5, seed=22)
+        w = randn(3, 2, 3, 3, seed=23)
+        b = randn(3, seed=24)
+        assert gradcheck(lambda x, w, b: conv2d(x, w, b, stride=1, pad=1), [x, w, b])
 
 
 class TestPooling:

@@ -16,6 +16,7 @@ Run with ``pytest -q -m infer`` (tier-2 entry point; also exercised under
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import infer
+from repro.autograd import im2col as im2col_module
+from repro.autograd.im2col import conv_block_rows
 from repro.autograd.tensor import Tensor
+from repro.infer.plan import ConvStep
 from repro.nn import (
     Conv2d,
     Dense,
@@ -125,10 +129,13 @@ class TestGeometryProperties:
         pool=st.integers(2, 3),
         size=st.integers(9, 14),
         batch=st.integers(1, 5),
+        # Column block budgets from one output row per block up to the
+        # whole column matrix in one block.
+        budget=st.sampled_from([1, 2048, 16384, im2col_module.COLUMN_BLOCK_BYTES]),
         data=st.data(),
     )
     def test_conv_pool_geometries(
-        self, channels, filters, kernel, stride, pad, pool, size, batch, data
+        self, channels, filters, kernel, stride, pad, pool, size, batch, budget, data
     ):
         padded = size + 2 * pad
         if padded < kernel:
@@ -171,7 +178,131 @@ class TestGeometryProperties:
                 .astype(np.float32)
             )
         )
-        assert_paths_identical(model, images, batch_size=3)
+        with mock.patch.object(im2col_module, "COLUMN_BLOCK_BYTES", budget):
+            assert_paths_identical(model, images, batch_size=3)
+
+
+def conv_model(channels, filters, kernel, stride, pad, size):
+    """One conv stage (conv, relu) and a dense softmax head."""
+    out = (size + 2 * pad - kernel) // stride + 1
+    return ProbedSequential(
+        [
+            (
+                "conv",
+                Sequential(
+                    Conv2d(channels, filters, kernel=kernel, stride=stride, pad=pad, rng=0),
+                    ReLU(),
+                ),
+            ),
+            ("head", Sequential(Flatten(), Dense(filters * out * out, 3, rng=1), Softmax())),
+        ]
+    )
+
+
+#: (channels, filters, kernel, stride, pad, size): output heights 7, 11, 8,
+#: 9 and 2, so two and three rows per block leave a short last block. Each
+#: has at least 32 column rows (channels * kernel**2), where this BLAS's
+#: results start to depend on how the GEMM's columns are split.
+BLOCK_GEOMETRIES = {
+    "strided": (4, 4, 3, 2, 0, 15),
+    "padded": (4, 3, 3, 1, 1, 11),
+    "strided_padded": (2, 5, 4, 2, 2, 14),
+    "pointwise": (40, 3, 1, 1, 0, 9),
+    "one_filter": (8, 1, 3, 2, 0, 5),
+}
+
+
+class TestRowBlocks:
+    """Convs whose forward GEMM spans several row blocks stay bit-identical."""
+
+    # The tiny synth-mnist model (mnist_cnn width 4): per conv, (in
+    # channels, kernel, out_h, out_w).
+    TINY_CONVS = {
+        "conv1": (1, 5, 24, 24),
+        "conv2": (4, 3, 22, 22),
+        "conv3": (4, 3, 9, 9),
+        "conv4": (8, 2, 8, 8),
+    }
+
+    @pytest.mark.parametrize("batch", [100, 256])
+    def test_tiny_model_wide_batches(self, batch):
+        model = mnist_cnn(width=4)
+        for name in ("conv1", "conv2"):
+            channels, kernel, out_h, out_w = self.TINY_CONVS[name]
+            rows = conv_block_rows(channels, kernel, out_w, batch, 4, out_h)
+            assert out_h // rows >= 8, name
+        images = np.random.default_rng(11).standard_normal((batch, 1, 28, 28))
+        assert_paths_identical(model, images.astype(np.float32))
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_narrow_batches(self, batch):
+        # Every conv is one block, except conv2 at batch 8: its 557 KB of
+        # columns split into a 20-row and a short 2-row block.
+        blocks = {
+            name: -(-out_h // conv_block_rows(channels, kernel, out_w, batch, 4, out_h))
+            for name, (channels, kernel, out_h, out_w) in self.TINY_CONVS.items()
+        }
+        assert blocks == {"conv1": 1, "conv2": 1 if batch == 1 else 2, "conv3": 1, "conv4": 1}
+        model = mnist_cnn(width=4)
+        images = np.random.default_rng(batch).standard_normal((batch, 1, 28, 28))
+        assert_paths_identical(model, images.astype(np.float32))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    @pytest.mark.parametrize("name", sorted(BLOCK_GEOMETRIES))
+    def test_geometries_by_rows_per_block(self, monkeypatch, name, rows):
+        channels, filters, kernel, stride, pad, size = BLOCK_GEOMETRIES[name]
+        batch = 6
+        out = (size + 2 * pad - kernel) // stride + 1
+        if rows is not None:
+            row_bytes = channels * kernel * kernel * out * batch * 4
+            monkeypatch.setattr(im2col_module, "COLUMN_BLOCK_BYTES", rows * row_bytes)
+            assert conv_block_rows(channels, kernel, out, batch, 4, out) == min(rows, out)
+        model = conv_model(channels, filters, kernel, stride, pad, size)
+        images = np.random.default_rng(5).standard_normal((batch, channels, size, size))
+        assert_paths_identical(model, images.astype(np.float32))
+
+    @pytest.mark.parametrize("kernel", [1, 2])
+    def test_single_filter_narrow_blocks(self, monkeypatch, kernel):
+        # Blocks a few columns wide of a one-filter conv run as BLAS
+        # matrix-vector products, whose results depend on the operand's row
+        # stride. So the Tensor path copies each block contiguous, as the
+        # plan builds it, except for 1x1 convs, where both slice the source.
+        monkeypatch.setattr(im2col_module, "COLUMN_BLOCK_BYTES", 1)
+        channels, size = (4, 3) if kernel == 1 else (1, 4)
+        model = conv_model(channels, 1, kernel, 1, 0, size)
+        for seed in range(5):
+            images = np.random.default_rng(seed).standard_normal((1, channels, size, size))
+            assert_paths_identical(model, images.astype(np.float32))
+
+    @pytest.mark.parametrize("budget", [1, 4096, 65536])
+    def test_densenet_pointwise_transitions(self, zoo, monkeypatch, budget):
+        # Transitions are float64 1x1 convs whose blocks are zero-copy
+        # slices of the source; dense layers are padded 3x3 convs.
+        monkeypatch.setattr(im2col_module, "COLUMN_BLOCK_BYTES", budget)
+        model, images = zoo["densenet"]
+        assert_paths_identical(model, images.astype(np.float32))
+
+    def test_workspace_holds_one_block_and_stages_only_the_input(self):
+        model = mnist_cnn(width=4)
+        images = np.random.default_rng(12).standard_normal((256, 1, 28, 28))
+        model.hidden_representations(images.astype(np.float32), compiled=True)
+        plan = infer.plan_for(model, require=True)
+        buffers = plan.workspace.buffers()
+        convs = {
+            name: step
+            for name, steps in plan.stages
+            for step in steps
+            if isinstance(step, ConvStep)
+        }
+        assert sorted(convs) == sorted(self.TINY_CONVS)
+        for name, step in convs.items():
+            channels, kernel, out_h, out_w = self.TINY_CONVS[name]
+            rows = conv_block_rows(channels, kernel, out_w, 256, 4, out_h)
+            assert rows < out_h, name
+            cols = [buf for (key, _, _), buf in buffers.items() if key == (step.key, "cols")]
+            assert max(buf.nbytes for buf in cols) <= rows * channels * kernel**2 * out_w * 256 * 4
+        staged = {key[0] for key, _, _ in buffers if key[-1] == "chwn"}
+        assert staged == {convs["conv1"].key}
 
 
 class UnlowerableModule(Module):

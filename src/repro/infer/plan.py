@@ -151,13 +151,11 @@ class ConvStep(Step):
         )
         # One GEMM per row block of columns, by the rule ``ops.conv2d``
         # uses: the block widths reach BLAS unchanged, so results match.
-        rows = conv_block_rows(x.shape[1], m.kernel, out_w, batch, x.itemsize, out_h)
+        channels = x.shape[1]
+        rows = conv_block_rows(channels, m.kernel, out_w, batch, x.itemsize, out_h)
         span = out_w * batch
         pointwise = m.kernel == 1 and m.stride == 1
-        if pointwise:
-            # The channel-major source *is* the column matrix.
-            source_cols = source.reshape(x.shape[1], -1)
-        else:
+        if not pointwise:
             buf = ws.scratch(
                 (self.key, "cols"), (weight_mat.shape[1] * rows * span,), x.dtype
             )
@@ -165,7 +163,8 @@ class ConvStep(Step):
             y1 = min(y0 + rows, out_h)
             block = slice(y0 * span, y1 * span)
             if pointwise:
-                cols = source_cols[:, block]
+                # The channel-major source *is* the column matrix.
+                cols = source.reshape(channels, -1)[:, block]
             else:
                 cols = im2col_rows(source, m.kernel, m.stride, out_w, y0, y1 - y0, buf)
             np.matmul(weight_mat, cols, out=gemm[:, block])

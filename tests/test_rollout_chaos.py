@@ -9,12 +9,15 @@ inverse: a mid-soak promotion with worker kills in flight still resolves
 every ticket bit-identically.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core import (
     BundleStore,
     DeepValidator,
+    DegradedModeWarning,
     RuntimeMonitor,
     ValidatorBundle,
     ValidatorConfig,
@@ -34,6 +37,7 @@ from repro.serve import (
 )
 from repro.testing import ChaosPlan, corrupt_bundle, run_soak
 from repro.testing.faults import fail_packed_scorer
+from repro.utils import strict_mode
 from tests.helpers import easy_image_task, train_tiny_model
 
 pytestmark = [pytest.mark.rollout, pytest.mark.chaos]
@@ -147,8 +151,14 @@ class TestPoisonedCandidateUnderSoak:
         # property of the artifact, not a timeline window): its first
         # shadow-scored group must trip the candidate_failure guardrail.
         # Strict mode escalates the degradation warning into a raise —
-        # both paths end in the same trip.
-        with fail_packed_scorer(
+        # both paths end in the same trip. Otherwise the skipped layer must
+        # announce itself as a warning.
+        degraded = (
+            contextlib.nullcontext()
+            if strict_mode()
+            else pytest.warns(DegradedModeWarning, match="skipped layer validators")
+        )
+        with degraded, fail_packed_scorer(
             candidate_monitor.validator.validators[0], nth=1, count=-1
         ):
             report = run_soak(

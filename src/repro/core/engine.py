@@ -1,7 +1,7 @@
 """The batched validation engine: Deep Validation's production hot path.
 
 :class:`ValidationEngine` wraps a fitted :class:`~repro.core.validator.DeepValidator`
-and reroutes Algorithm 2 through three optimisations, none of which change
+and reroutes Algorithm 2 through two optimisations, neither of which changes
 the scores (the differential harness pins agreement with the per-sample
 reference at 1e-8):
 
@@ -12,17 +12,16 @@ reference at 1e-8):
    support vectors with one matrix product — no scaler pass and no
    per-image round trip for batch-size-1 monitoring traffic.
 2. **Chunked evaluation** — the forward pass and every kernel block are
-   evaluated in sample chunks of ``chunk_size``, bounding transient memory
-   to ``chunk_size x support_vectors_of_one_class`` floats regardless of
-   how large a batch callers throw at it.
-3. **Score memoisation** — results are kept in an
-   :class:`~repro.utils.cache.LRUCache` keyed on a content hash of the
-   input batch. Calibration followed by flagging of the same images, or a
-   monitor replaying a window, skips the forward pass and all kernel work.
+   evaluated in sample chunks of :data:`CHUNK_SIZE`, bounding transient
+   memory to ``CHUNK_SIZE x support_vectors_of_one_class`` floats
+   regardless of how large a batch callers throw at it.
+
+Every batch is scored afresh: runtime inputs are a stream of new images,
+so there is nothing to memoise.
 
 Usage::
 
-    engine = validator.engine()            # cached on the validator
+    engine = validator.engine()            # kept on the validator
     predictions, D = engine.discrepancies(images)
     d = engine.joint_discrepancy(images)   # Eq. 3 via the batched path
     flags = engine.flag(images)            # d > validator.epsilon
@@ -33,15 +32,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.utils.cache import LRUCache, hash_array
+from repro.utils.cache import hash_array  # noqa: F401 — perfbench wraps this name (engine.hash)
 
-
-def _cache_counter():
-    return obs.counter(
-        "engine_cache_requests_total",
-        help="Engine score-cache lookups by result",
-        labels=("result",),
-    )
+#: Samples per evaluation chunk, for both the probed forward pass and the
+#: per-class kernel blocks.
+CHUNK_SIZE = 256
 
 
 def _layer_seconds():
@@ -52,177 +47,55 @@ def _layer_seconds():
     )
 
 
-def _hash_seconds():
-    return obs.histogram(
-        "cache_hash_seconds",
-        help="Wall time spent content-hashing batches for score-cache keys",
-        labels=("caller",),
-    )
-
-
-def _hash_key(images: np.ndarray, caller: str) -> str:
-    with obs.timed(_hash_seconds().labels(caller=caller)):
-        return hash_array(images)
-
-
 class ValidationEngine:
-    """Vectorised, cached scoring facade over a fitted ``DeepValidator``.
+    """Vectorised scoring facade over a fitted ``DeepValidator``.
 
-    Parameters
-    ----------
-    validator:
-        A fitted :class:`~repro.core.validator.DeepValidator`. The engine
-        shares its model, per-layer validators, combiner config, and
-        ``epsilon`` — it adds speed, not policy.
-    chunk_size:
-        Samples per evaluation chunk for both the probed forward pass and
-        the per-class kernel blocks.
-    cache_size:
-        Number of scored batches memoised by content hash.
+    The engine shares the validator's model, per-layer validators,
+    combiner config, and ``epsilon`` — it adds speed, not policy.
     """
 
-    def __init__(self, validator, chunk_size: int = 256, cache_size: int = 32) -> None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    def __init__(self, validator) -> None:
         self.validator = validator
         self.model = validator.model
-        self.chunk_size = chunk_size
-        self.cache = LRUCache(cache_size)
 
     # -- scoring ---------------------------------------------------------------
-
-    def _empty_result(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(predictions, D)`` pair for a zero-image batch."""
-        predictions = np.empty(0, dtype=np.int64)
-        per_layer = np.empty((0, len(self.validator.validators)))
-        predictions.flags.writeable = False
-        per_layer.flags.writeable = False
-        return predictions, per_layer
-
-    def _compute(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        probabilities, representations = self.model.hidden_representations(
-            images, batch_size=self.chunk_size
-        )
-        predictions = probabilities.argmax(axis=1)
-        columns = []
-        for validator in self.validator.validators:
-            name = validator.layer_name
-            with obs.span("engine.layer_score", layer=name), obs.timed(
-                _layer_seconds().labels(layer=name)
-            ):
-                columns.append(
-                    validator.discrepancy_batched(
-                        representations[validator.layer_index],
-                        predictions,
-                        chunk_size=self.chunk_size,
-                    )
-                )
-        per_layer = np.stack(columns, axis=1)
-        # Frozen so cache hits can hand back the stored arrays directly.
-        predictions.flags.writeable = False
-        per_layer.flags.writeable = False
-        return predictions, per_layer
 
     def discrepancies(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched Algorithm 2: ``(predictions, D)`` for a batch of images.
 
         An empty batch short-circuits to ``(0,)``/``(0, L)`` results
         without touching the model — serving paths see ``n=0`` windows
-        whenever every input of a batch was quarantined upstream.
-
-        Concurrent calls with identical batches are single-flighted
-        through the score cache: one thread runs the forward pass and
-        kernel work (one cache miss), the rest adopt its result (cache
-        hits) — N identical in-flight requests cost one computation and
-        the hit/miss accounting stays exact.
+        whenever every input of a batch was quarantined upstream. A layer
+        scorer that raises re-raises here (the first failing layer's
+        error) once every layer has been tried.
         """
-        if not self.validator.validators:
-            raise RuntimeError("DeepValidator is not fitted")
-        images = np.asarray(images)
-        if len(images) == 0:
-            return self._empty_result()
-        key = _hash_key(images, caller="discrepancies")
-        computed = False
-
-        def compute() -> tuple[np.ndarray, np.ndarray]:
-            nonlocal computed
-            computed = True
-            with obs.span("engine.discrepancies", batch=len(images)):
-                return self._compute(images)
-
-        result = self.cache.get_or_compute(key, compute)
-        _cache_counter().labels(result="miss" if computed else "hit").inc()
-        return result
+        predictions, per_layer, errors = self.discrepancies_resilient(images)
+        if errors:
+            raise next(iter(errors.values()))
+        return predictions, per_layer
 
     def discrepancies_resilient(
         self, images: np.ndarray, skip: frozenset[int] | set[int] = frozenset()
     ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
         """Per-layer-isolated Algorithm 2: ``(predictions, D, layer_errors)``.
 
-        The fault-tolerant counterpart of :meth:`discrepancies` used by
+        The fault-tolerant form of :meth:`discrepancies` used by
         :class:`~repro.core.monitor.RuntimeMonitor`: each layer validator
         is scored inside its own try/except, so one broken scorer yields a
         NaN column and an entry in ``layer_errors`` (keyed by layer
         *position* in the validated-layer list) instead of aborting the
         batch. Positions in ``skip`` (open-circuited layers) are not
         evaluated at all and also come back as NaN columns.
-
-        When nothing is skipped and nothing fails, the result is
-        bit-identical to :meth:`discrepancies` — same operations in the
-        same order — and is stored under the same cache key, so recovered
-        serving traffic immediately shares the normal path's cache.
-        Results containing skipped or failed columns are never cached
-        (a cached failure would mask recovery).
-
-        Like :meth:`discrepancies`, identical concurrent no-skip batches
-        are single-flighted: one thread computes, the rest adopt its
-        ``(predictions, D)``. A thread that adopts a *faulty* in-flight
-        result sees its NaN columns but an empty ``layer_errors`` map —
-        the monitor independently detects non-finite columns, so failure
-        accounting still fires. Batches with a non-empty ``skip`` are
-        computed directly (the cache key doesn't encode the skip set).
         """
         if not self.validator.validators:
             raise RuntimeError("DeepValidator is not fitted")
         images = np.asarray(images)
         if len(images) == 0:
-            predictions, per_layer = self._empty_result()
-            return predictions, per_layer, {}
-        if skip:
-            _cache_counter().labels(result="miss").inc()
-            return self._compute_resilient(images, skip)
-        key = _hash_key(images, caller="discrepancies_resilient")
-        computed = False
-        errors_box: dict[int, Exception] = {}
-
-        def compute() -> tuple[np.ndarray, np.ndarray]:
-            nonlocal computed
-            computed = True
-            predictions, per_layer, errors = self._compute_resilient(images, skip)
-            errors_box.update(errors)
-            return predictions, per_layer
-
-        def clean(result: tuple[np.ndarray, np.ndarray]) -> bool:
-            # Never memoise a faulty result: a cached NaN column (a raising
-            # scorer leaves one, but so does a silently-NaN substrate) would
-            # keep serving the failure long after the layer recovered.
-            return not errors_box and bool(np.isfinite(result[1]).all())
-
-        predictions, per_layer = self.cache.get_or_compute(
-            key, compute, cache_if=clean
-        )
-        _cache_counter().labels(result="miss" if computed else "hit").inc()
-        return predictions, per_layer, dict(errors_box)
-
-    def _compute_resilient(
-        self, images: np.ndarray, skip: frozenset[int] | set[int]
-    ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
-        """The fault-isolated computation behind :meth:`discrepancies_resilient`."""
-        with obs.span(
-            "engine.discrepancies_resilient", batch=len(images), skipped=len(skip)
-        ):
+            predictions = np.empty(0, dtype=np.int64)
+            return predictions, np.empty((0, len(self.validator.validators))), {}
+        with obs.span("engine.discrepancies", batch=len(images), skipped=len(skip)):
             probabilities, representations = self.model.hidden_representations(
-                images, batch_size=self.chunk_size
+                images, batch_size=CHUNK_SIZE
             )
             predictions = probabilities.argmax(axis=1)
             errors: dict[int, Exception] = {}
@@ -243,7 +116,7 @@ class ValidationEngine:
                             validator.discrepancy_batched(
                                 representations[validator.layer_index],
                                 predictions,
-                                chunk_size=self.chunk_size,
+                                chunk_size=CHUNK_SIZE,
                             )
                         )
                 except Exception as exc:  # noqa: BLE001 — isolation is the contract
@@ -255,8 +128,6 @@ class ValidationEngine:
                     errors[position] = exc
                     columns.append(np.full(len(images), np.nan))
             per_layer = np.stack(columns, axis=1)
-        predictions.flags.writeable = False
-        per_layer.flags.writeable = False
         return predictions, per_layer, errors
 
     def joint_discrepancy(self, images: np.ndarray) -> np.ndarray:
@@ -268,26 +139,5 @@ class ValidationEngine:
         """Boolean mask of images whose joint discrepancy exceeds epsilon."""
         return self.joint_discrepancy(images) > self.validator.epsilon
 
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction accounting of the score cache."""
-        return self.cache.stats
-
-    @property
-    def total_support_vectors(self) -> int:
-        """Packed support-vector count across validated layers (packed only)."""
-        total = 0
-        for validator in self.validator.validators:
-            pack = validator.packed()
-            if pack is not None:
-                total += pack.n_support
-        return total
-
     def __repr__(self) -> str:
-        layers = len(self.validator.validators)
-        return (
-            f"ValidationEngine(layers={layers}, chunk_size={self.chunk_size}, "
-            f"cache={self.cache.stats})"
-        )
+        return f"ValidationEngine(layers={len(self.validator.validators)})"

@@ -271,9 +271,8 @@ class RuntimeMonitor:
         Scoring goes through the batched
         :class:`~repro.core.engine.ValidationEngine`'s fault-isolated
         path, so monitoring traffic pays one kernel evaluation per
-        predicted class and healthy layer, replayed windows hit
-        the engine's score cache, and a broken layer or malformed input
-        degrades the verdict instead of raising. Verdicts come back in
+        predicted class and healthy layer, and a broken layer or
+        malformed input degrades the verdict instead of raising. Verdicts come back in
         input order, one per image.
         """
         with obs.span("monitor.classify") as span:

@@ -363,11 +363,9 @@ class DeepValidator:
     def joint_discrepancy(self, images: np.ndarray) -> np.ndarray:
         """The joint discrepancy ``d`` (Eq. 3, or the configured combiner).
 
-        Routed through the batched :meth:`engine`, so calibration followed
-        by flagging of the same images hits the score cache instead of
-        paying the forward pass and kernel work twice;
-        :meth:`discrepancies` remains the paper-faithful per-class
-        reference path (the differential harness pins the two at 1e-8).
+        Routed through the batched :meth:`engine`; :meth:`discrepancies`
+        remains the paper-faithful per-class reference path (the
+        differential harness pins the two at 1e-8).
         """
         _, per_layer = self.engine().discrepancies(images)
         return self.combine(per_layer)
@@ -386,25 +384,19 @@ class DeepValidator:
 
     # -- deployment ------------------------------------------------------------
 
-    def engine(self, chunk_size: int = 256, cache_size: int = 32):
+    def engine(self):
         """The batched :class:`~repro.core.engine.ValidationEngine` view.
 
-        Built lazily, cached on the instance, dropped on refit and excluded
+        Built lazily, kept on the instance, dropped on refit and excluded
         from pickles — validators restored from old artifact caches grow an
-        engine transparently on first use. Requesting different
-        ``chunk_size``/``cache_size`` rebuilds the engine.
+        engine transparently on first use.
         """
         from repro.core.engine import ValidationEngine
 
-        cached = self.__dict__.get("_engine")
-        if (
-            cached is None
-            or cached.chunk_size != chunk_size
-            or cached.cache.maxsize != cache_size
-        ):
-            cached = ValidationEngine(self, chunk_size=chunk_size, cache_size=cache_size)
-            self.__dict__["_engine"] = cached
-        return cached
+        engine = self.__dict__.get("_engine")
+        if engine is None:
+            engine = self.__dict__["_engine"] = ValidationEngine(self)
+        return engine
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -419,8 +411,7 @@ class DeepValidator:
         The paper's recommendation (Section IV-D3): the centre between the
         centroid of legitimate-image discrepancies and the centroid of
         corner-case discrepancies trades off TPR against FPR. Scores come
-        from the batched engine, whose cache makes a subsequent
-        :meth:`flag` of the same images free.
+        from the batched engine.
 
         Calibration also records ``layer_contributions`` — the mean
         absolute weighted per-layer discrepancy over both calibration sets
@@ -445,7 +436,6 @@ class DeepValidator:
     def flag(self, images: np.ndarray) -> np.ndarray:
         """Boolean mask of images whose joint discrepancy exceeds epsilon.
 
-        Engine-routed like :meth:`joint_discrepancy`; flagging images that
-        were just calibrated on is a cache hit, not a recompute.
+        Engine-routed like :meth:`joint_discrepancy`.
         """
         return self.joint_discrepancy(images) > self.epsilon

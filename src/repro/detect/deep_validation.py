@@ -14,8 +14,7 @@ class DeepValidationDetector(Detector):
 
     The anomaly score is the joint discrepancy (Eq. 3), which is already
     oriented higher-is-more-anomalous. Scoring runs through the batched
-    :class:`~repro.core.engine.ValidationEngine`, so baseline comparisons
-    that score the same split repeatedly hit its cache.
+    :class:`~repro.core.engine.ValidationEngine`.
     """
 
     name = "deep-validation"

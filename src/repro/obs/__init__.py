@@ -14,8 +14,8 @@ process-wide registry and tracer::
 
     from repro import obs
 
-    obs.counter("engine_cache_requests_total", labels=("result",)).labels(
-        result="hit").inc()
+    obs.counter("engine_layer_failures_total", labels=("layer",)).labels(
+        layer="conv1").inc()
     with obs.span("monitor.classify", batch=len(images)):
         ...
 

@@ -1,7 +1,7 @@
 """Dependency-free metrics: counters, gauges, and histograms with labels.
 
 The serving and fitting pipelines need to answer operational questions —
-"what fraction of engine requests hit the score cache", "how often does the
+"how long does each layer's scoring take", "how often does the
 circuit breaker open", "where does a fit spend its time" — without pulling
 a metrics client into a numpy-only reproduction. This module provides the
 minimum viable, thread-safe subset of the Prometheus data model:

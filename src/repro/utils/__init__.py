@@ -3,7 +3,6 @@
 from repro.utils.cache import (
     ArtifactCache,
     ArtifactIntegrityError,
-    LRUCache,
     default_cache,
     hash_array,
 )
@@ -15,7 +14,6 @@ from repro.utils.warnings_ import emit_warning, strict_mode
 __all__ = [
     "ArtifactCache",
     "ArtifactIntegrityError",
-    "LRUCache",
     "emit_warning",
     "strict_mode",
     "default_cache",

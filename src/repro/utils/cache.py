@@ -1,4 +1,4 @@
-"""Caching utilities: the on-disk artifact cache and an in-memory LRU.
+"""Caching utilities: the on-disk artifact cache and content hashing.
 
 Training even a small CNN in pure numpy takes tens of seconds, so every
 expensive artifact (trained models, fitted validators, searched corner-case
@@ -6,12 +6,6 @@ suites) is cached on disk keyed by a stable hash of its configuration.
 Entries are pickled; the cache directory defaults to ``.artifacts/`` at the
 repository root and can be relocated with the ``REPRO_CACHE_DIR``
 environment variable.
-
-:class:`LRUCache` is the in-memory counterpart used on hot paths — the
-batched validation engine keys activation/score results on a content hash
-of the input batch so repeated scoring of the same images (threshold
-calibration followed by flagging, monitoring replays) skips the forward
-pass and the kernel evaluations entirely.
 """
 
 from __future__ import annotations
@@ -19,11 +13,9 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import threading
 import uuid
-from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Hashable
+from typing import Any, Callable
 
 import json
 
@@ -59,7 +51,7 @@ def _stable_hash(config: Any) -> str:
 
 
 def hash_array(*arrays: np.ndarray) -> str:
-    """Content hash of one or more arrays, suitable as an LRU cache key.
+    """Content hash of one or more arrays, suitable as a cache or journal key.
 
     Includes shape and dtype so that e.g. a (4, 9) float32 batch and its
     (36,) flattened view hash differently.
@@ -251,170 +243,6 @@ class ArtifactCache:
         for sidecar in self.root.glob("*.pkl.sha256"):
             sidecar.unlink()
         return removed
-
-
-class _InFlight:
-    """Single-flight rendezvous for one key's in-progress compute."""
-
-    __slots__ = ("event", "value", "success")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.value: Any = None
-        self.success = False
-
-
-class LRUCache:
-    """A bounded in-memory cache with least-recently-used eviction.
-
-    Both reads and writes refresh an entry's recency; once ``maxsize``
-    entries are held, inserting a new key evicts the stalest one. Hit and
-    miss counts are tracked so callers (and tests) can audit cache
-    effectiveness.
-
-    All bookkeeping is guarded by a lock, so validation engines shared
-    across scoring threads never corrupt the recency ordering or the
-    counters. ``get_or_compute`` runs ``compute`` outside the lock and is
-    **single-flight**: of N threads that miss the same key concurrently,
-    exactly one (the leader) runs ``compute`` — counted as the one miss —
-    while the rest block on the leader's result and count as hits, so
-    ``hits + misses`` always equals the number of requests and the
-    expensive compute runs once. A slow compute never blocks lookups of
-    other keys. ``compute`` must not re-enter the cache on the *same*
-    key (it would rendezvous with itself); other keys are fine.
-    """
-
-    def __init__(self, maxsize: int = 128) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-        self._lock = threading.RLock()
-        self._flights: dict[Hashable, _InFlight] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        """Membership test; does not touch recency or hit/miss counters."""
-        with self._lock:
-            return key in self._entries
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_lock", None)  # locks don't pickle; restore a fresh one
-        state.pop("_flights", None)  # in-flight computes are process-local
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-        self._flights = {}
-
-    def _lookup(self, key: Hashable) -> tuple[bool, Any]:
-        """One locked probe: ``(hit, value)`` with counters updated."""
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return True, self._entries[key]
-            self.misses += 1
-            return False, None
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Look up ``key``, marking it most recently used on a hit."""
-        hit, value = self._lookup(key)
-        return value if hit else default
-
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert or refresh ``key``, evicting the LRU entry when full."""
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def get_or_compute(
-        self,
-        key: Hashable,
-        compute: Callable[[], Any],
-        cache_if: Callable[[Any], bool] | None = None,
-    ) -> Any:
-        """Return the cached value for ``key``, computing once on miss.
-
-        Single-flight: concurrent misses on the same key elect one leader
-        to run ``compute``; the others wait and adopt its result (counted
-        as hits, so ``hits + misses`` tracks requests exactly). If the
-        leader's ``compute`` raises, the exception propagates to the
-        leader and the waiters retry — one of them becomes the new
-        leader. ``cache_if`` (optional) vetoes storing the computed value
-        in the cache; the value is still returned — and still shared with
-        concurrent waiters — it just isn't memoised for later calls.
-        """
-        while True:
-            with self._lock:
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return self._entries[key]
-                flight = self._flights.get(key)
-                if flight is None:
-                    flight = _InFlight()
-                    self._flights[key] = flight
-                    self.misses += 1
-                    leader = True
-                else:
-                    leader = False
-            if not leader:
-                flight.event.wait()
-                if flight.success:
-                    with self._lock:
-                        self.hits += 1
-                    return flight.value
-                continue  # the leader failed; race to become the next one
-            try:
-                value = compute()
-            except BaseException:
-                with self._lock:
-                    self._flights.pop(key, None)
-                flight.event.set()
-                raise
-            if cache_if is None or cache_if(value):
-                self.put(key, value)
-            flight.value = value
-            flight.success = True
-            with self._lock:
-                self._flights.pop(key, None)
-            flight.event.set()
-            return value
-
-    def keys(self) -> list[Hashable]:
-        """Keys from least to most recently used."""
-        with self._lock:
-            return list(self._entries)
-
-    def clear(self) -> None:
-        """Drop every entry; counters are preserved."""
-        with self._lock:
-            self._entries.clear()
-
-    @property
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction accounting plus current size."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-            }
 
 
 def default_cache() -> ArtifactCache:

@@ -79,14 +79,12 @@ class TestAcceptanceSoak:
         self, fitted_validator, stream
     ):
         # Direct-monitor reference on the same singleton partitions.
-        fitted_validator.engine().cache.clear()
         reference_monitor = RuntimeMonitor(fitted_validator)
         reference = [
             reference_monitor.classify(stream[i : i + 1])[0]
             for i in range(len(stream))
         ]
 
-        fitted_validator.engine().cache.clear()
         clock = ManualClock()
         server = _singleton_server(fitted_validator, clock)
         plan = (

@@ -441,13 +441,11 @@ class TestEndToEndScoring:
         model, train_x, train_y, test_x, _ = trained_tiny_model
         validator = DeepValidator(model, ValidatorConfig(max_per_class=40))
         validator.fit(train_x, train_y)
-        engine = validator.engine(cache_size=1)
+        engine = validator.engine()
         try:
             infer.set_plan_enabled(False)
-            engine.cache.clear()
             preds_t, scores_t = engine.discrepancies(test_x[:32].copy())
             infer.set_plan_enabled(True)
-            engine.cache.clear()
             preds_p, scores_p = engine.discrepancies(test_x[:32].copy())
         finally:
             infer.set_plan_enabled(None)

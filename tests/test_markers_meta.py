@@ -61,7 +61,6 @@ def test_expected_tier2_markers_exist():
     # change to the CI contract, not a cleanup.
     expected = {
         "slow",
-        "bench",
         "faults",
         "checkpoint",
         "obs",

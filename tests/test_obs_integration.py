@@ -71,18 +71,18 @@ fit.pipeline [images=300, layers=3]
     fit.solve_task [klass=0, layer=2]
     fit.solve_task [klass=1, layer=2]
     fit.solve_task [klass=2, layer=2]
-engine.discrepancies [batch=16]
+engine.discrepancies [batch=16, skipped=0]
   infer.forward [batch=16]
   engine.layer_score [layer='conv1']
   engine.layer_score [layer='conv2']
   engine.layer_score [layer='fc1']
-engine.discrepancies [batch=16]
+engine.discrepancies [batch=16, skipped=0]
   infer.forward [batch=16]
   engine.layer_score [layer='conv1']
   engine.layer_score [layer='conv2']
   engine.layer_score [layer='fc1']
 monitor.classify [batch=4]
-  engine.discrepancies_resilient [batch=4, skipped=0]
+  engine.discrepancies [batch=4, skipped=0]
     infer.forward [batch=4]
     engine.layer_score [layer='conv1']
     engine.layer_score [layer='conv2']
@@ -110,13 +110,10 @@ class TestGoldenTrace:
                 for s in snap[name]["series"]
             }
 
-        # Two calibration batches plus one monitoring batch, no replays.
-        assert series("engine_cache_requests_total") == {
-            (("result", "miss"),): 3.0
-        }
         # 3 layers x 3 classes, all solved in-process.
         assert series("fit_tasks_total") == {(("mode", "inprocess"),): 9.0}
-        # Each of the 3 scoring passes times each of the 3 layers.
+        # Each of the 3 scoring passes (two calibration batches, one
+        # monitoring batch) times each of the 3 layers.
         assert series("engine_layer_score_seconds") == {
             (("layer", "conv1"),): 3,
             (("layer", "conv2"),): 3,
@@ -243,7 +240,7 @@ class TestKillSwitch:
         )
         health = monitor.health()
         assert "monitor_verdicts_total" in health["metrics"]
-        assert "engine_cache_requests_total" in health["metrics"]
+        assert "engine_layer_score_seconds" in health["metrics"]
 
 
 class TestSlowLayerAttribution:
@@ -600,23 +597,18 @@ class TestHotPathParity:
         limit = obs.GLOBAL_SPAN_LIMIT
         fresh = Tracer()
 
-        def classify(index):
-            # A distinct batch per call, so every call scores (and traces)
-            # the whole pipeline rather than hitting the score cache.
-            monitor.classify(test_x[:2] + np.float32(1e-6 * (index + 1)))
-
         calls = 0
         with obs.use(registry=MetricsRegistry(), tracer=fresh, enabled=True):
             while len(fresh.exporter.spans) <= limit + 50:
-                classify(calls)
+                monitor.classify(test_x[:2])
                 calls += 1
         emitted = len(fresh.exporter.spans)
         assert emitted > limit  # a hand-built Tracer keeps every span
 
         global_tracer = obs.get_tracer()
         with obs.use(registry=MetricsRegistry(), enabled=True):
-            for index in range(calls):
-                classify(calls + index)
+            for _ in range(calls):
+                monitor.classify(test_x[:2])
         retained = global_tracer.exporter.spans
         assert len(retained) == limit
         # The ring keeps the most recent spans: the last call's root ends it.

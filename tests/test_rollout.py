@@ -263,8 +263,6 @@ class TestGuardrails:
             server, config=RolloutConfig(max_candidate_failures=100)
         )
         controller.begin_shadow(bundle)
-        # Drop memoized scores so the armed fault actually executes.
-        controller.candidate.validator.engine().cache.clear()
         broken_layer = controller.candidate.validator.validators[0]
         with fail_packed_scorer(broken_layer, nth=1, count=-1):
             with pytest.warns(Warning):
@@ -279,7 +277,6 @@ class TestGuardrails:
         strict = RolloutConfig(max_candidate_failures=0)
         object.__setattr__(controller, "config", strict)
         controller.begin_shadow(bundle)
-        controller.candidate.validator.engine().cache.clear()
         broken_layer = controller.candidate.validator.validators[0]
         with fail_packed_scorer(broken_layer, nth=1, count=-1):
             with pytest.warns(Warning):
@@ -325,7 +322,6 @@ class TestGuardrails:
         controller.begin_shadow(bundle)
         controller.promote(force=True)
         promoted = server.monitor
-        controller.candidate.validator.engine().cache.clear()
         broken_layer = controller.candidate.validator.validators[0]
         with fail_packed_scorer(broken_layer, nth=1, count=-1):
             with pytest.warns(Warning):

@@ -90,12 +90,10 @@ def _singleton_server(fitted_validator, clock, **overrides):
 
 
 def _reference_verdicts(fitted_validator, stream):
-    fitted_validator.engine().cache.clear()
     monitor = RuntimeMonitor(fitted_validator)
     reference = [
         monitor.classify(stream[i : i + 1])[0] for i in range(len(stream))
     ]
-    fitted_validator.engine().cache.clear()
     return reference
 
 

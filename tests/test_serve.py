@@ -297,12 +297,10 @@ class TestServeDifferential:
 
     def test_bit_identical_to_monitor_same_batch(self, fitted_validator, stream):
         monitor = RuntimeMonitor(fitted_validator)
-        fitted_validator.engine().cache.clear()
         reference = monitor.classify(stream)
 
         # Recompute from scratch through the server: same 16-image batch
         # (all submitted before the worker starts, absorbed as one batch).
-        fitted_validator.engine().cache.clear()
         server = ValidationServer(
             RuntimeMonitor(fitted_validator),
             ServeConfig(max_batch=len(stream), max_wait_ms=10_000.0),
@@ -319,10 +317,8 @@ class TestServeDifferential:
     def test_max_batch_one_matches_serial_loop(self, fitted_validator, stream):
         images = stream[:6]
         monitor = RuntimeMonitor(fitted_validator)
-        fitted_validator.engine().cache.clear()
         reference = [monitor.classify(images[i : i + 1])[0] for i in range(len(images))]
 
-        fitted_validator.engine().cache.clear()
         with ValidationServer(
             RuntimeMonitor(fitted_validator),
             ServeConfig(max_batch=1, max_wait_ms=0.0),
@@ -337,9 +333,7 @@ class TestServeDifferential:
         # (BLAS picks different kernels by batch width) but must agree to
         # tight tolerance and produce identical accept/flag decisions.
         monitor = RuntimeMonitor(fitted_validator)
-        fitted_validator.engine().cache.clear()
         per_image = [monitor.classify(stream[i : i + 1])[0] for i in range(len(stream))]
-        fitted_validator.engine().cache.clear()
         full_batch = monitor.classify(stream)
         for one, many in zip(per_image, full_batch):
             assert one.prediction == many.prediction
@@ -356,11 +350,9 @@ class TestServeDifferential:
         monitor = RuntimeMonitor(fitted_validator)
         as32 = stream[:2].astype(np.float32)
         as64 = stream[2:4].astype(np.float64)
-        fitted_validator.engine().cache.clear()
         ref32 = monitor.classify(as32)
         ref64 = monitor.classify(as64)
 
-        fitted_validator.engine().cache.clear()
         server = ValidationServer(
             RuntimeMonitor(fitted_validator),
             ServeConfig(max_batch=4, max_wait_ms=10_000.0),

@@ -3,9 +3,8 @@
 These pin the headline bugfixes behind ``repro.serve``: the monitor's
 verdict tallies and breaker registry are lock-guarded (no lost counts,
 no double-registered breakers), breaker transitions fire exactly once
-under concurrent failures, ``health()`` snapshots are atomic, and the
-engine's LRU cache single-flights identical concurrent batches (the
-hit+miss accounting stays exact — no stampede, no phantom misses).
+under concurrent failures, ``health()`` snapshots are atomic, and
+threads scoring the same batch concurrently each get the serial result.
 
 Thread counts are hypothesis-driven (under the repo's deterministic
 profile) so the interleavings vary across seeds without flaky timing
@@ -25,7 +24,6 @@ from repro import obs
 from repro.core import DeepValidator, RuntimeMonitor, ValidatorConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServeConfig, ValidationServer
-from repro.utils.cache import LRUCache
 from repro.testing.faults import fail_packed_scorer
 from tests.helpers import easy_image_task, train_tiny_model
 
@@ -234,7 +232,6 @@ class TestMonitorHotSwap:
     ):
         images, _ = easy_image_task(12, seed=53)
         incumbent, candidate = self._generations(fitted_validator)
-        fitted_validator.engine().cache.clear()
         ref_incumbent = [
             incumbent.classify(images[i : i + 1])[0] for i in range(6)
         ]
@@ -269,7 +266,6 @@ class TestMonitorHotSwap:
     def test_rapid_swaps_never_tear_a_verdict(self, fitted_validator):
         images, _ = easy_image_task(24, seed=59)
         incumbent, candidate = self._generations(fitted_validator)
-        fitted_validator.engine().cache.clear()
         ref_a = [incumbent.classify(images[i : i + 1])[0] for i in range(24)]
         ref_b = [candidate.classify(images[i : i + 1])[0] for i in range(24)]
 
@@ -306,98 +302,26 @@ class TestMonitorHotSwap:
             ), f"ticket {position} observed a half-swapped monitor"
 
 
-class TestCacheSingleFlight:
-    @given(n_threads=st.integers(min_value=2, max_value=12))
-    @settings(max_examples=5, deadline=None)
-    def test_stampede_computes_once(self, n_threads):
-        cache = LRUCache(8)
-        calls = {"n": 0}
-        lock = threading.Lock()
-        barrier = threading.Barrier(n_threads)
-        results = []
-
-        def compute():
-            with lock:
-                calls["n"] += 1
-            return object()
-
-        def worker():
-            barrier.wait()  # maximise overlap on the same key
-            value = cache.get_or_compute("hot-key", compute)
-            with lock:
-                results.append(value)
-
-        _run_threads([worker] * n_threads)
-
-        assert calls["n"] == 1, "single-flight leaked a duplicate compute"
-        assert len({id(v) for v in results}) == 1
-        stats = cache.stats
-        assert stats["misses"] == 1
-        assert stats["hits"] == n_threads - 1
-        # The invariant the stampede used to break: every request is
-        # accounted exactly once.
-        assert stats["hits"] + stats["misses"] == n_threads
-
-    def test_failed_leader_retries_with_new_leader(self):
-        cache = LRUCache(4)
-        attempts = {"n": 0}
-        lock = threading.Lock()
-        barrier = threading.Barrier(4)
-
-        def flaky_compute():
-            with lock:
-                attempts["n"] += 1
-                attempt = attempts["n"]
-            if attempt == 1:
-                raise RuntimeError("leader died")
-            return "value"
-
-        outcomes = []
-
-        def worker():
-            barrier.wait()
-            try:
-                outcomes.append(cache.get_or_compute("key", flaky_compute))
-            except RuntimeError:
-                outcomes.append("raised")
-
-        _run_threads([worker] * 4)
-
-        # Exactly one caller saw the failure; everyone else converged on
-        # the retried value (a follower became the new leader).
-        assert outcomes.count("raised") == 1
-        assert outcomes.count("value") == 3
-
-    def test_engine_stampede_single_forward_pass(self, fitted_validator):
+class TestConcurrentScoring:
+    def test_concurrent_identical_batches_match_serial(
+        self, fitted_validator
+    ):
         engine = fitted_validator.engine()
-        engine.cache.clear()
         images, _ = easy_image_task(4, seed=41)
-        computes = {"n": 0}
+        serial_predictions, serial_per_layer = engine.discrepancies(images)
         lock = threading.Lock()
-        original = engine._compute
-
-        def counting(batch):
-            with lock:
-                computes["n"] += 1
-            return original(batch)
-
-        engine._compute = counting
         barrier = threading.Barrier(6)
         results = []
 
         def worker():
-            barrier.wait()
+            barrier.wait()  # maximise overlap on the same batch
             predictions, per_layer = engine.discrepancies(images)
             with lock:
                 results.append((predictions, per_layer))
 
-        try:
-            _run_threads([worker] * 6)
-        finally:
-            del engine._compute
+        _run_threads([worker] * 6)
 
-        assert computes["n"] == 1, "identical in-flight batches recomputed"
-        reference = results[0]
-        for predictions, per_layer in results[1:]:
-            np.testing.assert_array_equal(predictions, reference[0])
-            np.testing.assert_array_equal(per_layer, reference[1])
+        assert len(results) == 6
+        for predictions, per_layer in results:
+            assert (predictions == serial_predictions).all()
+            assert (per_layer == serial_per_layer).all()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.utils import (
     ArtifactCache,
-    LRUCache,
     check_positive,
     check_probability,
     check_shape,
@@ -281,112 +280,6 @@ class TestArtifactIntegrity:
     def test_quarantine_missing_entry_returns_none(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         assert cache.quarantine("ghost", {}) is None
-
-
-class TestLRUCache:
-    def test_eviction_order_is_least_recently_used(self):
-        cache = LRUCache(maxsize=3)
-        for key in "abc":
-            cache.put(key, key.upper())
-        cache.get("a")  # refresh: now b is the stalest entry
-        cache.put("d", "D")
-        assert "b" not in cache
-        assert cache.keys() == ["c", "a", "d"]
-        assert cache.evictions == 1
-
-    def test_put_refreshes_recency(self):
-        cache = LRUCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)  # rewrite refreshes; b becomes the LRU entry
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert cache.get("a") == 10
-
-    def test_hit_miss_accounting(self):
-        cache = LRUCache(maxsize=4)
-        assert cache.get("missing") is None
-        cache.put("k", 42)
-        assert cache.get("k") == 42
-        assert cache.get_or_compute("k", lambda: 0) == 42
-        assert cache.get_or_compute("fresh", lambda: 7) == 7
-        assert cache.stats == {
-            "hits": 2, "misses": 2, "evictions": 0, "size": 2, "maxsize": 4,
-        }
-
-    def test_get_or_compute_computes_once(self):
-        cache = LRUCache(maxsize=2)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "value"
-
-        assert cache.get_or_compute("k", compute) == "value"
-        assert cache.get_or_compute("k", compute) == "value"
-        assert calls == [1]
-
-    def test_contains_does_not_touch_counters_or_recency(self):
-        cache = LRUCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert "a" in cache and "z" not in cache
-        cache.put("c", 3)  # "a" is still the LRU entry despite the probe
-        assert "a" not in cache
-        assert cache.stats["hits"] == 0 and cache.stats["misses"] == 0
-
-    def test_clear_keeps_counters(self):
-        cache = LRUCache(maxsize=2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.hits == 1
-
-    def test_maxsize_validated(self):
-        with pytest.raises(ValueError):
-            LRUCache(maxsize=0)
-
-    def test_thread_safety_under_contention(self):
-        # Engines may be scored from several threads; hammer one cache from
-        # eight workers and check the bookkeeping never corrupts.
-        import threading
-
-        cache = LRUCache(maxsize=16)
-        errors = []
-
-        def worker(worker_id):
-            try:
-                for i in range(300):
-                    key = (worker_id + i) % 24
-                    value = cache.get_or_compute(key, lambda k=key: k * 2)
-                    assert value == key * 2
-                    cache.put(key, key * 2)
-                    cache.get(key)
-                    _ = key in cache
-                    _ = cache.stats
-            except Exception as exc:  # pragma: no cover - the assertion
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        stats = cache.stats
-        assert stats["size"] <= 16
-        assert stats["hits"] + stats["misses"] >= 8 * 300
-
-    def test_pickle_round_trip_restores_lock(self):
-        import pickle
-
-        cache = LRUCache(maxsize=4)
-        cache.put("a", 1)
-        restored = pickle.loads(pickle.dumps(cache))
-        assert restored.get("a") == 1
-        restored.put("b", 2)  # lock usable after restore
-        assert len(restored) == 2
 
 
 class TestHashArray:

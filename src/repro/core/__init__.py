@@ -16,14 +16,7 @@ from repro.core.checkpoint import (
     TaskJournal,
     default_checkpoint_store,
 )
-from repro.core.fitting import (
-    HungWorkerError,
-    ParallelFitWarning,
-    default_fit_jobs,
-    fit_validators_from_arrays,
-    resolve_n_jobs,
-    resolve_task_timeout,
-)
+from repro.core.fitting import fit_validators_from_arrays
 from repro.core.validator import DeepValidator, LayerValidator, ValidatorConfig
 from repro.core.thresholds import centroid_threshold, fpr_calibrated_threshold
 from repro.core.monitor import RuntimeMonitor, ValidationVerdict
@@ -64,12 +57,7 @@ __all__ = [
     "CheckpointStore",
     "TaskJournal",
     "default_checkpoint_store",
-    "HungWorkerError",
-    "ParallelFitWarning",
-    "default_fit_jobs",
     "fit_validators_from_arrays",
-    "resolve_n_jobs",
-    "resolve_task_timeout",
     "DeepValidator",
     "LayerValidator",
     "ValidatorConfig",

@@ -1,59 +1,41 @@
-"""Parallel, memory-bounded fitting pipeline for Algorithm 1.
+"""Memory-bounded fitting pipeline for Algorithm 1.
 
-``DeepValidator.fit`` used to materialise the hidden representations of
-every kept training image in one unchunked forward pass, then run the
-``layers x classes`` independent one-class SMO solves strictly serially.
-This module decomposes that into three stages:
+This module runs ``DeepValidator.fit`` in three stages:
 
 1. **Planning** — :func:`plan_fit_tasks` replays Algorithm 1's exact
    per-layer RNG discipline (``seed + layer position``, classes visited in
    sorted order) to decide *which rows* each ``(layer, class)`` task will
    train on, before any activation is computed. Subsampling therefore
-   depends only on the labels and the seed, never on worker scheduling.
+   depends only on the labels and the seed.
 2. **Chunked extraction** — :func:`extract_task_features` streams the kept
    images through :meth:`ProbedSequential.iter_hidden_representations` in
    ``chunk_size`` batches and gathers *only* the planned rows per layer, so
    peak transient memory is ``chunk_size x widest layer`` plus the
    (``classes x max_per_class``)-row training buffers — never the full
    dataset's activations.
-3. **Task-graph solving** — :func:`solve_tasks` dispatches the independent
-   ``(layer, class)`` solves (scaler stats, Gram matrix, SMO) over a
-   ``multiprocessing`` pool. Each worker computes its own Gram block;
-   results are merged by task key, so the assembled validator is
-   bit-identical regardless of worker count or completion order.
-   ``n_jobs=1`` runs the same solve in-process (the exact serial math).
+3. **Solving** — :func:`solve_tasks` runs the independent ``(layer, class)``
+   solves (scaler stats, Gram matrix, SMO) in-process, in sorted key order.
+   Each is the same ``StandardScaler.fit`` and ``OneClassSVM.fit`` call
+   ``LayerValidator.fit`` makes, so the assembled validator is
+   bit-identical to the per-layer reference path.
 
-Stage 3 is also the pipeline's recovery point:
+Stage 3 is also the pipeline's recovery point. Given a ``journal``
+(:class:`~repro.core.checkpoint.TaskJournal`), every completed solution is
+flushed to disk as it lands; a rerun replays the journal and solves only
+the missing tasks, so a crash at task 97/100 costs three solves, not a
+hundred. Replayed and freshly-solved tasks are bit-identical — both ran
+the same :func:`_solve_fit_task` math. The journal's header frame
+fingerprints the solve config and task features, so a stale journal under
+a reused name is discarded, never merged.
 
-* **Task journal** — given a ``journal``
-  (:class:`~repro.core.checkpoint.TaskJournal`), every completed solution
-  is flushed to disk as it lands; a rerun replays the journal and solves
-  only the missing tasks, so a crash at task 97/100 costs three solves,
-  not a hundred. Replayed and freshly-solved tasks are bit-identical —
-  both ran the same :func:`_solve_fit_task` math. The journal's header
-  frame fingerprints the solve config and task features, so a stale
-  journal under a reused name is discarded, never merged.
-* **Hung-worker watchdog** — a per-task deadline (``task_timeout`` or the
-  ``REPRO_FIT_TASK_TIMEOUT`` environment variable, seconds) bounds how
-  long the coordinator waits on any one solve; expiry terminates and
-  recycles the whole pool rather than deadlocking the fit.
-* **Bounded retry** — pool construction failures, worker crashes, and
-  watchdog expiries are retried up to ``max_retries`` times with
-  exponential backoff (progress made before a failure is kept — only
-  still-missing tasks are redispatched); when retries are exhausted, the
-  remaining work degrades to the in-process path with a
-  :class:`ParallelFitWarning` instead of aborting the fit.
-
-The determinism contract (``n_jobs=1`` ≡ ``n_jobs=N`` ≡ interrupted +
-resumed) is pinned by the hypothesis suites in
+The determinism contract (pipeline ≡ per-layer ``LayerValidator.fit`` ≡
+interrupted + resumed) is pinned by the hypothesis suites in
 ``tests/test_fitting_determinism.py`` and ``tests/test_checkpoint_resume.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +46,6 @@ from repro.svm.oneclass import OneClassSVM
 from repro.svm.scaler import StandardScaler
 from repro.utils.cache import hash_array
 from repro.utils.rng import new_rng
-from repro.utils.warnings_ import emit_warning
 
 
 def _tasks_counter():
@@ -73,54 +54,6 @@ def _tasks_counter():
         help="Completed (layer, class) solves by execution mode",
         labels=("mode",),
     )
-
-#: Environment variable holding the per-task watchdog deadline, in seconds.
-TASK_TIMEOUT_ENV = "REPRO_FIT_TASK_TIMEOUT"
-
-#: Sleep hook for retry backoff; tests patch this to keep suites fast.
-_sleep = time.sleep
-
-
-class ParallelFitWarning(RuntimeWarning):
-    """Raised (as a warning) when parallel fitting falls back to in-process.
-
-    Emitted through :func:`repro.utils.warnings_.emit_warning`, so
-    ``REPRO_STRICT=1`` escalates the silent fallback into an error.
-    """
-
-
-class HungWorkerError(RuntimeError):
-    """A fit task missed its watchdog deadline; the pool was recycled.
-
-    Raised internally by one parallel attempt and caught by
-    :func:`solve_tasks`'s retry loop — it only escapes to callers through
-    the eventual :class:`ParallelFitWarning` message when every retry
-    hangs too.
-    """
-
-
-class NonRetryableFitError(RuntimeError):
-    """An error the parallel retry machinery must propagate, never absorb.
-
-    The pool-attempt loop wraps arbitrary worker failures for retry and
-    eventual serial fallback; exceptions deriving from this class punch
-    straight through instead. The fault injectors subclass it (via
-    :class:`repro.testing.faults.InjectedCrashError`) so that a
-    misconfiguration they refuse to model — e.g. a hung worker with the
-    watchdog disabled — fails the fit loudly rather than being retried
-    into a silent serial fallback.
-    """
-
-
-class _PoolAttemptFailure(Exception):
-    """Internal: one parallel attempt failed in the pool machinery.
-
-    Wraps pool-construction errors, dispatch errors, and worker crashes —
-    the failures a pool recycle plus retry may fix. Exceptions raised
-    while *recording* a finished solution (journal I/O, injected crashes,
-    strict-mode escalations) and :class:`NonRetryableFitError` subclasses
-    deliberately do not get this wrapper and propagate to the caller.
-    """
 
 
 @dataclass(frozen=True)
@@ -145,11 +78,11 @@ class FitTask:
 
 @dataclass
 class TaskSolution:
-    """Everything a worker ships back from one ``(layer, class)`` solve.
+    """What one ``(layer, class)`` solve keeps, and what the journal records.
 
-    The full dual vector stays in the worker; only the support set, offsets,
-    fitted kernel, and scaler statistics cross the process boundary —
-    exactly the pieces :meth:`OneClassSVM.from_solution` needs.
+    The full dual vector is dropped; only the support set, offsets, fitted
+    kernel, and scaler statistics are kept — exactly the pieces
+    :meth:`OneClassSVM.from_solution` needs.
     """
 
     support_vectors: np.ndarray
@@ -161,33 +94,6 @@ class TaskSolution:
     converged: bool
     scaler_mean: np.ndarray | None = None
     scaler_scale: np.ndarray | None = None
-
-
-def resolve_n_jobs(n_jobs: int | None) -> int:
-    """Normalise the ``n_jobs`` knob: ``-1`` means every usable core."""
-    if n_jobs is None:
-        return 1
-    if n_jobs == -1:
-        try:
-            return max(1, len(os.sched_getaffinity(0)))
-        except AttributeError:  # platforms without CPU affinity
-            return max(1, os.cpu_count() or 1)
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be -1 or >= 1, got {n_jobs}")
-    return int(n_jobs)
-
-
-def default_fit_jobs(cap: int = 4) -> int:
-    """Worker count for callers without an explicit knob.
-
-    Honours the ``REPRO_FIT_JOBS`` environment variable, otherwise the
-    usable core count capped at ``cap`` (fit parallelism saturates quickly
-    on the small per-task Grams the paper's settings produce).
-    """
-    env = os.environ.get("REPRO_FIT_JOBS")
-    if env is not None:
-        return resolve_n_jobs(int(env))
-    return min(cap, resolve_n_jobs(-1))
 
 
 # -- stage 1: planning ---------------------------------------------------------
@@ -263,11 +169,11 @@ def extract_task_features(
     return features
 
 
-# -- stage 3: the (layer, class) task graph ------------------------------------
+# -- stage 3: solving the (layer, class) tasks ---------------------------------
 
 
 def _solve_config(config) -> dict:
-    """The picklable slice of ``ValidatorConfig`` a solve needs."""
+    """The slice of ``ValidatorConfig`` a solve needs (and is fingerprinted by)."""
     return {
         "nu": config.nu,
         "kernel": config.kernel,
@@ -276,21 +182,20 @@ def _solve_config(config) -> dict:
     }
 
 
-def _solve_fit_task(payload) -> tuple[tuple[int, int], TaskSolution]:
-    """Worker body: scaler stats, Gram, and SMO for one task.
+def _solve_fit_task(features: np.ndarray, cfg: dict) -> TaskSolution:
+    """Scaler stats, Gram, and SMO for one task.
 
-    Runs identically in-process and in a pool worker — the same
-    ``StandardScaler.fit`` and ``OneClassSVM.fit`` calls the serial path
-    makes, so solutions are bit-identical either way.
+    The same ``StandardScaler.fit`` and ``OneClassSVM.fit`` calls
+    ``LayerValidator.fit`` makes, so solutions are bit-identical to the
+    per-layer reference path.
     """
-    key, features, cfg = payload
     scaler_mean = scaler_scale = None
     if cfg["standardize"]:
         scaler = StandardScaler().fit(features)
         scaler_mean, scaler_scale = scaler.mean_, scaler.scale_
         features = scaler.transform(features)
     svm = OneClassSVM(nu=cfg["nu"], kernel=cfg["kernel"], gamma=cfg["gamma"]).fit(features)
-    return key, TaskSolution(
+    return TaskSolution(
         support_vectors=svm.support_vectors_,
         dual_coef=svm.dual_coef_,
         rho=svm.rho_,
@@ -301,29 +206,6 @@ def _solve_fit_task(payload) -> tuple[tuple[int, int], TaskSolution]:
         scaler_mean=scaler_mean,
         scaler_scale=scaler_scale,
     )
-
-
-def _make_pool(processes: int):
-    """Pool constructor, separated so tests can simulate pool failures."""
-    import multiprocessing
-
-    return multiprocessing.get_context().Pool(processes=processes)
-
-
-def resolve_task_timeout(task_timeout: float | None = None) -> float | None:
-    """Normalise the per-task watchdog deadline.
-
-    ``None`` consults ``REPRO_FIT_TASK_TIMEOUT`` (seconds; unset, empty,
-    or non-positive disables the watchdog); an explicit non-positive value
-    force-disables it regardless of the environment.
-    """
-    if task_timeout is not None:
-        return float(task_timeout) if task_timeout > 0 else None
-    env = os.environ.get(TASK_TIMEOUT_ENV, "").strip()
-    if not env:
-        return None
-    value = float(env)
-    return value if value > 0 else None
 
 
 def _journal_fingerprint(task_features, cfg) -> str:
@@ -375,139 +257,34 @@ def _record_solution(key, solution, solutions, journal) -> None:
         journal.append((key, solution))
 
 
-def _solve_parallel(
-    pending, task_features, cfg, n_jobs, timeout, solutions, journal
-) -> None:
-    """One pool attempt over ``pending``; records solutions as they land.
-
-    Pool machinery failures (construction, dispatch, worker crashes) raise
-    :class:`_PoolAttemptFailure`; a watchdog expiry raises
-    :class:`HungWorkerError` after terminating the pool. Either way, every
-    solution recorded before the failure is kept, so retries only redo the
-    genuinely missing work.
-    """
-    import multiprocessing
-
-    try:
-        pool = _make_pool(min(n_jobs, len(pending)))
-    except Exception as exc:  # noqa: BLE001 — robustness is the contract
-        raise _PoolAttemptFailure(exc) from exc
-    try:
-        try:
-            handles = [
-                (key, pool.apply_async(_solve_fit_task, ((key, task_features[key], cfg),)))
-                for key in pending
-            ]
-        except NonRetryableFitError:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            raise _PoolAttemptFailure(exc) from exc
-        for key, handle in handles:
-            try:
-                solved_key, solution = (
-                    handle.get(timeout) if timeout is not None else handle.get()
-                )
-            except multiprocessing.TimeoutError as exc:
-                raise HungWorkerError(
-                    f"fit task {key} missed its {timeout}s deadline "
-                    f"({TASK_TIMEOUT_ENV}); recycling the worker pool"
-                ) from exc
-            except NonRetryableFitError:
-                raise
-            except Exception as exc:  # noqa: BLE001
-                raise _PoolAttemptFailure(exc) from exc
-            _record_solution(solved_key, solution, solutions, journal)
-    finally:
-        # Recycle the pool unconditionally: terminate() is what reclaims a
-        # hung worker, and it is also how Pool.__exit__ ends a clean run.
-        pool.terminate()
-
-
 def solve_tasks(
     task_features: dict[tuple[int, int], np.ndarray],
     config,
-    n_jobs: int = 1,
     journal=None,
-    task_timeout: float | None = None,
-    max_retries: int = 2,
-    retry_backoff: float = 0.1,
 ) -> dict[tuple[int, int], TaskSolution]:
-    """Solve every task, in-process or across a worker pool.
-
-    Payloads are dispatched in sorted key order and results are merged by
-    key, so the mapping is deterministic regardless of scheduling.
+    """Solve every task in-process, in sorted key order.
 
     ``journal`` (a :class:`~repro.core.checkpoint.TaskJournal`) makes the
     solve resumable: previously journaled solutions are replayed instead
     of recomputed, and every new solution is flushed before the next task
     starts. The journal carries a fingerprint header of the solve config
     and task features; a journal written for different data or settings
-    is cleared rather than replayed. ``task_timeout`` (default: ``REPRO_FIT_TASK_TIMEOUT``) is the
-    hung-worker watchdog — a task that misses the deadline gets its pool
-    terminated and recycled. Pool failures of any kind are retried up to
-    ``max_retries`` times with exponential backoff (``retry_backoff``,
-    doubling per retry); exhausted retries degrade the remaining work to
-    the in-process path with a :class:`ParallelFitWarning` — a failed,
-    hung, or flaky pool never aborts the fit, and never changes its
-    result.
+    is cleared rather than replayed.
     """
     cfg = _solve_config(config)
     ordered = sorted(task_features)
     solutions: dict = {}
-    with obs.span("fit.solve_tasks", tasks=len(ordered), n_jobs=n_jobs), \
+    with obs.span("fit.solve_tasks", tasks=len(ordered)), \
             profile_section("fit.solve"):
         if journal is not None:
             replayed = _replay_journal(journal, task_features, cfg)
             if replayed:
                 _tasks_counter().labels(mode="replayed").inc(len(replayed))
             solutions.update(replayed)
-        n_jobs = resolve_n_jobs(n_jobs)
-        timeout = resolve_task_timeout(task_timeout)
-        pending = [key for key in ordered if key not in solutions]
-        if n_jobs > 1 and len(pending) > 1:
-            attempts = 1 + max(0, int(max_retries))
-            failure: Exception | None = None
-            solved_before = len(solutions)
-            for attempt in range(attempts):
-                if attempt:
-                    obs.counter(
-                        "fit_pool_retries_total",
-                        help="Parallel-fit pool attempts beyond the first",
-                    ).inc()
-                    _sleep(retry_backoff * (2 ** (attempt - 1)))
-                pending = [key for key in ordered if key not in solutions]
-                if not pending:
-                    break
-                try:
-                    _solve_parallel(
-                        pending, task_features, cfg, n_jobs, timeout, solutions, journal
-                    )
-                    failure = None
-                    break
-                except (HungWorkerError, _PoolAttemptFailure) as exc:
-                    failure = exc
-            if len(solutions) > solved_before:
-                _tasks_counter().labels(mode="pool").inc(
-                    len(solutions) - solved_before
-                )
-            if failure is not None:
-                obs.counter(
-                    "fit_serial_fallback_total",
-                    help="Fits whose pool retries were exhausted and degraded "
-                    "to in-process solving",
-                ).inc()
-                cause = failure.__cause__ if failure.__cause__ is not None else failure
-                emit_warning(
-                    f"parallel fit (n_jobs={n_jobs}) failed after {attempts} "
-                    f"attempt(s) with {type(cause).__name__}: {cause}; "
-                    "falling back to in-process fitting",
-                    ParallelFitWarning,
-                    stacklevel=2,
-                )
         for key in ordered:
             if key not in solutions:
                 with obs.span("fit.solve_task", layer=key[0], klass=key[1]):
-                    _, solution = _solve_fit_task((key, task_features[key], cfg))
+                    solution = _solve_fit_task(task_features[key], cfg)
                 _tasks_counter().labels(mode="inprocess").inc()
                 _record_solution(key, solution, solutions, journal)
     return {key: solutions[key] for key in ordered}
@@ -527,11 +304,10 @@ def build_layer_validators(
 
     Iterates tasks (already in planning order) rather than the solution
     mapping, so assembly order — and therefore every downstream structure —
-    is fixed by the plan, not by worker completion.
+    is fixed by the plan, not by solve order.
     """
     from repro.core.validator import LayerValidator
 
-    by_position = {position: layer_index for position, layer_index in layer_positions}
     validators = {
         position: LayerValidator(layer_index, layer_names[layer_index], config)
         for position, layer_index in layer_positions
@@ -567,12 +343,11 @@ def fit_deep_validator(
     layer_indices: list[int],
     config,
     chunk_size: int = 256,
-    n_jobs: int | None = None,
     journal=None,
 ) -> list:
     """The full pipeline behind ``DeepValidator.fit``: plan, extract, solve.
 
-    ``n_jobs`` defaults to ``config.n_jobs``. ``journal`` (a
+    ``journal`` (a
     :class:`~repro.core.checkpoint.TaskJournal`) makes the solve stage
     resumable across process deaths; the plan is a pure function of the
     labels and the seed, so a journal written by an interrupted fit of the
@@ -589,9 +364,7 @@ def fit_deep_validator(
             task_features = extract_task_features(
                 model, images, tasks, chunk_size=chunk_size
             )
-        if n_jobs is None:
-            n_jobs = getattr(config, "n_jobs", 1)
-        solutions = solve_tasks(task_features, config, n_jobs=n_jobs, journal=journal)
+        solutions = solve_tasks(task_features, config, journal=journal)
         return build_layer_validators(
             tasks, solutions, layer_positions, model.probe_names, config
         )
@@ -602,7 +375,6 @@ def fit_validators_from_arrays(
     labels: np.ndarray,
     layer_indices: list[int],
     config,
-    n_jobs: int = 1,
     layer_names: list[str] | None = None,
     journal=None,
 ) -> list:
@@ -625,5 +397,5 @@ def fit_validators_from_arrays(
         )
         for task in tasks
     }
-    solutions = solve_tasks(task_features, config, n_jobs=n_jobs, journal=journal)
+    solutions = solve_tasks(task_features, config, journal=journal)
     return build_layer_validators(tasks, solutions, layer_positions, layer_names, config)

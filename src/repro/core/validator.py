@@ -38,11 +38,6 @@ class ValidatorConfig:
     paper's Algorithm 1 both drops misclassified training images (line 2)
     and segments reference distributions by class; disabling either
     reproduces the degraded variants the paper argues against.
-
-    ``n_jobs`` dispatches the independent (layer, class) SMO solves of
-    Algorithm 1 over a worker pool (``-1`` = every usable core); the fitted
-    validator is bit-identical for any worker count, so this is purely a
-    wall-clock knob. See :mod:`repro.core.fitting`.
     """
 
     nu: float = 0.1
@@ -56,15 +51,12 @@ class ValidatorConfig:
     filter_misclassified: bool = True
     per_class: bool = True
     seed: int = 0
-    n_jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.combiner not in {"sum", "mean", "max", "last"}:
             raise ValueError(
                 f"combiner must be sum/mean/max/last, got {self.combiner!r}"
             )
-        if self.n_jobs != -1 and self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be -1 or >= 1, got {self.n_jobs}")
 
 
 class LayerValidator:
@@ -289,9 +281,9 @@ class DeepValidator:
         Runs the memory-bounded pipeline of :mod:`repro.core.fitting`:
         representations are extracted in ``chunk_size`` batches (only the
         subsampled training rows are retained per layer) and the
-        independent (layer, class) solves are dispatched over
-        ``config.n_jobs`` workers. The fitted validator is bit-identical
-        for any ``n_jobs``. ``journal`` (a
+        independent (layer, class) solves run in-process; the fitted
+        validator is bit-identical to per-layer ``LayerValidator.fit``.
+        ``journal`` (a
         :class:`~repro.core.checkpoint.TaskJournal`) makes the solve stage
         crash-safe: completed (layer, class) solutions are flushed as they
         land and replayed on a rerun of the same data and config.
@@ -320,7 +312,6 @@ class DeepValidator:
             self.layer_indices,
             self.config,
             chunk_size=chunk_size,
-            n_jobs=getattr(self.config, "n_jobs", 1),
             journal=journal,
         )
         probe_names = self.model.probe_names

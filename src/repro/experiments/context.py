@@ -14,7 +14,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.checkpoint import CheckpointStore
-from repro.core.fitting import default_fit_jobs
 from repro.core.validator import DeepValidator, ValidatorConfig
 from repro.corner.suite import CornerCaseSuite, build_corner_case_suite
 from repro.utils.cache import ArtifactCache, default_cache
@@ -128,11 +127,8 @@ def _build_context(
         if dataset_name == "synth-cifar":
             # The paper validates only the rear layers of its DenseNet (IV-C).
             layers = rear_layer_indices(probe_count)
-        # Parallel fitting is bit-identical to serial (the determinism suite
-        # pins this), so the worker count does not belong in the cache key.
         config = ValidatorConfig(
-            layers=layers, seed=seed, n_jobs=default_fit_jobs(),
-            **_VALIDATOR_PARAMS[profile],
+            layers=layers, seed=seed, **_VALIDATOR_PARAMS[profile]
         )
         validator = DeepValidator(model, config)
         journal = checkpoints.journal(f"fit-{dataset_name}-{profile}-seed{seed}")

@@ -3,11 +3,11 @@
 Nothing here runs in production serving paths; :mod:`repro.testing.faults`
 exists so the resilience and checkpoint suites (and operators rehearsing
 incident response) can inject the failure modes the stack claims to
-survive — NaN activations, corrupt artifacts, failing scorers, dying or
-hanging worker pools, mid-pipeline process deaths, and dying serve
-workers — deterministically and reversibly. :mod:`repro.testing.chaos`
-composes those injectors into seeded, clock-driven soak runs against the
-serving stack (see ``docs/serving.md``).
+survive — NaN activations, corrupt artifacts, failing scorers,
+mid-pipeline process deaths, and dying serve workers — deterministically
+and reversibly. :mod:`repro.testing.chaos` composes those injectors into
+seeded, clock-driven soak runs against the serving stack (see
+``docs/serving.md``).
 """
 
 from repro.testing.chaos import ChaosPlan, SoakInvariantError, SoakReport, run_soak
@@ -21,10 +21,8 @@ from repro.testing.faults import (
     corrupt_bundle,
     crash_at_epoch,
     crash_at_task,
-    dead_fit_pool,
     fail_packed_scorer,
     hang_classify,
-    hang_fit_worker,
     kill_worker,
     nan_activations,
     raise_in_batcher,
@@ -44,10 +42,8 @@ __all__ = [
     "corrupt_bundle",
     "crash_at_epoch",
     "crash_at_task",
-    "dead_fit_pool",
     "fail_packed_scorer",
     "hang_classify",
-    "hang_fit_worker",
     "kill_worker",
     "nan_activations",
     "raise_in_batcher",

@@ -33,16 +33,10 @@ The four fault classes mirror the resilience layer's threat model:
   or a batcher whose ``next_batch`` raises on chosen calls — both kill
   the worker thread outright, exercising the supervisor's requeue,
   restart, and restart-budget paths;
-* :func:`dead_fit_pool` — worker death: the fitting pipeline's
-  multiprocessing pool dies on dispatch, exercising the in-process
-  fallback;
-* :func:`hang_fit_worker` — a worker that never returns: chosen fit tasks
-  miss their watchdog deadline, exercising pool recycling, bounded retry,
-  and the serial fallback;
 * :func:`crash_at_epoch` / :func:`crash_at_task` — process death in the
   offline pipelines: the training loop dies at the start of a chosen
-  epoch, or the fit coordinator dies after a chosen number of task
-  solutions have been journaled, exercising checkpoint/journal resume.
+  epoch, or the fit dies after a chosen number of task solutions have
+  been journaled, exercising checkpoint/journal resume.
 
 :class:`FaultPlan` bundles any number of these into one declarative,
 reusable plan::
@@ -61,8 +55,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 import numpy as np
-
-from repro.core.fitting import NonRetryableFitError
 
 
 # -- activation faults ---------------------------------------------------------
@@ -503,163 +495,16 @@ def raise_in_batcher(batcher, nth: int = 1, count: int = 1) -> Iterator[dict]:
             del batcher.next_batch
 
 
-# -- worker-pool faults --------------------------------------------------------
-
-
-class _DeadPool:
-    """A pool whose workers are already dead: every dispatch raises."""
-
-    def __enter__(self) -> "_DeadPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-    def terminate(self) -> None:
-        return None
-
-    def map(self, func, iterable):
-        """Simulate worker death mid-dispatch (legacy dispatch path)."""
-        raise BrokenPipeError("injected fault: worker pool died mid-dispatch")
-
-    def apply_async(self, func, args):
-        """Simulate worker death mid-dispatch."""
-        raise BrokenPipeError("injected fault: worker pool died mid-dispatch")
-
-
-@contextlib.contextmanager
-def dead_fit_pool() -> Iterator[None]:
-    """Make ``solve_tasks``'s multiprocessing pool die on dispatch.
-
-    Patches :func:`repro.core.fitting._make_pool` so any parallel fit hits
-    a :class:`BrokenPipeError` on every attempt, exhausting the bounded
-    retries and exercising the documented in-process fallback (and its
-    ``ParallelFitWarning``).
-    """
-    from repro.core import fitting
-
-    original = fitting._make_pool
-    fitting._make_pool = lambda processes: _DeadPool()
-    try:
-        yield
-    finally:
-        fitting._make_pool = original
-
-
-class _HangingResult:
-    """An async handle that either solves in-process or never returns."""
-
-    def __init__(self, payload, hang: bool, stats: dict) -> None:
-        self._payload = payload
-        self._hang = hang
-        self._stats = stats
-
-    def get(self, timeout=None):
-        if self._hang:
-            if timeout is None:
-                # A real hung worker with no deadline would block forever;
-                # failing loudly here turns a disabled watchdog into a test
-                # failure instead of a hung test suite. InjectedCrashError
-                # derives from NonRetryableFitError, so the retry loop
-                # propagates it rather than degrading to the serial
-                # fallback behind a mere warning.
-                raise InjectedCrashError(
-                    "injected hung fit worker would deadlock: no task "
-                    "deadline configured (REPRO_FIT_TASK_TIMEOUT)"
-                )
-            import multiprocessing
-
-            self._stats["hangs"] += 1
-            raise multiprocessing.TimeoutError(
-                f"injected fault: fit worker hung past its {timeout}s deadline"
-            )
-        from repro.core.fitting import _solve_fit_task
-
-        return _solve_fit_task(self._payload)
-
-
-class _HangingPool:
-    """A pool whose chosen dispatches hang; everything else solves exactly.
-
-    Non-hanging tasks run the real ``_solve_fit_task`` in-process, so the
-    solutions that do land are bit-identical to an honest pool's.
-    """
-
-    def __init__(self, should_hang, stats: dict) -> None:
-        self._should_hang = should_hang
-        self._stats = stats
-        self._dispatched = 0
-
-    def __enter__(self) -> "_HangingPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-    def terminate(self) -> None:
-        return None
-
-    def apply_async(self, func, args):
-        self._dispatched += 1
-        self._stats["dispatches"] += 1
-        hang = self._should_hang(self._dispatched)
-        return _HangingResult(args[0], hang, self._stats)
-
-
-@contextlib.contextmanager
-def hang_fit_worker(
-    nth: int = 1, count: int = 1, pools: int = 1
-) -> Iterator[dict]:
-    """Make chosen fit tasks hang past their watchdog deadline.
-
-    Within each pool lifetime, dispatches ``nth .. nth+count-1`` (1-based,
-    numbering restarts on every pool recycle) raise
-    ``multiprocessing.TimeoutError`` from ``get(timeout)`` — the exact
-    signal a hung worker produces under the per-task deadline. The hang
-    afflicts the first ``pools`` pool lifetimes (``-1`` = every pool), so
-    ``pools=1`` models a transient hang cured by one recycle while
-    ``pools=-1`` models a persistent hang that must degrade to the serial
-    path. Yields a stats dict (``pools``/``dispatches``/``hangs``) so
-    tests can assert the watchdog actually fired.
-    """
-    from repro.core import fitting
-
-    stats = {"pools": 0, "dispatches": 0, "hangs": 0}
-
-    def make_pool(processes):
-        stats["pools"] += 1
-        afflicted = pools < 0 or stats["pools"] <= pools
-
-        def should_hang(dispatch_number: int) -> bool:
-            if not afflicted or count == 0:
-                return False
-            return dispatch_number >= nth and (
-                count < 0 or dispatch_number < nth + count
-            )
-
-        return _HangingPool(should_hang, stats)
-
-    original = fitting._make_pool
-    fitting._make_pool = make_pool
-    try:
-        yield stats
-    finally:
-        fitting._make_pool = original
-
-
 # -- offline-pipeline crash faults ---------------------------------------------
 
 
-class InjectedCrashError(NonRetryableFitError):
-    """The exception raised by the crash_at_* and deadlock-guard injectors.
+class InjectedCrashError(RuntimeError):
+    """The exception raised by the crash_at_* injectors.
 
     Deliberately *not* a fault the pipelines recover from in-process: it
     models the process dying (OOM-kill, power cut), so tests catch it at
     the call site and then prove that a *resumed* run completes
-    bit-identically from the persisted checkpoint/journal state. Deriving
-    from :class:`repro.core.fitting.NonRetryableFitError` guarantees the
-    parallel retry machinery propagates it instead of wrapping it for
-    retry and serial fallback.
+    bit-identically from the persisted checkpoint/journal state.
     """
 
 
@@ -700,7 +545,7 @@ def crash_at_task(task: int) -> Iterator[dict]:
 
     Patches :func:`repro.core.fitting._record_solution` so the first
     ``task`` freshly-solved tasks are merged *and journaled* (1-based
-    count; replayed journal entries don't count) before the coordinator
+    count; replayed journal entries don't count) before the process
     dies — the worst-case kill point for a journaled fit. Yields a stats
     dict tracking ``"recorded"`` and ``"crashed"``.
     """
@@ -812,18 +657,6 @@ class FaultPlan:
         self._labels.append(f"raise_in_batcher(nth={nth}, count={count})")
         return self
 
-    def dead_fit_pool(self) -> "FaultPlan":
-        """Register worker-pool death for parallel fitting."""
-        self._factories.append(dead_fit_pool)
-        self._labels.append("dead_fit_pool()")
-        return self
-
-    def hang_fit_worker(self, nth: int = 1, count: int = 1, pools: int = 1) -> "FaultPlan":
-        """Register hung fit workers on dispatches ``nth..nth+count-1``."""
-        self._factories.append(lambda: hang_fit_worker(nth=nth, count=count, pools=pools))
-        self._labels.append(f"hang_fit_worker(nth={nth}, count={count}, pools={pools})")
-        return self
-
     def crash_at_epoch(self, trainer, epoch: int) -> "FaultPlan":
         """Register a training-loop kill at the start of ``epoch``."""
         self._factories.append(lambda: crash_at_epoch(trainer, epoch))
@@ -831,7 +664,7 @@ class FaultPlan:
         return self
 
     def crash_at_task(self, task: int) -> "FaultPlan":
-        """Register a fit-coordinator kill after ``task`` journaled solves."""
+        """Register a fit kill after ``task`` journaled solves."""
         self._factories.append(lambda: crash_at_task(task))
         self._labels.append(f"crash_at_task(task={task})")
         return self

@@ -1,8 +1,7 @@
 """Centralised warning emission with strict-mode escalation.
 
-Resilience warnings (:class:`~repro.core.fitting.ParallelFitWarning`,
-:class:`~repro.core.resilience.DegradedModeWarning`) signal that the system
-kept running in a reduced mode. In production that is exactly right; in an
+Resilience warnings (:class:`~repro.core.resilience.DegradedModeWarning`)
+signal that the system kept running in a reduced mode. In production that is exactly right; in an
 experiment run it can silently change what is being measured. Routing every
 such warning through :func:`emit_warning` gives operators one switch:
 ``REPRO_STRICT=1`` turns any degraded-mode warning into a raised exception,

@@ -139,6 +139,31 @@ class TestVerify:
         assert monitor.validator is bundle.validator
 
 
+class TestLegacyPickles:
+    def test_validator_pickled_with_n_jobs_still_loads(self, fitted_validator):
+        # Validators pickled before fits became in-process-only carry a
+        # ``config.n_jobs`` attribute (bundles, cached experiment contexts).
+        # It must ride along harmlessly: load, pack, validate, and score
+        # exactly like a validator that never had it.
+        legacy = pickle.loads(pickle.dumps(fitted_validator))
+        legacy.config.__dict__["n_jobs"] = 2
+        assert all(layer.config is legacy.config for layer in legacy.validators)
+        restored = pickle.loads(pickle.dumps(legacy))
+        assert restored.config.n_jobs == 2
+        bundle = ValidatorBundle.pack(restored, version=1, name="legacy").validate()
+        images, _ = easy_image_task(6, seed=4)
+        ref_pred, ref_d = fitted_validator.discrepancies(images)
+        ref_joint = fitted_validator.joint_discrepancy(images)
+        for scorer in (restored, bundle.validator):
+            got_pred, got_d = scorer.discrepancies(images)
+            np.testing.assert_array_equal(got_pred, ref_pred)
+            np.testing.assert_array_equal(got_d, ref_d)
+            np.testing.assert_array_equal(scorer.joint_discrepancy(images), ref_joint)
+            np.testing.assert_array_equal(
+                scorer.flag(images), fitted_validator.flag(images)
+            )
+
+
 class TestStore:
     def test_save_load_round_trip(self, bundle, tmp_path):
         store = BundleStore(tmp_path)

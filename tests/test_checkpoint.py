@@ -1,9 +1,9 @@
 """Unit tests for the crash-safe checkpoint layer.
 
 Covers the store/journal primitives, optimizer and RNG state round-trips,
-the serialize suffix fix, trainer edge cases, and every recovery path of
-``solve_tasks`` (journal resume, hung-worker watchdog, bounded retry,
-serial fallback). Bit-identity *properties* live in
+the serialize suffix fix, trainer edge cases, and the recovery path of
+``solve_tasks`` (journal resume, replay, and stale-journal discard).
+Bit-identity *properties* live in
 ``test_checkpoint_resume.py``.
 """
 
@@ -20,11 +20,7 @@ from repro.core.checkpoint import (
     TaskJournal,
     default_checkpoint_store,
 )
-from repro.core.fitting import (
-    ParallelFitWarning,
-    resolve_task_timeout,
-    solve_tasks,
-)
+from repro.core.fitting import solve_tasks
 from repro.core.validator import ValidatorConfig
 from repro.nn import Adadelta, Adam, SGD, Trainer, load_state_dict, save_state_dict
 from repro.nn.trainer import TrainingReport
@@ -32,7 +28,6 @@ from repro.testing import (
     InjectedCrashError,
     crash_at_epoch,
     crash_at_task,
-    hang_fit_worker,
 )
 from repro.utils.rng import get_rng_state, new_rng, set_rng_state
 from tests.helpers import easy_image_task, make_tiny_model
@@ -414,13 +409,13 @@ class TestSolveTasksRecovery:
     def test_journal_resume_after_coordinator_crash(self, tmp_path):
         features = _task_features()
         config = ValidatorConfig(nu=0.2)
-        reference = solve_tasks(features, config, n_jobs=1)
+        reference = solve_tasks(features, config)
         journal = TaskJournal(tmp_path / "fit.journal")
         with crash_at_task(4) as stats:
             with pytest.raises(InjectedCrashError):
-                solve_tasks(features, config, n_jobs=1, journal=journal)
+                solve_tasks(features, config, journal=journal)
         assert stats["crashed"] and len(journal) == 4
-        resumed = solve_tasks(features, config, n_jobs=1, journal=journal)
+        resumed = solve_tasks(features, config, journal=journal)
         _assert_solutions_equal(reference, resumed)
         # Resume solved only the missing tasks: journal now holds all six.
         assert len(journal) == len(features)
@@ -429,14 +424,14 @@ class TestSolveTasksRecovery:
         features = _task_features()
         config = ValidatorConfig(nu=0.2)
         journal = TaskJournal(tmp_path / "fit.journal")
-        solve_tasks(features, config, n_jobs=1, journal=journal)
+        solve_tasks(features, config, journal=journal)
         import repro.core.fitting as fitting
 
-        def exploding(payload):  # pragma: no cover - must not be hit
+        def exploding(*args):  # pragma: no cover - must not be hit
             raise AssertionError("fully-journaled fit must not re-solve")
 
         monkeypatch.setattr(fitting, "_solve_fit_task", exploding)
-        replayed = solve_tasks(features, config, n_jobs=1, journal=journal)
+        replayed = solve_tasks(features, config, journal=journal)
         assert sorted(replayed) == sorted(features)
 
     def test_legacy_headerless_journal_discarded(self, tmp_path):
@@ -446,121 +441,41 @@ class TestSolveTasksRecovery:
         config = ValidatorConfig(nu=0.2)
         journal = TaskJournal(tmp_path / "fit.journal")
         journal.append(((99, 99), "stale"))
-        solutions = solve_tasks(features, config, n_jobs=1, journal=journal)
+        solutions = solve_tasks(features, config, journal=journal)
         assert (99, 99) not in solutions
         assert journal.header() is not None  # re-stamped for this solve
         assert len(journal) == len(features)  # stale record gone
 
     def _count_resolves(self, monkeypatch):
+        # Replayed solutions are merged directly; only fresh solves pass
+        # through the _record_solution seam, so its keys are the re-solves.
         import repro.core.fitting as fitting
 
         solved: list = []
-        original = fitting._solve_fit_task
+        original = fitting._record_solution
 
-        def counting(payload):
-            solved.append(payload[0])
-            return original(payload)
+        def counting(key, solution, solutions, journal):
+            solved.append(key)
+            return original(key, solution, solutions, journal)
 
-        monkeypatch.setattr(fitting, "_solve_fit_task", counting)
+        monkeypatch.setattr(fitting, "_record_solution", counting)
         return solved
 
     def test_journal_for_different_config_discarded(self, tmp_path, monkeypatch):
         features = _task_features()
         journal = TaskJournal(tmp_path / "fit.journal")
-        solve_tasks(features, ValidatorConfig(nu=0.2), n_jobs=1, journal=journal)
+        solve_tasks(features, ValidatorConfig(nu=0.2), journal=journal)
         # Same journal name, different solver settings: the fingerprint
         # header mismatches, so nothing may replay into the new solve.
         solved = self._count_resolves(monkeypatch)
-        solve_tasks(features, ValidatorConfig(nu=0.5), n_jobs=1, journal=journal)
+        solve_tasks(features, ValidatorConfig(nu=0.5), journal=journal)
         assert sorted(solved) == sorted(features)
 
     def test_journal_for_different_features_discarded(self, tmp_path, monkeypatch):
         config = ValidatorConfig(nu=0.2)
         journal = TaskJournal(tmp_path / "fit.journal")
-        solve_tasks(_task_features(seed=0), config, n_jobs=1, journal=journal)
+        solve_tasks(_task_features(seed=0), config, journal=journal)
         solved = self._count_resolves(monkeypatch)
         features = _task_features(seed=1)  # same keys, different data
-        solve_tasks(features, config, n_jobs=1, journal=journal)
+        solve_tasks(features, config, journal=journal)
         assert sorted(solved) == sorted(features)
-
-    def test_transient_hang_recovers_via_pool_recycle(self):
-        features = _task_features()
-        config = ValidatorConfig(nu=0.2)
-        reference = solve_tasks(features, config, n_jobs=1)
-        with hang_fit_worker(nth=2, count=1, pools=1) as stats:
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # recovery must be silent
-                solutions = solve_tasks(
-                    features, config, n_jobs=4, task_timeout=0.5, retry_backoff=0.0
-                )
-        assert stats["hangs"] == 1 and stats["pools"] == 2
-        _assert_solutions_equal(reference, solutions)
-
-    def test_persistent_hang_degrades_to_serial(self):
-        features = _task_features()
-        config = ValidatorConfig(nu=0.2)
-        reference = solve_tasks(features, config, n_jobs=1)
-        with hang_fit_worker(nth=1, count=-1, pools=-1) as stats:
-            with pytest.warns(ParallelFitWarning, match="falling back"):
-                solutions = solve_tasks(
-                    features, config, n_jobs=4, task_timeout=0.5,
-                    max_retries=2, retry_backoff=0.0,
-                )
-        assert stats["pools"] == 3  # initial attempt + 2 retries, then serial
-        _assert_solutions_equal(reference, solutions)
-
-    def test_hang_without_deadline_is_loud(self):
-        # The injector refuses to model a silent deadlock: with the
-        # watchdog disabled, the hang surfaces as InjectedCrashError,
-        # which the retry machinery deliberately propagates — the test
-        # fails loudly instead of passing via the serial fallback.
-        features = _task_features()
-        config = ValidatorConfig(nu=0.2)
-        with hang_fit_worker(nth=1, count=1, pools=-1):
-            with pytest.raises(InjectedCrashError, match="deadlock"):
-                solve_tasks(
-                    features, config, n_jobs=4, task_timeout=0, retry_backoff=0.0
-                )
-
-    def test_watchdog_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIT_TASK_TIMEOUT", "0.25")
-        features = _task_features()
-        config = ValidatorConfig(nu=0.2)
-        reference = solve_tasks(features, config, n_jobs=1)
-        with hang_fit_worker(nth=1, count=1, pools=1) as stats:
-            solutions = solve_tasks(features, config, n_jobs=4, retry_backoff=0.0)
-        assert stats["hangs"] == 1
-        _assert_solutions_equal(reference, solutions)
-
-    def test_retry_backoff_is_exponential(self, monkeypatch):
-        import repro.core.fitting as fitting
-
-        sleeps: list[float] = []
-        monkeypatch.setattr(fitting, "_sleep", sleeps.append)
-        features = _task_features()
-        config = ValidatorConfig(nu=0.2)
-        with hang_fit_worker(nth=1, count=-1, pools=-1):
-            with pytest.warns(ParallelFitWarning):
-                solve_tasks(
-                    features, config, n_jobs=4, task_timeout=0.5,
-                    max_retries=3, retry_backoff=0.1,
-                )
-        assert sleeps == pytest.approx([0.1, 0.2, 0.4])
-
-
-class TestResolveTaskTimeout:
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIT_TASK_TIMEOUT", "9")
-        assert resolve_task_timeout(2.5) == 2.5
-        assert resolve_task_timeout(0) is None  # explicit disable
-        assert resolve_task_timeout(-1) is None
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FIT_TASK_TIMEOUT", raising=False)
-        assert resolve_task_timeout() is None
-        monkeypatch.setenv("REPRO_FIT_TASK_TIMEOUT", "1.5")
-        assert resolve_task_timeout() == 1.5
-        monkeypatch.setenv("REPRO_FIT_TASK_TIMEOUT", "0")
-        assert resolve_task_timeout() is None

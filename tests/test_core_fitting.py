@@ -1,7 +1,7 @@
-"""Tests for the parallel, memory-bounded fitting pipeline (Algorithm 1).
+"""Tests for the memory-bounded fitting pipeline (Algorithm 1).
 
 Covers the refit-staleness regressions, the chunked extraction memory
-contract, worker-failure fallback, and serial/parallel equivalence. The
+contract, and end-to-end equivalence with the per-layer reference fit. The
 hypothesis-driven bit-identity properties live in
 ``test_fitting_determinism.py``.
 """
@@ -10,12 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.fitting import (
-    ParallelFitWarning,
-    default_fit_jobs,
     extract_task_features,
     fit_validators_from_arrays,
     plan_fit_tasks,
-    resolve_n_jobs,
 )
 from repro.core.validator import DeepValidator, LayerValidator, ValidatorConfig
 from repro.nn.sequential import ProbedSequential
@@ -165,49 +162,33 @@ class TestChunkedExtraction:
             np.testing.assert_array_equal(features[task.key], expected)
 
 
-class TestParallelSolving:
-    def test_parallel_equals_serial_end_to_end(self, trained_tiny_model):
+class TestReferenceEquivalence:
+    def test_pipeline_equals_layer_validator_fit(self, trained_tiny_model):
+        # The chunked pipeline behind DeepValidator.fit must land on the
+        # paper-faithful per-layer fit of the same kept images, bit for bit.
         model, train_x, train_y, *_ = trained_tiny_model
-        serial = DeepValidator(model, ValidatorConfig(nu=0.15, n_jobs=1))
-        parallel = DeepValidator(model, ValidatorConfig(nu=0.15, n_jobs=3))
-        serial.fit(train_x, train_y)
-        parallel.fit(train_x, train_y)
-        for a, b in zip(serial.validators, parallel.validators):
-            assert a.classes == b.classes
-            for klass in a.classes:
-                sa, sb = a._svms[klass], b._svms[klass]
+        config = ValidatorConfig(nu=0.15)
+        validator = DeepValidator(model, config).fit(train_x, train_y)
+        keep = model.predict(train_x) == train_y
+        _, reps = model.hidden_representations(train_x[keep])
+        for position, fitted in enumerate(validator.validators):
+            reference = LayerValidator(
+                fitted.layer_index, fitted.layer_name, config
+            ).fit(reps[fitted.layer_index], train_y[keep], rng=config.seed + position)
+            assert fitted.classes == reference.classes
+            for klass in fitted.classes:
+                sa, sb = fitted._svms[klass], reference._svms[klass]
                 np.testing.assert_array_equal(sa.support_vectors_, sb.support_vectors_)
                 np.testing.assert_array_equal(sa.dual_coef_, sb.dual_coef_)
                 assert sa.rho_ == sb.rho_
                 assert sa.norm_w_ == sb.norm_w_
                 np.testing.assert_array_equal(
-                    a._scalers[klass].mean_, b._scalers[klass].mean_
+                    fitted._scalers[klass].mean_, reference._scalers[klass].mean_
                 )
 
-    def test_pool_failure_degrades_to_in_process(self, monkeypatch):
-        import repro.core.fitting as fitting
-
-        def broken_pool(processes):
-            raise OSError("fork failed")
-
-        monkeypatch.setattr(fitting, "_make_pool", broken_pool)
-        reps, labels = gaussian_classes()
-        with pytest.warns(ParallelFitWarning, match="falling back"):
-            fitted = fit_validators_from_arrays(
-                [reps], labels, [0], ValidatorConfig(), n_jobs=4
-            )
-        reference = fit_validators_from_arrays(
-            [reps], labels, [0], ValidatorConfig(), n_jobs=1
-        )
-        for klass in reference[0].classes:
-            np.testing.assert_array_equal(
-                fitted[0]._svms[klass].support_vectors_,
-                reference[0]._svms[klass].support_vectors_,
-            )
-
-    def test_unpicklable_kernel_degrades_to_in_process(self):
-        # A custom kernel holding a lambda cannot cross the process
-        # boundary; the fit must warn and complete in-process instead.
+    def test_custom_kernel_object_fits(self):
+        # A Kernel instance, even one holding a lambda, fits like a named
+        # kernel.
         class LambdaKernel(Kernel):
             name = "lambda-linear"
 
@@ -222,46 +203,20 @@ class TestParallelSolving:
 
         reps, labels = gaussian_classes(d=4)
         config = ValidatorConfig(kernel=LambdaKernel(), standardize=False)
-        with pytest.warns(ParallelFitWarning):
-            fitted = fit_validators_from_arrays([reps], labels, [0], config, n_jobs=2)
+        fitted = fit_validators_from_arrays([reps], labels, [0], config)
         assert fitted[0].classes == [0, 1, 2]
         scores = fitted[0].discrepancy(reps[:5], labels[:5])
         assert np.isfinite(scores).all()
 
-    def test_single_task_skips_the_pool(self, monkeypatch):
-        import repro.core.fitting as fitting
-
-        def exploding_pool(processes):  # pragma: no cover - must not be hit
-            raise AssertionError("pool must not be created for one task")
-
-        monkeypatch.setattr(fitting, "_make_pool", exploding_pool)
-        reps, labels = gaussian_classes()
-        fitted = fit_validators_from_arrays(
-            [reps], np.zeros(len(labels), dtype=np.int64), [0],
-            ValidatorConfig(), n_jobs=4,
-        )
-        assert fitted[0].classes == [0]
-
 
 class TestKnobs:
-    def test_resolve_n_jobs(self):
-        assert resolve_n_jobs(None) == 1
-        assert resolve_n_jobs(3) == 3
-        assert resolve_n_jobs(-1) >= 1
-        with pytest.raises(ValueError):
-            resolve_n_jobs(0)
-
-    def test_default_fit_jobs_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIT_JOBS", "2")
-        assert default_fit_jobs() == 2
-        monkeypatch.delenv("REPRO_FIT_JOBS")
-        assert 1 <= default_fit_jobs() <= 4
-
     def test_config_rejects_bad_n_jobs(self):
-        with pytest.raises(ValueError):
-            ValidatorConfig(n_jobs=0)
-        with pytest.raises(ValueError):
-            ValidatorConfig(n_jobs=-2)
+        # n_jobs is not a field: a caller still passing it fails loudly
+        # instead of having it silently ignored.
+        with pytest.raises(TypeError):
+            ValidatorConfig(n_jobs=2)
+        with pytest.raises(TypeError):
+            ValidatorConfig(n_jobs=1)
 
 
 class TestFromSolution:

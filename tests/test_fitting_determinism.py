@@ -1,12 +1,13 @@
-"""Determinism suite: parallel fitting is bit-identical to serial.
+"""Determinism suite: the fitting pipeline is bit-identical to Algorithm 1.
 
-The fitting pipeline's contract is that ``n_jobs`` is purely a wall-clock
-knob — support vectors, dual coefficients, offsets, scaler statistics, and
-every downstream discrepancy must be *exactly* equal (``==``, not allclose)
-for any worker count, across random feature sets, class skews, and
-``max_per_class`` subsampling. Workers solve on pickled copies of the same
-float64 features with the same BLAS, so any divergence indicates scheduling
-leaked into the math.
+:func:`repro.core.fitting.fit_validators_from_arrays` plans, gathers and
+solves the ``(layer, class)`` tasks out of line, then assembles them. Its
+contract is that this changes nothing: support vectors, dual coefficients,
+offsets, scaler statistics, and every downstream discrepancy must be
+*exactly* equal (``==``, not allclose) to the paper-faithful per-layer
+reference, ``LayerValidator(i, ...).fit(reps[i], labels, rng=seed +
+position)``, across random feature sets, class skews, kernels, the
+class-agnostic ablation, and ``max_per_class`` subsampling.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fitting import fit_validators_from_arrays
-from repro.core.validator import ValidatorConfig
+from repro.core.validator import LayerValidator, ValidatorConfig
 
 
 def random_layer_reps(seed, class_sizes, dims):
@@ -31,9 +32,20 @@ def random_layer_reps(seed, class_sizes, dims):
     return reps, labels
 
 
+def reference_fit(reps, labels, layer_indices, config):
+    """Algorithm 1 as the paper states it: one ``LayerValidator.fit`` per layer."""
+    return [
+        LayerValidator(index, f"layer{index}", config).fit(
+            reps[index], labels, rng=config.seed + position
+        )
+        for position, index in enumerate(layer_indices)
+    ]
+
+
 def assert_validators_identical(fitted_a, fitted_b):
     assert len(fitted_a) == len(fitted_b)
     for a, b in zip(fitted_a, fitted_b):
+        assert (a.layer_index, a.layer_name) == (b.layer_index, b.layer_name)
         assert a.classes == b.classes
         for klass in a.classes:
             sa, sb = a._svms[klass], b._svms[klass]
@@ -50,7 +62,7 @@ def assert_validators_identical(fitted_a, fitted_b):
                 )
 
 
-class TestParallelBitIdentity:
+class TestReferenceBitIdentity:
     @given(
         seed=st.integers(0, 10_000),
         sizes=st.tuples(st.integers(8, 40), st.integers(8, 40), st.integers(8, 40)),
@@ -60,15 +72,15 @@ class TestParallelBitIdentity:
     def test_random_features_and_subsampling(self, seed, sizes, max_per_class):
         reps, labels = random_layer_reps(seed, sizes, dims=(4, 6))
         config = ValidatorConfig(max_per_class=max_per_class, seed=seed % 7)
-        serial = fit_validators_from_arrays(reps, labels, [0, 1], config, n_jobs=1)
-        parallel = fit_validators_from_arrays(reps, labels, [0, 1], config, n_jobs=4)
-        assert_validators_identical(serial, parallel)
+        fitted = fit_validators_from_arrays(reps, labels, [0, 1], config)
+        reference = reference_fit(reps, labels, [0, 1], config)
+        assert_validators_identical(fitted, reference)
         # Downstream discrepancies are bit-identical too.
         queries = np.random.default_rng(seed + 1).normal(size=(16, 4))
         predicted = np.random.default_rng(seed + 2).integers(0, 3, size=16)
         np.testing.assert_array_equal(
-            serial[0].discrepancy(queries, predicted),
-            parallel[0].discrepancy(queries, predicted),
+            fitted[0].discrepancy(queries, predicted),
+            reference[0].discrepancy(queries, predicted),
         )
 
     @given(
@@ -79,30 +91,40 @@ class TestParallelBitIdentity:
     @settings(max_examples=5, deadline=None)
     def test_class_skew(self, seed, small, large):
         # One near-empty class against a dominant one: the skew must not
-        # change which rows each task trains on under any worker count.
+        # change which rows each task trains on.
         reps, labels = random_layer_reps(seed, (small, large), dims=(5,))
         config = ValidatorConfig(max_per_class=50, seed=1)
-        serial = fit_validators_from_arrays(reps, labels, [0], config, n_jobs=1)
-        parallel = fit_validators_from_arrays(reps, labels, [0], config, n_jobs=4)
-        assert_validators_identical(serial, parallel)
+        fitted = fit_validators_from_arrays(reps, labels, [0], config)
+        assert_validators_identical(fitted, reference_fit(reps, labels, [0], config))
 
     @given(seed=st.integers(0, 10_000), kernel=st.sampled_from(["rbf", "linear", "poly"]))
     @settings(max_examples=5, deadline=None)
     def test_kernels_and_no_standardize(self, seed, kernel):
         reps, labels = random_layer_reps(seed, (20, 20), dims=(4,))
         config = ValidatorConfig(kernel=kernel, standardize=False, max_per_class=15)
-        serial = fit_validators_from_arrays(reps, labels, [0], config, n_jobs=1)
-        parallel = fit_validators_from_arrays(reps, labels, [0], config, n_jobs=2)
-        assert_validators_identical(serial, parallel)
+        fitted = fit_validators_from_arrays(reps, labels, [0], config)
+        assert_validators_identical(fitted, reference_fit(reps, labels, [0], config))
 
-    def test_worker_count_and_schedule_invariance(self):
-        # Same plan solved with 1, 2, and 5 workers over 8 tasks: every
-        # merge must land on the identical validator.
-        reps, labels = random_layer_reps(3, (15, 15, 15, 15), dims=(4, 4))
-        config = ValidatorConfig(max_per_class=10, seed=2)
-        fitted = [
-            fit_validators_from_arrays(reps, labels, [0, 1], config, n_jobs=n)
-            for n in (1, 2, 5)
-        ]
-        assert_validators_identical(fitted[0], fitted[1])
-        assert_validators_identical(fitted[0], fitted[2])
+    @given(
+        seed=st.integers(0, 10_000),
+        sizes=st.tuples(st.integers(4, 20), st.integers(4, 20), st.integers(4, 20)),
+        max_per_class=st.integers(10, 50),
+    )
+    @settings(max_examples=5, deadline=None)
+    def test_per_class_false(self, seed, sizes, max_per_class):
+        # The class-agnostic ablation: one task per layer over every image.
+        # Layers are validated in reverse probe order, so the per-layer RNG
+        # (seed + position) and the probe index (layer_index) differ.
+        reps, labels = random_layer_reps(seed, sizes, dims=(4, 6))
+        config = ValidatorConfig(
+            per_class=False, max_per_class=max_per_class, seed=seed % 5
+        )
+        fitted = fit_validators_from_arrays(reps, labels, [1, 0], config)
+        reference = reference_fit(reps, labels, [1, 0], config)
+        assert_validators_identical(fitted, reference)
+        queries = np.random.default_rng(seed + 1).normal(size=(8, 6))
+        predicted = np.zeros(8, dtype=np.int64)
+        np.testing.assert_array_equal(
+            fitted[0].discrepancy(queries, predicted),
+            reference[0].discrepancy(queries, predicted),
+        )

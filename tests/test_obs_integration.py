@@ -14,19 +14,14 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.fitting import ParallelFitWarning, solve_tasks
+from repro.core.fitting import solve_tasks
 from repro.core.monitor import RuntimeMonitor
 from repro.core.validator import DeepValidator, ValidatorConfig
 from repro.nn import Adam, Trainer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import InMemorySpanExporter, ManualClock, Tracer
 from repro.serve import ServeConfig, SupervisorConfig, ValidationServer
-from repro.testing.faults import (
-    dead_fit_pool,
-    fail_packed_scorer,
-    kill_worker,
-    slow_layer,
-)
+from repro.testing.faults import fail_packed_scorer, kill_worker, slow_layer
 from tests.helpers import easy_image_task, make_tiny_model
 
 pytestmark = pytest.mark.obs
@@ -61,7 +56,7 @@ infer.forward [batch=44]
 fit.pipeline [images=300, layers=3]
   infer.forward [batch=256]
   infer.forward [batch=44]
-  fit.solve_tasks [n_jobs=1, tasks=9]
+  fit.solve_tasks [tasks=9]
     fit.solve_task [klass=0, layer=0]
     fit.solve_task [klass=1, layer=0]
     fit.solve_task [klass=2, layer=0]
@@ -375,25 +370,21 @@ class TestBreakerMetrics:
 
 
 class TestFitCounters:
-    def test_dead_pool_records_retries_and_fallback(self, scoped):
+    def test_inprocess_solves_count_tasks(self, scoped):
         registry = scoped[0]
         rng = np.random.default_rng(0)
         features = {
             (0, klass): rng.normal(size=(12, 4)) for klass in range(3)
         }
         config = ValidatorConfig(seed=0, nu=0.5)
-        with dead_fit_pool():
-            with pytest.warns(ParallelFitWarning):
-                solutions = solve_tasks(
-                    features, config, n_jobs=2, max_retries=2, retry_backoff=0.0
-                )
+        solutions = solve_tasks(features, config)
         assert sorted(solutions) == sorted(features)
         snap = registry.snapshot()
-        assert snap["fit_pool_retries_total"]["series"][0]["value"] == 2.0
-        assert snap["fit_serial_fallback_total"]["series"][0]["value"] == 1.0
         assert snap["fit_tasks_total"]["series"] == [
             {"labels": {"mode": "inprocess"}, "value": 3.0}
         ]
+        assert "fit_pool_retries_total" not in snap
+        assert "fit_serial_fallback_total" not in snap
 
     def test_journal_replay_counts_replayed_tasks(self, scoped, tmp_path):
         from repro.core.checkpoint import CheckpointStore

@@ -2,10 +2,10 @@
 
 The acceptance contract for the resilience layer: for every fault class in
 :mod:`repro.testing.faults` (NaN/Inf activations, corrupted artifacts,
-failing packed scorers, worker-pool death) the monitor returns structured
-verdicts — never an unhandled exception — ``health()`` reports the
-failure, recovery closes the breaker, and the degraded path on a
-fault-free replay is bit-identical to the normal path.
+failing packed scorers) the monitor returns structured verdicts — never an
+unhandled exception — ``health()`` reports the failure, recovery closes
+the breaker, and the degraded path on a fault-free replay is bit-identical
+to the normal path.
 """
 
 import warnings
@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DeepValidator, RuntimeMonitor, ValidatorConfig
-from repro.core.fitting import ParallelFitWarning, solve_tasks
 from repro.core.resilience import (
     DEGRADED,
     FLAGGED,
@@ -31,7 +30,6 @@ from repro.core.resilience import (
 from repro.testing import (
     FaultPlan,
     corrupt_artifact,
-    dead_fit_pool,
     fail_packed_scorer,
     nan_activations,
 )
@@ -371,37 +369,6 @@ class TestArtifactFault:
         with pytest.raises(ValueError):
             with corrupt_artifact(cache, "model", {"v": 1}, mode="scribble"):
                 pass
-
-
-# -- fault class: worker-pool death --------------------------------------------
-
-
-@pytest.mark.faults
-class TestPoolDeathFault:
-    def _features(self):
-        rng = np.random.default_rng(0)
-        return {
-            (0, 0): rng.normal(size=(30, 4)),
-            (0, 1): rng.normal(size=(30, 4)),
-        }
-
-    def test_solve_tasks_survives_pool_death(self):
-        config = ValidatorConfig()
-        reference = solve_tasks(self._features(), config, n_jobs=1)
-        with dead_fit_pool():
-            with pytest.warns(ParallelFitWarning, match="falling back"):
-                survived = solve_tasks(self._features(), config, n_jobs=2)
-        assert sorted(survived) == sorted(reference)
-        for key in reference:
-            np.testing.assert_array_equal(
-                survived[key].support_vectors, reference[key].support_vectors
-            )
-
-    def test_strict_mode_escalates_pool_death(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT", "1")
-        with dead_fit_pool():
-            with pytest.raises(ParallelFitWarning):
-                solve_tasks(self._features(), ValidatorConfig(), n_jobs=2)
 
 
 # -- monitor contract ----------------------------------------------------------

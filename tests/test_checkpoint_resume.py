@@ -107,24 +107,36 @@ def _solution_bytes(solutions):
     }
 
 
+@pytest.mark.parametrize("kills", [1, 4])
 @settings(max_examples=5, deadline=None)
 @given(data=st.data(), seed=st.integers(min_value=0, max_value=10_000))
-def test_kill_at_task_j_resumes_bit_identically(data, seed):
+def test_kill_at_task_j_resumes_bit_identically(kills, data, seed):
     features = _features(
-        data.draw(st.integers(min_value=4, max_value=8), label="n_tasks"),
+        data.draw(
+            st.integers(min_value=max(4, kills + 1), max_value=8), label="n_tasks"
+        ),
         data.draw(st.integers(min_value=12, max_value=24), label="rows"),
         seed,
     )
-    kill_at = data.draw(
-        st.integers(min_value=1, max_value=len(features) - 1), label="kill_at"
+    # ``kills`` successive crashes, the i-th after kill_points[i] journaled
+    # solves in total; every resume replays the journal and solves onward.
+    kill_points = data.draw(
+        st.lists(
+            st.integers(min_value=1, max_value=len(features) - 1),
+            min_size=kills,
+            max_size=kills,
+            unique=True,
+        ).map(sorted),
+        label="kill_points",
     )
     config = ValidatorConfig(nu=0.2)
     reference = solve_tasks(features, config)
     with tempfile.TemporaryDirectory() as tmp:
         journal = CheckpointStore(Path(tmp)).journal("fit")
-        with crash_at_task(kill_at):
-            with pytest.raises(InjectedCrashError):
-                solve_tasks(features, config, journal=journal)
-        assert len(journal) == kill_at  # exactly j solves survived the kill
+        for kill_at in kill_points:
+            with crash_at_task(kill_at - len(journal)):
+                with pytest.raises(InjectedCrashError):
+                    solve_tasks(features, config, journal=journal)
+            assert len(journal) == kill_at  # exactly j solves survived the kill
         resumed = solve_tasks(features, config, journal=journal)
     assert _solution_bytes(resumed) == _solution_bytes(reference)

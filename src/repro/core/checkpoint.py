@@ -4,8 +4,9 @@ The serving path became fault-tolerant in the resilience layer; this module
 gives the *artifact-producing* pipelines — classifier training, Algorithm 1
 fitting, and the experiment CLI — the same discipline. A crash, OOM-kill,
 or power cut at epoch 39/40 must cost one epoch, not the whole run, and a
-resumed run must be **bit-identical** to an uninterrupted one (the same
-contract the parallel-fitting layer makes for worker counts).
+resumed run must be **bit-identical** to an uninterrupted one, just as the
+in-process fitting pipeline is bit-identical to per-layer
+``LayerValidator.fit``.
 
 Two primitives, both following :class:`~repro.utils.cache.ArtifactCache`
 conventions (stage to a uniquely-named temp file, ``os.replace`` into

@@ -1,31 +1,38 @@
 """Bounded-queue micro-batching: coalesce single-image requests into batches.
 
 The paper's deployment story is a guarded classifier serving one image per
-request, but PR 1's packed-GEMM engine only pays off when images are scored
+request, but the packed-GEMM engine only pays off when images are scored
 together. :class:`MicroBatcher` bridges the two: producers :meth:`offer`
 single requests into a bounded queue; consumer (worker) threads call
 :meth:`next_batch`, which takes the oldest request and keeps gathering
-until either ``max_batch`` requests are in hand or ``max_wait_ms`` has
-elapsed since the batch was opened — latency is bounded by the wait
-window, throughput by the batch width.
+until ``max_batch`` requests are in hand, the batch's arrivals go quiet,
+or ``max_wait_ms`` has elapsed since the batch was opened — latency is
+bounded by the wait window, throughput by the batch width.
 
 Backpressure is explicit: a full queue makes :meth:`offer` return
 ``False`` immediately (the server turns that into a structured
 ``OVERLOADED`` verdict) instead of letting requests pile up unboundedly.
 
-The window is a deadline, fixed when the batch opens: a consumer with a
-partial batch blocks for exactly the time left until that deadline (an
-arrival or :meth:`~MicroBatcher.close` wakes it early) and flushes when
-none is left, so a batch that no further arrival can fill costs
-``max_wait_ms`` of idle time, not more.
+The window is a deadline, fixed when the batch opens, and the upper bound
+on waiting. A batch also ends when its arrivals go quiet: every request is
+stamped on arrival, and once a batch holds two or more, it flushes at
+``last arrival + QUIET_GAPS x mean gap`` between its own arrivals if that
+comes before the deadline. A consumer with a partial batch blocks for
+exactly the time left until the earlier of the two (an arrival or
+:meth:`~MicroBatcher.close` wakes it early, and it recomputes). A single
+arrival has no gap to measure and waits for the deadline. The quiet rule
+in ``docs/serving.md`` explains the choice of four gaps: open-loop traffic
+keeps its batching, while a burst that nothing else will join, such as a
+closed-loop client's outstanding window, stops idling until the deadline.
 
 The clock is injectable (default ``time.monotonic``). Deadline arithmetic
 — "has this batch's wait window expired?" — runs entirely on the injected
 clock, so tests drive flush decisions deterministically with a
 :class:`~repro.obs.tracing.ManualClock`; only the *blocking* between
 arrivals uses real condition-variable waits. With a manual clock that
-never advances, a partial batch waits until it fills or the batcher
-closes — deterministic-flush tests should pre-fill the queue or set
+never advances, a lone request waits until the batch fills or the
+batcher closes, while two or more read as a zero-gap burst and flush at
+once — deterministic-flush tests should pre-fill the queue or set
 ``max_wait_ms=0``.
 """
 
@@ -38,11 +45,23 @@ from typing import Callable
 
 from repro import obs
 
+#: A batch of two or more arrivals flushes once this many of its own mean
+#: inter-arrival gaps have passed since its last arrival.
+QUIET_GAPS = 4
+
 
 def _queue_depth_gauge():
     return obs.gauge(
         "serve_queue_depth",
         help="Requests currently waiting in the micro-batcher queue",
+    )
+
+
+def _flush_counter():
+    return obs.counter(
+        "serve_batch_flush_total",
+        help="Micro-batches handed out, by what ended them",
+        labels=("reason",),
     )
 
 
@@ -93,14 +112,16 @@ class MicroBatcher:
     max_batch:
         Most requests returned in one :meth:`next_batch` call.
     max_wait_ms:
-        How long an opened batch waits for more arrivals before flushing
-        partial (milliseconds, measured on ``clock``). ``0`` flushes
-        whatever is queued immediately.
+        The longest an opened batch waits for more arrivals before flushing
+        partial (milliseconds, measured on ``clock``); a batch whose
+        arrivals go quiet flushes sooner. ``0`` flushes whatever is queued
+        immediately.
     queue_depth:
         Bound on queued (not yet batched) requests; :meth:`offer` refuses
         beyond it.
     clock:
-        Monotonic time source for the wait-window arithmetic.
+        Monotonic time source for the arrival stamps and the wait-window
+        arithmetic.
     """
 
     def __init__(
@@ -120,6 +141,7 @@ class MicroBatcher:
         self.max_wait_ms = max_wait_ms
         self.queue_depth = queue_depth
         self.clock = clock if clock is not None else time.monotonic
+        # (arrival stamp, item) pairs, so a stamp cannot drift from its item.
         self._queue: deque = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -145,7 +167,7 @@ class MicroBatcher:
                 raise RuntimeError("cannot offer to a closed MicroBatcher")
             if len(self._queue) >= self.queue_depth:
                 return False
-            self._queue.append(item)
+            self._queue.append((self.clock(), item))
             _queue_depth_gauge().set(len(self._queue))
             self._not_empty.notify()
             return True
@@ -156,32 +178,48 @@ class MicroBatcher:
         The first dequeued request opens the batch and sets its deadline
         (``max_wait_ms`` after opening, on the injected clock). Requests
         already queued are absorbed immediately; the deadline only governs
-        how long to linger for *future* arrivals, and the consumer blocks
-        for exactly the time left until it. Flush happens on whichever
-        comes first: ``max_batch`` requests gathered, the deadline
-        reached, or the batcher closing.
+        how long to linger for *future* arrivals. With two or more
+        arrivals in hand, the batch also has a quiet limit,
+        ``QUIET_GAPS`` mean gaps after its last arrival (the mean over its
+        own arrivals, ``(last - first) / (n - 1)``). The consumer blocks
+        for exactly the time left until the earlier limit, and recomputes
+        after each arrival. Flush happens on whichever comes first:
+        ``max_batch`` requests gathered, the quiet limit, the deadline, or
+        the batcher closing; ``serve_batch_flush_total{reason}`` counts
+        which.
         """
         with self._not_empty:
             while not self._queue and not self._closed:
                 self._not_empty.wait()
             if not self._queue:
                 return None  # closed and drained
-            batch = [self._queue.popleft()]
+            first, item = self._queue.popleft()
+            batch = [item]
             deadline = self.clock() + self.max_wait_ms / 1000.0
             while len(batch) < self.max_batch:
                 if self._queue:
-                    batch.append(self._queue.popleft())
+                    last, item = self._queue.popleft()
+                    batch.append(item)
                     continue
                 if self._closed:
+                    reason = "closed"
                     break
-                remaining = deadline - self.clock()
+                limit, reason = deadline, "deadline"
+                if len(batch) > 1:
+                    quiet = last + QUIET_GAPS * (last - first) / (len(batch) - 1)
+                    if quiet < deadline:
+                        limit, reason = quiet, "quiet"
+                remaining = limit - self.clock()
                 if remaining <= 0:
                     break
                 # An arrival or close() notifies; otherwise the wait ends at
-                # the deadline. (An injected clock that has not advanced
-                # just re-arms the wait for the window it still shows.)
+                # the limit. (An injected clock that has not advanced just
+                # re-arms the wait for the window it still shows.)
                 self._not_empty.wait(timeout=remaining)
+            else:  # the loop condition failed: max_batch gathered
+                reason = "full"
             _queue_depth_gauge().set(len(self._queue))
+            _flush_counter().labels(reason=reason).inc()
             return batch
 
     def requeue(self, items) -> None:
@@ -193,14 +231,17 @@ class MicroBatcher:
         (the items were admitted before the close) and ignores
         ``queue_depth`` — the items already held a slot when they were
         first admitted, so readmission cannot grow the server's footprint
-        beyond what backpressure allowed.
+        beyond what backpressure allowed. Readmitted items are stamped with
+        the requeue time, so two or more of them read as a zero-gap burst
+        and flush as soon as they are gathered.
         """
         items = list(items)
         if not items:
             return
         with self._lock:
+            now = self.clock()
             for item in reversed(items):
-                self._queue.appendleft(item)
+                self._queue.appendleft((now, item))
             _queue_depth_gauge().set(len(self._queue))
             self._not_empty.notify_all()
 
@@ -212,7 +253,7 @@ class MicroBatcher:
         structured shutdown verdict instead of leaking pending futures.
         """
         with self._lock:
-            items = list(self._queue)
+            items = [item for _, item in self._queue]
             self._queue.clear()
             _queue_depth_gauge().set(0)
             return items

@@ -133,7 +133,9 @@ class ServeConfig:
 
     ``max_batch`` bounds batch width (throughput knob), ``max_wait_ms``
     bounds how long a partial batch lingers for more arrivals (latency
-    knob), ``queue_depth`` bounds queued requests before backpressure,
+    knob; a batch whose arrivals go quiet flushes sooner, see
+    :mod:`repro.serve.batcher`), ``queue_depth`` bounds queued requests
+    before backpressure,
     ``workers`` is the scoring thread count, and ``default_timeout_ms``
     (optional) gives every request a queue deadline unless ``submit``
     overrides it.

@@ -162,13 +162,14 @@ class OneClassSVM:
     ) -> "OneClassSVM":
         """Rebuild a fitted estimator from precomputed solution pieces.
 
-        The entry point for the parallel fitting pipeline
-        (:mod:`repro.core.fitting`): workers solve the dual in their own
-        process and ship back only the support set, offsets, and the fitted
-        kernel; this reconstructs an estimator that scores identically to
-        one produced by :meth:`fit` on the same data. ``result_.alpha``
-        holds only the support-vector duals (the zero entries never leave
-        the worker).
+        The assembly step of the fitting pipeline (:mod:`repro.core.fitting`):
+        each in-process solve, or its replayed task-journal record, keeps
+        only the support set, offsets, and the fitted kernel; this
+        reconstructs an estimator that scores identically to one produced by
+        :meth:`fit` on the same data, so the pipeline stays bit-identical to
+        per-layer ``LayerValidator.fit``. ``result_.alpha`` holds only the
+        support-vector duals (the zero entries are dropped when the solve
+        finishes).
         """
         support_vectors = np.asarray(support_vectors, dtype=np.float64)
         dual_coef = np.asarray(dual_coef, dtype=np.float64)

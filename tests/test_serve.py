@@ -76,6 +76,16 @@ def _assert_same_verdict(reference, candidate):
         assert candidate.joint_discrepancy == reference.joint_discrepancy
 
 
+def _flushes() -> dict:
+    """Nonzero ``serve_batch_flush_total`` series on the current registry."""
+    family = obs.counter("serve_batch_flush_total", labels=("reason",))
+    counts = {
+        reason: family.labels(reason=reason).value
+        for reason in ("full", "quiet", "deadline", "closed")
+    }
+    return {reason: count for reason, count in counts.items() if count}
+
+
 class TestVerdictFuture:
     def test_resolve_and_result(self):
         future = VerdictFuture()
@@ -154,18 +164,51 @@ class TestMicroBatcher:
         assert waits == [0.002]
         assert clock() == 0.002
 
-    def test_unfillable_batch_flushes_at_deadline(self):
+    def test_unfillable_batch_flushes_before_the_deadline(self):
         # Sixteen requests outstanding (a closed-loop client's window),
-        # max_batch=32: nothing else can arrive, so the batch must go at
-        # its deadline.
+        # max_batch=32: nothing else can arrive. All sixteen were queued at
+        # one instant, a zero-gap burst, so the batch is already quiet and
+        # goes without waiting out its 2 ms deadline.
         clock = ManualClock(start=100.0)
         batcher = MicroBatcher(max_batch=32, max_wait_ms=2.0, clock=clock)
         waits = self._spied(batcher, clock)
         for item in range(16):
             batcher.offer(item)
         assert batcher.next_batch() == list(range(16))
-        assert len(waits) == 1
-        assert clock() == pytest.approx(100.002)
+        assert waits == []
+        assert clock() == 100.0
+
+    def test_finished_burst_flushes_after_quiet_gaps(self):
+        clock = ManualClock()
+        batcher = MicroBatcher(max_batch=32, max_wait_ms=2.0, clock=clock)
+        waits = self._spied(batcher, clock)
+        for item in range(16):
+            if item:
+                clock.advance(20e-6)
+            batcher.offer(item)
+        with obs.use(registry=MetricsRegistry(), enabled=True):
+            assert batcher.next_batch() == list(range(16))
+            assert _flushes() == {"quiet": 1}
+        # One wait, four mean gaps past the last arrival: 4 x 20 us, not
+        # the 2 ms left of the window.
+        assert waits == [pytest.approx(4 * 20e-6)]
+        assert clock() == pytest.approx(15 * 20e-6 + 4 * 20e-6)
+
+    def test_widely_spaced_arrivals_still_wait_for_the_deadline(self):
+        # Open-loop arrivals 1 ms apart: four gaps (4 ms) reach past the
+        # 2 ms window, so the batch lingers to its deadline as before.
+        clock = ManualClock()
+        batcher = MicroBatcher(max_batch=32, max_wait_ms=2.0, clock=clock)
+        waits = self._spied(batcher, clock)
+        for item in range(4):
+            if item:
+                clock.advance(0.001)
+            batcher.offer(item)
+        with obs.use(registry=MetricsRegistry(), enabled=True):
+            assert batcher.next_batch() == [0, 1, 2, 3]
+            assert _flushes() == {"deadline": 1}
+        assert waits == [pytest.approx(0.002)]
+        assert clock() == pytest.approx(0.005)
 
     def test_wait_is_the_time_left_to_the_deadline(self):
         clock = ManualClock()
@@ -178,7 +221,7 @@ class TestMicroBatcher:
             waits.append(timeout)
             clock.advance(0.003 if len(waits) == 1 else timeout)
             if len(waits) == 1:
-                batcher._queue.append("b")
+                batcher._queue.append((clock(), "b"))
             return True
 
         batcher._not_empty.wait = wait
@@ -517,6 +560,44 @@ class TestServeObservability:
         assert batch_spans[0].attributes["size"] == 4
 
 
+class TestQuietFlush:
+    def test_closed_loop_client_does_not_wait_out_the_linger(
+        self, fitted_validator, stream
+    ):
+        # Four requests outstanding can never fill max_batch=32, and the
+        # 10 s linger would stall every batch: each one must flush once its
+        # arrivals go quiet, so no reply waits anywhere near the deadline.
+        images = [stream[i % len(stream)] for i in range(64)]
+        with obs.use(registry=MetricsRegistry(), enabled=True):
+            server = ValidationServer(
+                RuntimeMonitor(fitted_validator),
+                ServeConfig(max_batch=32, max_wait_ms=10_000.0),
+            )
+            with server:
+                outstanding: list = []
+                verdicts = []
+                for image in images:
+                    if len(outstanding) == 4:
+                        verdicts.append(outstanding.pop(0).result(timeout=5.0))
+                    outstanding.append(server.submit(image))
+                verdicts += [future.result(timeout=5.0) for future in outstanding]
+            assert server.stats()["completed"] == 64
+            assert all(v.status not in (OVERLOADED, EXPIRED) for v in verdicts)
+            assert _flushes() == {"quiet": server.stats()["batches"]}
+
+    def test_prefilled_queue_flushes_full(self, fitted_validator, stream):
+        with obs.use(registry=MetricsRegistry(), enabled=True):
+            server = ValidationServer(
+                RuntimeMonitor(fitted_validator),
+                ServeConfig(max_batch=8, max_wait_ms=10_000.0),
+            )
+            futures = [server.submit(image) for image in stream[:8]]
+            with server:
+                for future in futures:
+                    future.result(timeout=5.0)
+            assert _flushes() == {"full": 1}
+
+
 def _manual_supervision(**overrides):
     """Supervision with no background poll thread: tests drive poll()."""
     return SupervisorConfig(poll_interval_s=None, **overrides)
@@ -552,9 +633,13 @@ class TestEwma:
 
 class TestBatcherRequeueDrain:
     def test_requeue_puts_items_at_the_front_in_order(self):
-        batcher = MicroBatcher(max_batch=4, max_wait_ms=0.0)
+        clock = ManualClock()
+        batcher = MicroBatcher(max_batch=4, max_wait_ms=0.0, clock=clock)
         batcher.offer("c")
+        clock.advance(0.5)
         batcher.requeue(["a", "b"])
+        # Readmitted items carry the requeue time; "c" keeps its arrival.
+        assert list(batcher._queue) == [(0.5, "a"), (0.5, "b"), (0.0, "c")]
         assert batcher.next_batch() == ["a", "b", "c"]
 
     def test_requeue_ignores_queue_depth_and_closed_state(self):
@@ -568,9 +653,15 @@ class TestBatcherRequeueDrain:
         assert batcher.next_batch() == [2, 3, 1]
 
     def test_drain_removes_everything(self):
-        batcher = MicroBatcher(max_batch=2, max_wait_ms=0.0)
+        clock = ManualClock()
+        batcher = MicroBatcher(max_batch=2, max_wait_ms=0.0, clock=clock)
         for item in range(5):
             batcher.offer(item)
+            clock.advance(0.001)
+        assert [stamp for stamp, _ in batcher._queue] == pytest.approx(
+            [0.0, 0.001, 0.002, 0.003, 0.004]
+        )
+        # Bare items, without their arrival stamps.
         assert batcher.drain() == [0, 1, 2, 3, 4]
         assert len(batcher) == 0
         assert batcher.drain() == []

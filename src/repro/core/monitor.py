@@ -118,8 +118,8 @@ class _LayerHealth:
 class RuntimeMonitor:
     """Wraps a fitted :class:`DeepValidator` into a guarded classifier.
 
-    The monitor is thread-safe: any number of serving threads (e.g. the
-    :mod:`repro.serve` worker pool) may call :meth:`classify`
+    The monitor is thread-safe: any number of threads (the
+    :mod:`repro.serve` worker and any direct callers) may call :meth:`classify`
     concurrently. Verdict tallies, the lazily-built per-layer breaker
     registry, and breaker state transitions are serialised by locks held
     only around bookkeeping — the forward pass and kernel scoring run

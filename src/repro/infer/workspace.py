@@ -7,9 +7,10 @@ keeps those buffers alive between calls, keyed by ``(step, role, shape,
 dtype)``, so steady-state inference allocates nothing but the probe outputs
 it hands to the caller.
 
-Buffers are **per thread**: each serving worker that runs the shared plan
-gets its own buffer set (a ``threading.local`` pool), so concurrent
-``classify`` calls can never tear each other's scratch space. Reuse is
+Buffers are **per thread**: each thread that runs the shared plan (the
+serving worker, direct callers) gets its own buffer set (a
+``threading.local`` pool), so concurrent ``classify`` calls can never
+tear each other's scratch space. Reuse is
 observable via :meth:`WorkspacePool.stats` and the
 ``infer_workspace_reuse_total{result=hit|miss}`` counter.
 """

@@ -1,11 +1,11 @@
 """repro.serve — dependency-free concurrent serving for the runtime monitor.
 
 Micro-batched validation-as-a-service: single-image requests are coalesced
-into packed batches (``MicroBatcher``), scored by supervised worker
-threads through a shared thread-safe ``RuntimeMonitor``, and answered via
+into packed batches (``MicroBatcher``), scored by one supervised worker
+thread through a thread-safe ``RuntimeMonitor``, and answered via
 per-request ``VerdictFuture``\\ s, with explicit backpressure and adaptive
 load shedding (``OVERLOADED``), queue deadlines (``EXPIRED``), and a
-``WorkerSupervisor`` that restarts dead workers with capped backoff and
+``WorkerSupervisor`` that restarts a dead worker with capped backoff and
 fails fast when restarts stop helping. See ``docs/serving.md``.
 
 Deployments update in place: ``RolloutController`` hot-swaps the serving

@@ -3,7 +3,7 @@
 The paper's deployment story is a guarded classifier serving one image per
 request, but the packed-GEMM engine only pays off when images are scored
 together. :class:`MicroBatcher` bridges the two: producers :meth:`offer`
-single requests into a bounded queue; consumer (worker) threads call
+single requests into a bounded queue; the consumer (worker) thread calls
 :meth:`next_batch`, which takes the oldest request and keeps gathering
 until ``max_batch`` requests are in hand, the batch's arrivals go quiet,
 or ``max_wait_ms`` has elapsed since the batch was opened — latency is
@@ -248,8 +248,8 @@ class MicroBatcher:
     def drain(self) -> list:
         """Remove and return everything still queued (post-close sweep).
 
-        The server calls this after the workers have been joined so
-        requests stranded by dead workers can be resolved with a
+        The server calls this after the worker has been joined so
+        requests stranded by a dead worker can be resolved with a
         structured shutdown verdict instead of leaking pending futures.
         """
         with self._lock:

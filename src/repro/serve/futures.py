@@ -53,7 +53,7 @@ class VerdictFuture:
             raise self._exception
         return self._value
 
-    # -- producer side (serve workers only) ------------------------------------
+    # -- producer side (the serve worker only) --------------------------------
 
     def _resolve(self, value) -> None:
         if not self._try_resolve(value):

@@ -16,8 +16,8 @@ the queue:
   scoring groups through it *alongside* the incumbent. Candidate verdicts
   are recorded for comparison and never returned to a caller.
 * **PROMOTED** — :meth:`~RolloutController.promote` atomically swaps the
-  server's monitor via :meth:`~ValidationServer.swap_monitor`; workers
-  pick up the new generation at the next group boundary (no drain, no
+  server's monitor via :meth:`~ValidationServer.swap_monitor`; the
+  worker picks up the new generation at the next group boundary (no drain, no
   dropped tickets). Guardrails keep watching the candidate's live stream.
 * **ROLLED_BACK** — any guardrail trip reverts the server to the
   incumbent (if the candidate was serving) and **latches** a
@@ -190,7 +190,7 @@ class RolloutController:
     """Drives the bundle rollout lifecycle on one :class:`ValidationServer`.
 
     Construction attaches the controller to the server (at most one per
-    server); the server's workers then call :meth:`observe_group` after
+    server); the server's worker then calls :meth:`observe_group` after
     every scoring group, which is where shadow scoring and every automatic
     guardrail live. All public operations are thread-safe; lock order is
     controller lock → server lock (the controller never runs under the
@@ -475,7 +475,7 @@ class RolloutController:
     # -- the worker hook -------------------------------------------------------
 
     def observe_group(self, images, verdicts, monitor) -> None:
-        """Called by serve workers after each scoring group resolves.
+        """Called by the serve worker after each scoring group resolves.
 
         Contractually non-raising: an unexpected observer bug trips the
         rollout (reason ``observer_error``) rather than crashing the
@@ -504,7 +504,7 @@ class RolloutController:
             candidate = self.candidate
             epoch = self._epoch
         # Candidate scoring happens OUTSIDE the lock: a slow candidate must
-        # not serialize the incumbent's workers against each other.
+        # not block promote, rollback or snapshot callers on the lock.
         try:
             with obs.span("rollout.shadow_score", size=len(images)):
                 shadow = candidate.classify(images)

@@ -3,19 +3,20 @@
 :class:`ValidationServer` is the validation-as-a-service deployment of the
 paper's guarded classifier: producers :meth:`~ValidationServer.submit`
 single images and get :class:`~repro.serve.futures.VerdictFuture`\\ s;
-worker threads pull coalesced batches from a
-:class:`~repro.serve.batcher.MicroBatcher` and drive one shared
-(thread-safe) :class:`~repro.core.monitor.RuntimeMonitor`, so a burst of
-N single-image requests costs a handful of packed forward passes instead
-of N.
+one worker thread pulls coalesced batches from a
+:class:`~repro.serve.batcher.MicroBatcher` and drives a
+:class:`~repro.core.monitor.RuntimeMonitor`, so a burst of N
+single-image requests costs a handful of packed forward passes instead
+of N. The monitor stays thread-safe: direct callers may score beside the
+worker, and so may a superseded worker left wedged after a stall.
 
-The workers are **supervised**
+The worker is **supervised**
 (:class:`~repro.serve.supervisor.WorkerSupervisor`): a worker that dies —
 any ``BaseException`` out of ``_process`` or a raise from
 ``MicroBatcher.next_batch`` — has its in-flight tickets requeued (bounded
 retries) or failed, is recorded, and is restarted with capped exponential
 backoff; a crash loop trips a restart-budget breaker that fails new
-requests fast instead of queueing them behind a pool that cannot serve.
+requests fast instead of queueing them behind a worker that cannot serve.
 
 Structured, non-exceptional outcomes extend the monitor's verdict
 vocabulary at the queueing layer:
@@ -26,7 +27,7 @@ vocabulary at the queueing layer:
   ``detail`` carries the projection), the worker restart budget was
   exhausted, or the server was closing;
 * ``EXPIRED`` — the request's deadline elapsed while it waited in the
-  queue; it is resolved unscored when a worker dequeues it (re-checked
+  queue; it is resolved unscored when the worker dequeues it (re-checked
   after scoring-group formation, so a slow previous batch cannot burn an
   expired ticket's slot);
 * requests whose array is not a single ``(C, H, W)`` image are
@@ -34,7 +35,7 @@ vocabulary at the queueing layer:
   shape triage happens before batching so one malformed request can
   never corrupt a coalesced batch).
 
-Determinism: workers score each batch through ``monitor.classify`` on the
+Determinism: the worker scores each batch through ``monitor.classify`` on the
 stacked request images (grouped by shape + dtype, in arrival order), so a
 request's verdict is bit-identical to calling the monitor directly with
 the same batch. Numerical note: float32 BLAS kernels differ across batch
@@ -44,8 +45,8 @@ partition, and agree to tight tolerance across partitions — see
 ``docs/serving.md``.
 
 The serving monitor is **hot-swappable**: :meth:`ValidationServer.swap_monitor`
-atomically replaces ``self.monitor`` between batches. Workers capture the
-monitor reference once per scoring group, so every ticket in a group is
+atomically replaces ``self.monitor`` between batches. The worker captures
+the monitor reference once per scoring group, so every ticket in a group is
 scored wholly by one monitor generation — never a half-swapped mixture —
 and the queue keeps flowing through the swap (no drain, no dropped
 tickets). :class:`~repro.serve.rollout.RolloutController` drives this to
@@ -135,10 +136,9 @@ class ServeConfig:
     bounds how long a partial batch lingers for more arrivals (latency
     knob; a batch whose arrivals go quiet flushes sooner, see
     :mod:`repro.serve.batcher`), ``queue_depth`` bounds queued requests
-    before backpressure,
-    ``workers`` is the scoring thread count, and ``default_timeout_ms``
-    (optional) gives every request a queue deadline unless ``submit``
-    overrides it.
+    before backpressure, and ``default_timeout_ms`` (optional) gives
+    every request a queue deadline unless ``submit`` overrides it. One
+    supervised worker thread scores every batch.
 
     ``latency_slo_ms`` (optional) arms adaptive load shedding: when the
     projected queue wait — the live backlog, in batches, times the
@@ -146,23 +146,21 @@ class ServeConfig:
     exceeds the SLO, ``submit`` sheds the request immediately with a
     structured ``OVERLOADED`` verdict carrying the projection, instead of
     queueing work that is already late. An empty queue always admits.
-    The static ``queue_depth`` bound remains the hard backstop. ``supervision`` tunes the worker supervisor
-    (restart backoff, restart budget, stall replacement); ``None`` uses
+    The static ``queue_depth`` bound remains the hard backstop.
+    ``supervision`` tunes the worker supervisor (restart backoff,
+    restart budget, stall replacement); ``None`` uses
     :class:`~repro.serve.supervisor.SupervisorConfig` defaults.
     """
 
     max_batch: int = 32
     max_wait_ms: float = 2.0
     queue_depth: int = 256
-    workers: int = 1
     default_timeout_ms: float | None = None
     latency_slo_ms: float | None = None
     shed_alpha: float = 0.2
     supervision: SupervisorConfig = field(default_factory=SupervisorConfig)
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.default_timeout_ms is not None and self.default_timeout_ms < 0:
             raise ValueError(
                 f"default_timeout_ms must be >= 0, got {self.default_timeout_ms}"
@@ -179,7 +177,7 @@ class ValidationServer:
     """Micro-batching front-end over one thread-safe :class:`RuntimeMonitor`.
 
     Usable as a context manager (``with ValidationServer(monitor) as srv``)
-    — supervised workers start on entry and are drained and joined on
+    — the supervised worker starts on entry and is drained and joined on
     exit. The monitor's ``stats``/``health()`` keep counting exactly as
     under serial use; the server adds its own queue-level tallies via
     :meth:`stats` and a combined operator snapshot via :meth:`health`.
@@ -197,7 +195,7 @@ class ValidationServer:
         #: for an unbundled monitor); kept in step by :meth:`swap_monitor`.
         self.bundle_version = bundle_version
         #: The attached :class:`~repro.serve.rollout.RolloutController`,
-        #: or ``None``; workers call its ``observe_group`` hook after each
+        #: or ``None``; the worker calls its ``observe_group`` hook after each
         #: scoring group resolves (see :meth:`attach_rollout`).
         self.rollout = None
         self.config = config if config is not None else ServeConfig()
@@ -232,7 +230,7 @@ class ValidationServer:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "ValidationServer":
-        """Spawn the supervised worker threads (idempotent)."""
+        """Spawn the supervised worker thread (idempotent)."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("server already closed")
@@ -243,11 +241,11 @@ class ValidationServer:
         return self
 
     def close(self, timeout: float | None = None) -> None:
-        """Stop accepting requests, drain the queue, join the workers.
+        """Stop accepting requests, drain the queue, join the worker.
 
-        Queued requests are still scored where workers survive to score
-        them (the batcher drains before workers exit); anything left in
-        the queue afterwards — e.g. tickets stranded because every worker
+        Queued requests are still scored if the worker survives to score
+        them (the batcher drains before the worker exits); anything left
+        in the queue afterwards — e.g. tickets stranded because the worker
         died and restarts were stopped by the close — is resolved with a
         structured ``OVERLOADED`` shutdown verdict, so ``close`` never
         leaks a pending future it can reach. ``timeout`` bounds each join
@@ -284,7 +282,7 @@ class ValidationServer:
         """Atomically replace the serving monitor; returns the previous one.
 
         The swap is a single reference assignment under the server lock —
-        workers capture ``self.monitor`` once per scoring group, so every
+        the worker captures ``self.monitor`` once per scoring group, so every
         in-flight group finishes on the generation it started with and
         the very next group picks up the new monitor. Nothing is drained
         and no ticket is dropped or re-scored. ``bundle_version`` records
@@ -298,7 +296,7 @@ class ValidationServer:
 
     def attach_rollout(self, controller) -> None:
         """Register the rollout controller whose ``observe_group`` hook
-        workers invoke after each scoring group (at most one per server)."""
+        the worker invokes after each scoring group (at most one per server)."""
         with self._lock:
             if self.rollout is not None and self.rollout is not controller:
                 raise RuntimeError(
@@ -348,8 +346,8 @@ class ValidationServer:
                 raise RuntimeError("cannot submit to a closed server")
             self._counts["submitted"] += 1
         if not self.supervisor.allow_submit():
-            # Fail fast: the worker pool is crash-looping past its restart
-            # budget; queueing would only grow latency for a pool that
+            # Fail fast: the worker is crash-looping past its restart
+            # budget; queueing would only grow latency for a worker that
             # cannot currently serve.
             self._resolve_rejection(
                 future,
@@ -401,8 +399,7 @@ class ValidationServer:
         ``None`` until the first batch has been scored — the shedder never
         rejects on a made-up number. Otherwise the batches queued ahead of
         the request (the live backlog over ``max_batch``, rounded up) times
-        the smoothed batch service time, shared over the workers. The
-        projection reads the backlog afresh on every call, so it falls as
+        the smoothed batch service time. The projection reads the backlog afresh on every call, so it falls as
         soon as the queue drains: an empty queue projects 0 and always
         admits, and a slow batch (a cold monitor's first, say) cannot shut
         the door for good.
@@ -411,7 +408,7 @@ class ValidationServer:
         if service is None:
             return None
         batches_ahead = math.ceil(len(self.batcher) / self.config.max_batch)
-        return batches_ahead * service / self.config.workers
+        return batches_ahead * service
 
     # -- worker side -----------------------------------------------------------
 
@@ -438,7 +435,7 @@ class ValidationServer:
         detail: dict | None = None,
     ) -> None:
         if not future._try_resolve(self._rejection_verdict(status, reason, detail)):
-            return  # lost a legitimate race (e.g. close-drain vs. a worker)
+            return  # lost a legitimate race (e.g. close-drain vs. the worker)
         with self._lock:
             self._counts[count_key] += 1
         _requests_counter().labels(outcome=count_key).inc()
@@ -461,8 +458,8 @@ class ValidationServer:
         """A dying worker's undelivered tickets go back to the queue.
 
         Each ticket is retried at most ``supervision.max_batch_retries``
-        times (a poison batch that kills every worker that touches it
-        must not bounce forever); beyond that its future is failed with
+        times (a poison batch that kills every worker generation that
+        touches it must not bounce forever); beyond that its future is failed with
         the fatal exception.
         """
         retriable = []
@@ -477,8 +474,8 @@ class ValidationServer:
         if retriable:
             self.batcher.requeue(retriable)
 
-    def _worker_loop(self, slot_index: int, generation: int) -> None:
-        """One supervised worker: dequeue, process, report, repeat.
+    def _worker_loop(self, generation: int) -> None:
+        """The supervised worker: dequeue, process, report, repeat.
 
         Every ``BaseException`` is surfaced, never swallowed: an
         ``Exception`` out of ``_process`` fails that batch's futures and
@@ -491,8 +488,8 @@ class ValidationServer:
         """
         supervisor = self.supervisor
         while True:
-            if supervisor.superseded(slot_index, generation):
-                return  # replaced after a stall; the slot has a new worker
+            if supervisor.superseded(generation):
+                return  # replaced after a stall by a newer generation
             try:
                 batch = self.batcher.next_batch()
             except BaseException:
@@ -501,7 +498,7 @@ class ValidationServer:
                 raise  # recorded as a death by the supervisor wrapper
             if batch is None:
                 return  # batcher closed and drained: clean exit
-            supervisor.beat(slot_index, generation, busy=True)
+            supervisor.beat(generation, busy=True)
             try:
                 self._process(batch)
             except Exception as exc:  # noqa: BLE001 — worker outlives the batch
@@ -514,9 +511,9 @@ class ValidationServer:
                 self._requeue_or_fail(batch, exc)
                 raise
             else:
-                supervisor.batch_ok(slot_index, generation)
+                supervisor.batch_ok(generation)
             finally:
-                supervisor.beat(slot_index, generation, busy=False)
+                supervisor.beat(generation, busy=False)
 
     def _process(self, batch: list[_Ticket]) -> None:
         now = self._clock()
@@ -607,7 +604,7 @@ class ValidationServer:
         """Operator snapshot: server-side supervision/shedding + monitor.
 
         ``server.supervisor`` is the full
-        :meth:`WorkerSupervisor.snapshot` (live workers, restart/death
+        :meth:`WorkerSupervisor.snapshot` (worker liveness, restart/death
         counts, breaker state); ``server.shedding`` exposes the adaptive
         shedder's current estimates; ``monitor`` is the unchanged
         :meth:`RuntimeMonitor.health` snapshot.
@@ -630,6 +627,5 @@ class ValidationServer:
 
     def __repr__(self) -> str:
         return (
-            f"ValidationServer(workers={self.config.workers}, "
-            f"max_batch={self.config.max_batch}, stats={self.stats()})"
+            f"ValidationServer(max_batch={self.config.max_batch}, stats={self.stats()})"
         )

@@ -1,18 +1,18 @@
 """Worker supervision: death detection, capped-backoff restarts, fail-fast.
 
-PR 7's serving layer had a single point of silent death: a worker thread
-that hit a ``BaseException`` (or any raise out of
-``MicroBatcher.next_batch``) exited permanently while the server kept
-accepting requests it would never score. :class:`WorkerSupervisor` closes
-that hole:
+Without supervision the serving layer has a single point of silent
+death: a worker thread that hits a ``BaseException`` (or any raise out
+of ``MicroBatcher.next_batch``) exits permanently while the server keeps
+accepting requests it will never score. :class:`WorkerSupervisor`
+closes that hole for the server's one worker:
 
-* it **owns** the worker threads — each worker slot carries a generation
-  token, a heartbeat timestamp, and a restart count;
-* it **detects death** two ways: workers report their own demise (every
-  ``BaseException`` escaping the worker loop is recorded and re-raised to
-  the supervisor's thread wrapper), and a periodic join-probe catches
-  threads that vanished without reporting;
-* it **restarts** dead workers with capped exponential backoff
+* it **owns** the worker thread, and tracks its generation token, its
+  heartbeat (the start of the batch in hand), and its restart count;
+* it **detects death** two ways: the worker reports its own demise
+  (every ``BaseException`` escaping the worker loop is recorded and
+  re-raised to the supervisor's thread wrapper), and a periodic
+  join-probe catches a thread that vanished without reporting;
+* it **restarts** a dead worker with capped exponential backoff
   (``backoff_base_s * 2**consecutive_restarts``, capped at
   ``backoff_cap_s``, measured on the injectable clock);
 * it **fails fast** when restarting stops helping: worker deaths feed a
@@ -23,11 +23,11 @@ that hole:
   ``OVERLOADED`` verdicts, and restarts pause until the cooldown
   half-opens the breaker for a probe restart.
 
-Optionally (``heartbeat_timeout_s``), the supervisor also *replaces*
-stalled workers: a worker busy on one batch for longer than the timeout
-is superseded — its slot gets a fresh thread and generation while the
-wedged thread is left to finish (or not) as a zombie; generation checks
-make the zombie's late bookkeeping harmless.
+Optionally (``heartbeat_timeout_s``), the supervisor also *replaces* a
+stalled worker: a worker busy on one batch for longer than the timeout
+is superseded — a fresh thread with a new generation takes over while
+the wedged thread is left to finish (or not) as a zombie beside it;
+generation checks make the zombie's late bookkeeping harmless.
 
 Everything time-like runs on the injected clock, and :meth:`poll` is a
 public synchronous entry point, so the chaos harness
@@ -63,7 +63,7 @@ class SupervisorConfig:
     (fail-fast shedding); the same window is the breaker cooldown before
     a probe restart. ``heartbeat_timeout_s`` (optional) additionally
     replaces a worker that has been busy on a single batch longer than
-    the timeout; ``None`` (the default) trusts workers to finish —
+    the timeout; ``None`` (the default) trusts the worker to finish —
     replacement spawns threads we can never reclaim, so it is opt-in.
     ``poll_interval_s`` is the real-time cadence of the background poll
     thread (``None`` disables it — tests then call ``poll()`` directly).
@@ -108,51 +108,15 @@ class SupervisorConfig:
             )
 
 
-class _WorkerSlot:
-    """Bookkeeping for one supervised worker position."""
-
-    __slots__ = (
-        "index",
-        "generation",
-        "thread",
-        "state",
-        "last_beat",
-        "busy_since",
-        "died_at",
-        "consecutive_restarts",
-        "last_error",
-    )
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.generation = 0
-        self.thread: threading.Thread | None = None
-        self.state = "idle"  # idle | live | dead | stalled | exited
-        self.last_beat = 0.0
-        self.busy_since: float | None = None
-        self.died_at: float | None = None
-        self.consecutive_restarts = 0
-        self.last_error: str | None = None
-
-    def snapshot(self) -> dict:
-        return {
-            "index": self.index,
-            "state": self.state,
-            "generation": self.generation,
-            "consecutive_restarts": self.consecutive_restarts,
-            "last_error": self.last_error,
-        }
-
-
 class WorkerSupervisor:
-    """Owns a server's worker threads; detects death, restarts, fails fast.
+    """Owns a server's worker thread; detects death, restarts, fails fast.
 
     The supervisor holds no scoring logic — it runs the server's
     ``_worker_loop`` inside a wrapper that turns any escaping
     ``BaseException`` into a recorded death, and a :meth:`poll` pass that
-    probes liveness and performs due restarts. The server consults
+    probes liveness and performs a due restart. The server consults
     :meth:`allow_submit` at the door: a tripped restart breaker means
-    "the worker pool is crash-looping, shed instead of queueing".
+    "the worker is crash-looping, shed instead of queueing".
     """
 
     def __init__(
@@ -167,9 +131,15 @@ class WorkerSupervisor:
         self.config = config if config is not None else SupervisorConfig()
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.RLock()
-        self._slots = [
-            _WorkerSlot(index) for index in range(server.config.workers)
-        ]
+        # The one worker's state. ``generation`` tokens each spawned
+        # thread, so a superseded zombie's late reports are ignored.
+        self._generation = 0
+        self._thread: threading.Thread | None = None
+        self._state = "idle"  # idle | live | dead | stalled | exited
+        self._busy_since: float | None = None
+        self._died_at: float | None = None
+        self._consecutive_restarts = 0
+        self._last_error: str | None = None
         self._started = False
         self._stopped = False
         self._poll_thread: threading.Thread | None = None
@@ -189,13 +159,12 @@ class WorkerSupervisor:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn one worker per slot plus the background poll thread."""
+        """Spawn the worker plus the background poll thread."""
         with self._lock:
             if self._started:
                 return
             self._started = True
-            for slot in self._slots:
-                self._spawn(slot)
+            self._spawn()
             if self.config.poll_interval_s is not None:
                 self._poll_thread = threading.Thread(
                     target=self._poll_loop,
@@ -211,39 +180,35 @@ class WorkerSupervisor:
         self._poll_wakeup.set()
 
     def join(self, timeout: float | None = None) -> None:
-        """Join the poll thread and every current-generation worker.
+        """Join the poll thread and the current-generation worker.
 
-        ``timeout`` bounds each individual join. Superseded (zombie)
-        threads are *not* joined — they are daemons wedged on a batch the
-        supervisor already gave up on; joining them would reintroduce the
+        ``timeout`` bounds each individual join. A superseded (zombie)
+        thread is *not* joined — it is a daemon wedged on a batch the
+        supervisor already gave up on; joining it would reintroduce the
         hang the stall replacement existed to avoid.
         """
         if self._poll_thread is not None:
             self._poll_thread.join(timeout)
         with self._lock:
-            threads = [slot.thread for slot in self._slots if slot.thread]
-        for thread in threads:
+            thread = self._thread
+        if thread is not None:
             thread.join(timeout)
 
     # -- worker-side reporting -------------------------------------------------
 
-    def beat(self, slot_index: int, generation: int, busy: bool) -> None:
+    def beat(self, generation: int, busy: bool) -> None:
         """Record a worker heartbeat (``busy`` marks batch start/finish)."""
         with self._lock:
-            slot = self._slots[slot_index]
-            if slot.generation != generation:
-                return  # a superseded zombie; its slot has moved on
-            now = self._clock()
-            slot.last_beat = now
-            slot.busy_since = now if busy else None
+            if self._generation != generation:
+                return  # a superseded zombie; the worker has moved on
+            self._busy_since = self._clock() if busy else None
 
-    def batch_ok(self, slot_index: int, generation: int) -> None:
-        """A worker finished a batch cleanly: recovery is working."""
+    def batch_ok(self, generation: int) -> None:
+        """The worker finished a batch cleanly: recovery is working."""
         with self._lock:
-            slot = self._slots[slot_index]
-            if slot.generation != generation:
+            if self._generation != generation:
                 return
-            slot.consecutive_restarts = 0
+            self._consecutive_restarts = 0
             # Only a half-open probe success should close the breaker:
             # within the window, deaths must keep counting toward the
             # budget even when interleaved with completed batches (a
@@ -252,34 +217,26 @@ class WorkerSupervisor:
             if self.breaker.state == CircuitBreaker.HALF_OPEN:
                 self.breaker.record_success()
 
-    def record_death(
-        self, slot_index: int, generation: int, exc: BaseException
-    ) -> None:
-        """A worker's loop raised: mark the slot dead and feed the budget."""
+    def record_death(self, generation: int, exc: BaseException) -> None:
+        """The worker's loop raised: mark it dead and feed the budget."""
         with self._lock:
-            slot = self._slots[slot_index]
-            if slot.generation != generation:
+            if self._generation != generation:
                 return  # zombie death after replacement; already accounted
-            slot.state = "dead"
-            slot.died_at = self._clock()
-            slot.busy_since = None
-            slot.last_error = f"{type(exc).__name__}: {exc}"
+            self._mark_down("dead", f"{type(exc).__name__}: {exc}")
             self.deaths += 1
-            self.breaker.record_failure()
 
-    def record_exit(self, slot_index: int, generation: int) -> None:
-        """A worker drained the closed batcher and exited cleanly."""
+    def record_exit(self, generation: int) -> None:
+        """The worker drained the closed batcher and exited cleanly."""
         with self._lock:
-            slot = self._slots[slot_index]
-            if slot.generation != generation:
+            if self._generation != generation:
                 return
-            slot.state = "exited"
-            slot.busy_since = None
+            self._state = "exited"
+            self._busy_since = None
 
-    def superseded(self, slot_index: int, generation: int) -> bool:
-        """Whether this (slot, generation) worker has been replaced."""
+    def superseded(self, generation: int) -> bool:
+        """Whether the worker of this generation has been replaced."""
         with self._lock:
-            return self._slots[slot_index].generation != generation
+            return self._generation != generation
 
     # -- supervision pass ------------------------------------------------------
 
@@ -288,91 +245,86 @@ class WorkerSupervisor:
         return self.breaker.allow()
 
     def poll(self) -> int:
-        """One supervision pass: probe liveness, perform due restarts.
+        """One supervision pass: probe liveness, perform a due restart.
 
-        Returns the number of workers (re)started. Safe to call from any
-        thread and fully deterministic under an injected clock — the
-        chaos harness calls it directly instead of relying on the
+        Returns the number of workers (re)started, 0 or 1. Safe to call
+        from any thread and fully deterministic under an injected clock —
+        the chaos harness calls it directly instead of relying on the
         real-time poll thread.
         """
         with self._lock:
             if not self._started or self._stopped or self._server._closed:
                 return 0
             now = self._clock()
-            for slot in self._slots:
-                if slot.state != "live":
-                    continue
-                if slot.thread is not None and not slot.thread.is_alive():
+            if self._state == "live":
+                if self._thread is not None and not self._thread.is_alive():
                     # Join-probe backstop: the thread vanished without
                     # reporting (should be impossible — the wrapper
                     # catches BaseException — but a supervisor must not
                     # trust its wards).
-                    slot.state = "dead"
-                    slot.died_at = now
-                    slot.busy_since = None
-                    slot.last_error = "worker thread exited without reporting"
+                    self._mark_down("dead", "worker thread exited without reporting")
                     self.deaths += 1
-                    self.breaker.record_failure()
                 elif (
                     self.config.heartbeat_timeout_s is not None
-                    and slot.busy_since is not None
-                    and now - slot.busy_since > self.config.heartbeat_timeout_s
+                    and self._busy_since is not None
+                    and now - self._busy_since > self.config.heartbeat_timeout_s
                 ):
                     # Stalled: wedged on one batch past the heartbeat
                     # budget. Supersede the thread (it may never return)
-                    # and treat the slot as restartable.
-                    slot.state = "stalled"
-                    slot.died_at = now
-                    slot.busy_since = None
-                    slot.last_error = (
+                    # and treat the worker as restartable.
+                    self._mark_down(
+                        "stalled",
                         f"worker stalled: busy > {self.config.heartbeat_timeout_s}s "
-                        "on one batch"
+                        "on one batch",
                     )
                     self.stalls += 1
-                    self.breaker.record_failure()
-            started = 0
-            for slot in self._slots:
-                if slot.state not in ("dead", "stalled"):
-                    continue
-                backoff = min(
-                    self.config.backoff_base_s * (2 ** slot.consecutive_restarts),
-                    self.config.backoff_cap_s,
-                )
-                if slot.died_at is not None and now - slot.died_at < backoff:
-                    continue
-                if not self.breaker.allow():
-                    continue  # budget blown; wait out the cooldown
-                slot.consecutive_restarts += 1
-                self.restarts += 1
-                _restarts_counter().inc()
-                self._spawn(slot)
-                started += 1
-            return started
+            if self._state not in ("dead", "stalled"):
+                return 0
+            backoff = min(
+                self.config.backoff_base_s * (2 ** self._consecutive_restarts),
+                self.config.backoff_cap_s,
+            )
+            if self._died_at is not None and now - self._died_at < backoff:
+                return 0
+            if not self.breaker.allow():
+                return 0  # budget blown; wait out the cooldown
+            self._consecutive_restarts += 1
+            self.restarts += 1
+            _restarts_counter().inc()
+            self._spawn()
+            return 1
 
-    def _spawn(self, slot: _WorkerSlot) -> None:
+    def _mark_down(self, state: str, error: str) -> None:
         # Caller holds the lock.
-        slot.generation += 1
-        slot.state = "live"
-        slot.last_beat = self._clock()
-        slot.busy_since = None
-        slot.died_at = None
-        generation = slot.generation
+        self._state = state
+        self._died_at = self._clock()
+        self._busy_since = None
+        self._last_error = error
+        self.breaker.record_failure()
+
+    def _spawn(self) -> None:
+        # Caller holds the lock.
+        self._generation += 1
+        self._state = "live"
+        self._busy_since = None
+        self._died_at = None
+        generation = self._generation
         thread = threading.Thread(
             target=self._run_worker,
-            args=(slot.index, generation),
-            name=f"repro-serve-worker-{slot.index}-gen{generation}",
+            args=(generation,),
+            name=f"repro-serve-worker-gen{generation}",
             daemon=True,
         )
-        slot.thread = thread
+        self._thread = thread
         thread.start()
 
-    def _run_worker(self, slot_index: int, generation: int) -> None:
+    def _run_worker(self, generation: int) -> None:
         try:
-            self._server._worker_loop(slot_index, generation)
+            self._server._worker_loop(generation)
         except BaseException as exc:  # noqa: BLE001 — the supervision boundary
-            self.record_death(slot_index, generation, exc)
+            self.record_death(generation, exc)
         else:
-            self.record_exit(slot_index, generation)
+            self.record_exit(generation)
 
     def _poll_loop(self) -> None:
         while True:
@@ -391,39 +343,35 @@ class WorkerSupervisor:
 
     @property
     def live_workers(self) -> int:
-        """Workers currently live (state and thread liveness agree)."""
+        """1 while the worker is live (state and thread liveness agree), else 0."""
         with self._lock:
-            return sum(
-                1
-                for slot in self._slots
-                if slot.state == "live"
-                and slot.thread is not None
-                and slot.thread.is_alive()
+            return int(
+                self._state == "live"
+                and self._thread is not None
+                and self._thread.is_alive()
             )
 
     def snapshot(self) -> dict:
         """Operator-facing supervision summary (atomic)."""
         with self._lock:
             return {
-                "live_workers": sum(
-                    1
-                    for slot in self._slots
-                    if slot.state == "live"
-                    and slot.thread is not None
-                    and slot.thread.is_alive()
-                ),
-                "target_workers": len(self._slots),
+                "live_workers": self.live_workers,
                 "restarts": self.restarts,
                 "deaths": self.deaths,
                 "stalls": self.stalls,
                 "state": self.breaker.state,
                 "breaker": self.breaker.snapshot(),
                 "poll_errors": self._poll_errors,
-                "workers": [slot.snapshot() for slot in self._slots],
+                "worker": {
+                    "state": self._state,
+                    "generation": self._generation,
+                    "consecutive_restarts": self._consecutive_restarts,
+                    "last_error": self._last_error,
+                },
             }
 
     def __repr__(self) -> str:
         return (
-            f"WorkerSupervisor(live={self.live_workers}/{len(self._slots)}, "
+            f"WorkerSupervisor(live={self.live_workers}, "
             f"restarts={self.restarts}, state={self.breaker.state!r})"
         )

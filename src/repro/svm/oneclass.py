@@ -195,14 +195,8 @@ class OneClassSVM:
         )
         return svm
 
-    def fit(self, features: np.ndarray, gram: np.ndarray | None = None) -> "OneClassSVM":
-        """Fit the one-class dual on ``features`` (N, d).
-
-        ``gram`` is a fast path for callers that already hold the kernel
-        matrix of ``features`` against itself (the batched engine computes
-        Gram blocks for several estimators from one stacked product);
-        passing it skips the quadratic kernel evaluation here.
-        """
+    def fit(self, features: np.ndarray) -> "OneClassSVM":
+        """Fit the one-class dual on ``features`` (N, d)."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(f"expected (N, d) features, got shape {features.shape}")
@@ -212,12 +206,7 @@ class OneClassSVM:
             self.kernel_ = self._kernel_spec
         else:
             self.kernel_ = make_kernel(self._kernel_spec, features, gamma=self.gamma)
-        if gram is None:
-            gram = self.kernel_(features, features)
-        elif gram.shape != (len(features), len(features)):
-            raise ValueError(
-                f"gram must be ({len(features)}, {len(features)}), got {gram.shape}"
-            )
+        gram = self.kernel_(features, features)
         result = solve_oneclass_smo(gram, self.nu, tol=self.tol, max_iter=self.max_iter)
         support = result.alpha > 1e-12
         self.support_vectors_ = features[support]
@@ -241,27 +230,6 @@ class OneClassSVM:
         features = np.asarray(features, dtype=np.float64)
         kernel_values = self.kernel_(features, self.support_vectors_)
         return kernel_values @ self.dual_coef_ - self.rho_
-
-    def score_batch(
-        self, features: np.ndarray, chunk_size: int | None = None
-    ) -> np.ndarray:
-        """Signed distances for a large batch, bounded-memory.
-
-        Identical to :meth:`signed_distance` but evaluates the kernel block
-        in sample chunks of ``chunk_size`` so the transient
-        ``(batch, n_support)`` matrix never exceeds
-        ``chunk_size * n_support`` floats — the fast path the validation
-        engine uses when a single layer's batch would not fit in memory.
-        """
-        self._check_fitted()
-        features = np.asarray(features, dtype=np.float64)
-        if chunk_size is None or len(features) <= chunk_size:
-            return self.signed_distance(features)
-        out = np.empty(len(features))
-        for start in range(0, len(features), chunk_size):
-            block = features[start : start + chunk_size]
-            out[start : start + chunk_size] = self.signed_distance(block)
-        return out
 
     def signed_distance(self, features: np.ndarray) -> np.ndarray:
         """Signed distance to the supporting hyperplane in kernel space.

@@ -21,9 +21,9 @@ class StandardScaler:
     def from_stats(cls, mean: np.ndarray, scale: np.ndarray) -> "StandardScaler":
         """Build a fitted scaler from precomputed statistics.
 
-        The fast path for the batched engine: when per-class statistics are
-        derived from one pass over a layer's stacked representations, the
-        per-class scalers are materialised without re-reading the data.
+        Fitting's ``build_layer_validators`` uses this to rebuild each
+        per-class scaler from the mean and scale a task solution carries,
+        without re-reading the training representations.
         """
         scaler = cls()
         mean = np.asarray(mean, dtype=np.float64)

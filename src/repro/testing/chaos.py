@@ -9,16 +9,16 @@ infrastructure: a :class:`ChaosPlan` composes the fault injectors from
 ``raise_in_batcher``) into a timeline of arm/disarm windows driven by a
 :class:`~repro.obs.tracing.ManualClock`, and :func:`run_soak` replays a
 scripted request stream against a live :class:`~repro.serve.server.
-ValidationServer` while the timeline plays out — killing workers,
+ValidationServer` while the timeline plays out — killing the worker,
 wedging scorers, corrupting activations — then asserts the supervision
 layer's whole-system invariants:
 
 * **every submitted future resolves** — no dropped requests, no
-  deadlock, even when every worker has died at least once;
+  deadlock, even when the worker has died and been restarted;
 * **count conservation** — ``submitted`` equals the sum of every
   terminal outcome (completed / expired / shed / failed), and the
   supervisor's restart count equals its death + stall count once the
-  pool is restored;
+  worker is restored;
 * **no verdict after close** — ``submit`` raises and the completion
   counters stay frozen;
 * **deaths match the plan** — the supervisor recorded exactly the
@@ -28,8 +28,8 @@ layer's whole-system invariants:
 Determinism: the fault *schedule* and the request stream are exact — the
 clock only moves when the harness advances it, injector trigger points
 are call-number based, and any randomness (e.g. a jittered request rate)
-flows from the plan's seed. Thread interleavings remain real (workers
-are real threads scoring real batches), which is the point: the
+flows from the plan's seed. Thread interleavings remain real (the worker
+is a real thread scoring real batches), which is the point: the
 invariants must hold for *every* interleaving, and the soak hammers a
 different one each run while the failure schedule stays fixed.
 """
@@ -141,16 +141,13 @@ class ChaosPlan:
         until: float | None = None,
         nth: int = 1,
         count: int = 1,
-        per_worker: bool = False,
     ) -> "ChaosPlan":
         """Kill the worker processing chosen batches while armed."""
         return self._add(
             at,
             until,
-            f"kill_worker(nth={nth}, count={count}, per_worker={per_worker})",
-            lambda: _faults.kill_worker(
-                server, nth=nth, count=count, per_worker=per_worker
-            ),
+            f"kill_worker(nth={nth}, count={count})",
+            lambda: _faults.kill_worker(server, nth=nth, count=count),
         )
 
     def raise_in_batcher(
@@ -348,12 +345,12 @@ def run_soak(
     breaker windows play out deterministically on the fault schedule.
 
     After the stream is exhausted the remaining faults are disarmed
-    (releasing any wedged workers), and the soak enters a bounded
+    (releasing a wedged worker), and the soak enters a bounded
     recovery phase: polling the supervisor and advancing the clock until
     every submitted future has resolved, the queue is empty, and — with
-    ``expect_restored`` — ``live_workers`` equals ``config.workers``
-    again. Then the server is closed and the invariants are checked;
-    any violation raises :class:`SoakInvariantError`. ``settle_s`` and
+    ``expect_restored`` — the worker is live again. Then the server is
+    closed and the invariants are checked; any violation raises
+    :class:`SoakInvariantError`. ``settle_s`` and
     ``close_timeout_s`` bound the real-time wait (a genuine deadlock
     must fail the soak, not hang it).
     """
@@ -391,15 +388,14 @@ def run_soak(
         pending = sum(1 for future in futures if not future.done())
         restored = (
             not expect_restored
-            or server.supervisor.live_workers == server.config.workers
+            or server.supervisor.live_workers == 1
         )
         if pending == 0 and restored and len(server.batcher) == 0:
             break
         if _time.monotonic() > deadline:
             raise SoakInvariantError(
                 f"soak failed to settle within {settle_s}s: {pending} futures "
-                f"pending, live_workers="
-                f"{server.supervisor.live_workers}/{server.config.workers}, "
+                f"pending, live_workers={server.supervisor.live_workers}, "
                 f"queue_depth={len(server.batcher)}; timeline: {timeline}"
             )
         clock.advance(step_s)  # let backoffs and breaker cooldowns elapse

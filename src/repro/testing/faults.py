@@ -29,8 +29,7 @@ The four fault classes mirror the resilience layer's threat model:
   drain-timeout tests;
 * :func:`kill_worker` / :func:`raise_in_batcher` — serve-worker death: a
   server whose ``_process`` raises a non-``Exception``
-  ``BaseException`` on chosen batches (optionally once per worker slot),
-  or a batcher whose ``next_batch`` raises on chosen calls — both kill
+  ``BaseException`` on chosen batches, or a batcher whose ``next_batch`` raises on chosen calls — both kill
   the worker thread outright, exercising the supervisor's requeue,
   restart, and restart-budget paths;
 * :func:`crash_at_epoch` / :func:`crash_at_task` — process death in the
@@ -388,55 +387,39 @@ class InjectedWorkerDeath(BaseException):
     class of failures a worker thread cannot recover from in place —
     the worker loop's ``Exception`` handler must *not* swallow it, so it
     propagates to the :class:`~repro.serve.supervisor.WorkerSupervisor`,
-    which records the death and restarts the slot.
+    which records the death and restarts the worker.
     """
 
 
 @contextlib.contextmanager
-def kill_worker(
-    server, nth: int = 1, count: int = 1, per_worker: bool = False
-) -> Iterator[dict]:
+def kill_worker(server, nth: int = 1, count: int = 1) -> Iterator[dict]:
     """Make chosen serve batches kill the worker processing them.
 
     Patches ``server._process`` on the instance so calls ``nth ..
     nth+count-1`` (1-based; negative ``count`` means every call from
     ``nth`` on) raise :class:`InjectedWorkerDeath` *before* any ticket is
     resolved — exactly the shape of an asynchronous worker death with a
-    full batch in hand. With ``per_worker=True`` the call numbering is
-    kept per worker *slot* (parsed from the supervisor's thread naming),
-    so e.g. ``nth=1, count=1`` kills every worker exactly once — the
-    chaos harness uses this to guarantee each slot dies at least once
-    regardless of which worker wins which batch.
+    full batch in hand.
 
-    Yields a stats dict tracking ``"batches"`` (total patched calls),
-    ``"kills"``, and ``"per_slot"`` (calls by slot index; ``None`` for
-    threads outside the supervisor's naming scheme).
+    Yields a stats dict tracking ``"batches"`` (total patched calls) and
+    ``"kills"``.
     """
-    import re
     import threading
 
     had_instance_attr = "_process" in server.__dict__
     original = server._process
     tally = threading.Lock()
-    stats: dict = {"batches": 0, "kills": 0, "per_slot": {}}
-    slot_pattern = re.compile(r"repro-serve-worker-(\d+)")
+    stats: dict = {"batches": 0, "kills": 0}
 
     def lethal(batch):
-        match = slot_pattern.match(threading.current_thread().name)
-        slot = int(match.group(1)) if match else None
         with tally:
             stats["batches"] += 1
-            calls = stats["per_slot"].get(slot, 0) + 1
-            stats["per_slot"][slot] = calls
-            call = calls if per_worker else stats["batches"]
+            call = stats["batches"]
             kill = call >= nth and (count < 0 or call < nth + count)
             if kill:
                 stats["kills"] += 1
         if kill:
-            raise InjectedWorkerDeath(
-                f"injected worker death on batch {call}"
-                + (f" of slot {slot}" if per_worker else "")
-            )
+            raise InjectedWorkerDeath(f"injected worker death on batch {call}")
         return original(batch)
 
     server._process = lethal
@@ -639,16 +622,10 @@ class FaultPlan:
         self._labels.append(f"hang_classify(nth={nth}, count={count})")
         return self
 
-    def kill_worker(
-        self, server, nth: int = 1, count: int = 1, per_worker: bool = False
-    ) -> "FaultPlan":
+    def kill_worker(self, server, nth: int = 1, count: int = 1) -> "FaultPlan":
         """Register serve-worker deaths on batches ``nth..nth+count-1``."""
-        self._factories.append(
-            lambda: kill_worker(server, nth=nth, count=count, per_worker=per_worker)
-        )
-        self._labels.append(
-            f"kill_worker(nth={nth}, count={count}, per_worker={per_worker})"
-        )
+        self._factories.append(lambda: kill_worker(server, nth=nth, count=count))
+        self._labels.append(f"kill_worker(nth={nth}, count={count})")
         return self
 
     def raise_in_batcher(self, batcher, nth: int = 1, count: int = 1) -> "FaultPlan":

@@ -1,12 +1,12 @@
 """Chaos-soak tests for the self-healing serving stack.
 
 The acceptance soak is the load-bearing one: a seeded :class:`ChaosPlan`
-kills every worker at least once while classification is slow and one
-call wedges outright, and the run must still resolve every submitted
-request with a structured verdict, restore ``live_workers`` to the
-configured pool size, and — because ``max_batch=1`` keeps every request
-a singleton partition — produce verdicts bit-identical to calling
-``RuntimeMonitor.classify`` directly on the same singletons.
+kills the worker while classification is slow and one call wedges
+outright, and the run must still resolve every submitted request with a
+structured verdict, restart the worker, and — because ``max_batch=1``
+keeps every request a singleton partition — produce verdicts
+bit-identical to calling ``RuntimeMonitor.classify`` directly on the
+same singletons.
 """
 
 import numpy as np
@@ -47,7 +47,6 @@ def _singleton_server(fitted_validator, clock, **overrides):
     config = ServeConfig(
         max_batch=1,
         max_wait_ms=0.0,
-        workers=overrides.pop("workers", 2),
         queue_depth=overrides.pop("queue_depth", 64),
         supervision=overrides.pop(
             "supervision",
@@ -92,8 +91,8 @@ class TestAcceptanceSoak:
             # Latency on every classify (throwaway clock: the delay must
             # not perturb the soak's fault schedule).
             .slow_classify(server.monitor, 0.01, at=0.0, clock=ManualClock())
-            # Every worker slot dies on its first batch after arming.
-            .kill_worker(server, at=0.0, per_worker=True, nth=1, count=1)
+            # The worker dies on its first batch after arming.
+            .kill_worker(server, at=0.0, nth=1, count=1)
             # One classify call wedges until the timeline disarms it.
             .hang_classify(server.monitor, at=0.3, nth=1, count=1)
         )
@@ -107,11 +106,10 @@ class TestAcceptanceSoak:
             requests_per_step=(1, 3),
         )
 
-        # Every worker died at least once and the pool healed.
-        assert report.supervisor["deaths"] == server.config.workers
-        assert report.injected_deaths == server.config.workers
-        for slot in report.supervisor["workers"]:
-            assert slot["generation"] >= 2  # initial spawn + >=1 restart
+        # The worker died and was restarted.
+        assert report.supervisor["deaths"] == 1
+        assert report.injected_deaths == 1
+        assert report.supervisor["worker"]["generation"] >= 2  # spawn + restart
         assert report.supervisor["restarts"] == report.supervisor["deaths"]
         assert report.supervisor["state"] == "closed"
 
@@ -136,7 +134,7 @@ class TestBroaderSoak:
     ):
         model = trained_tiny_model[0]
         clock = ManualClock()
-        server = _singleton_server(fitted_validator, clock, workers=2)
+        server = _singleton_server(fitted_validator, clock)
         plan = (
             ChaosPlan(seed=11)
             # Window of corrupted activations on one probe.
@@ -172,11 +170,10 @@ class TestSoakDetectsNonRecovery:
     ):
         clock = ManualClock()
         # Tiny restart budget + a kill on every batch: the breaker opens,
-        # the pool cannot heal, and the soak must FAIL, not hang.
+        # the worker cannot heal, and the soak must FAIL, not hang.
         server = _singleton_server(
             fitted_validator,
             clock,
-            workers=1,
             supervision=SupervisorConfig(
                 poll_interval_s=None,
                 restart_budget=2,
@@ -220,7 +217,7 @@ class TestChaosPlanShape:
 
     def test_injected_deaths_sums_kills_and_raises(self, fitted_validator):
         clock = ManualClock()
-        server = _singleton_server(fitted_validator, clock, workers=1)
+        server = _singleton_server(fitted_validator, clock)
         plan = (
             ChaosPlan()
             .kill_worker(server, at=0.0)

@@ -490,7 +490,6 @@ class TestServeSupervisionMetrics:
             ServeConfig(
                 max_batch=1,
                 max_wait_ms=0.0,
-                workers=1,
                 supervision=SupervisorConfig(poll_interval_s=None),
             ),
             clock=clock,
@@ -530,7 +529,6 @@ class TestServeSupervisionMetrics:
             ServeConfig(
                 max_batch=1,
                 max_wait_ms=0.0,
-                workers=1,
                 queue_depth=1,
                 latency_slo_ms=10.0,
                 supervision=SupervisorConfig(poll_interval_s=None),

@@ -2,7 +2,7 @@
 
 State-machine and guardrail tests drive ``observe_group`` directly with
 real verdicts (deterministic, no worker timing); the serve-integration
-tests let live workers fire the hook. The invariant under test
+tests let the live worker fire the hook. The invariant under test
 everywhere: serving traffic is never perturbed by a rollout that goes
 wrong — the incumbent keeps (or regains) the monitor slot, and a bad
 bundle version is latched against re-promotion.
@@ -73,7 +73,6 @@ def _server(fitted_validator, **overrides):
         max_batch=overrides.pop("max_batch", 4),
         max_wait_ms=overrides.pop("max_wait_ms", 1.0),
         queue_depth=64,
-        workers=overrides.pop("workers", 1),
         supervision=SupervisorConfig(poll_interval_s=0.02),
         **overrides,
     )
@@ -338,7 +337,7 @@ class TestGuardrails:
 class TestServeIntegration:
     def test_workers_drive_the_full_lifecycle(self, fitted_validator, store):
         images, _ = easy_image_task(32, seed=9)
-        server = _server(fitted_validator, workers=2)
+        server = _server(fitted_validator)
         controller = RolloutController(
             server,
             store=store,

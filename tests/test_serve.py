@@ -326,7 +326,7 @@ class TestServeRejections:
         ) as server:
             futures = [server.submit(stream[i]) for i in range(3)]
         server.close()  # second close: no-op
-        # Context exit drained the partial batch before joining workers.
+        # Context exit drained the partial batch before joining the worker.
         for future in futures:
             assert future.done()
             assert future.result(timeout=0).status in (
@@ -417,7 +417,7 @@ class TestServeConcurrency:
         lock = threading.Lock()
 
         with ValidationServer(
-            monitor, ServeConfig(max_batch=8, max_wait_ms=5.0, workers=2)
+            monitor, ServeConfig(max_batch=8, max_wait_ms=5.0)
         ) as server:
 
             def produce(start: int) -> None:
@@ -693,7 +693,6 @@ class TestWorkerSupervision:
             ServeConfig(
                 max_batch=1,
                 max_wait_ms=0.0,
-                workers=1,
                 supervision=_manual_supervision(),
             ),
             clock=clock,
@@ -719,7 +718,14 @@ class TestWorkerSupervision:
             assert verdict.status in (resilience.VALIDATED, resilience.FLAGGED)
             snapshot = server.supervisor.snapshot()
             assert snapshot["deaths"] == snapshot["restarts"] == 1
-            assert "InjectedWorkerDeath" in snapshot["workers"][0]["last_error"]
+            assert "InjectedWorkerDeath" in snapshot["worker"]["last_error"]
+            # One worker, reported once: its restart is a new generation,
+            # not a second worker.
+            assert "target_workers" not in snapshot
+            assert "workers" not in snapshot
+            assert snapshot["live_workers"] == 1
+            assert snapshot["worker"]["state"] == "live"
+            assert snapshot["worker"]["generation"] == 2
             stats = server.stats()
             assert stats["restarts"] == 1
             assert stats["worker_errors"] == 1
@@ -736,7 +742,6 @@ class TestWorkerSupervision:
             ServeConfig(
                 max_batch=1,
                 max_wait_ms=0.0,
-                workers=1,
                 supervision=_manual_supervision(),
             ),
             clock=clock,
@@ -765,7 +770,6 @@ class TestWorkerSupervision:
             ServeConfig(
                 max_batch=1,
                 max_wait_ms=0.0,
-                workers=1,
                 supervision=_manual_supervision(
                     restart_budget=2, restart_window_s=1_000.0
                 ),
@@ -783,7 +787,7 @@ class TestWorkerSupervision:
                     clock.advance(0.2)
                     time.sleep(0.005)
                 assert fault["kills"] >= 2
-                # Fail-fast at the door while the pool cannot serve.
+                # Fail-fast at the door while the worker cannot serve.
                 shed = server.submit(stream[1]).result(timeout=0)
                 assert shed.status == OVERLOADED
                 assert "restart budget" in shed.reason
@@ -813,7 +817,6 @@ class TestWorkerSupervision:
             ServeConfig(
                 max_batch=1,
                 max_wait_ms=0.0,
-                workers=1,
                 supervision=_manual_supervision(),
             ),
             clock=clock,
@@ -825,7 +828,7 @@ class TestWorkerSupervision:
                 lambda: server.supervisor.snapshot()["deaths"] == 1,
                 message="the worker death",
             )
-            # Never polled: the pool is dead, and these can only queue.
+            # Never polled: the worker is dead, and these can only queue.
             queued = [server.submit(stream[i]) for i in (1, 2)]
             start = time.monotonic()
             server.close(timeout=5.0)
@@ -839,6 +842,61 @@ class TestWorkerSupervision:
         assert stats["shed_shutdown"] == 3
         assert stats["queue_depth"] == 0
 
+    def test_stalled_worker_is_replaced_and_its_zombie_is_ignored(
+        self, fitted_validator, stream
+    ):
+        # The one case where two worker threads run at once: a worker
+        # wedged past the heartbeat budget is superseded, its replacement
+        # serves beside it, and the zombie's late reports change nothing.
+        clock = ManualClock()
+        monitor = RuntimeMonitor(fitted_validator)
+        server = ValidationServer(
+            monitor,
+            ServeConfig(
+                max_batch=1,
+                max_wait_ms=0.0,
+                supervision=_manual_supervision(heartbeat_timeout_s=1.0),
+            ),
+            clock=clock,
+        )
+        scored = (resilience.VALIDATED, resilience.FLAGGED)
+        with hang_classify(monitor, nth=1, count=1) as fault:
+            server.start()
+            try:
+                wedged = server.submit(stream[0])
+                _await(lambda: fault["hangs"] == 1, message="the wedged batch")
+                zombie = next(
+                    thread
+                    for thread in threading.enumerate()
+                    if thread.name == "repro-serve-worker-gen1"
+                )
+                clock.advance(1.5)  # past the heartbeat budget
+                assert server.supervisor.poll() == 0  # stalled; backoff pending
+                snapshot = server.supervisor.snapshot()
+                assert snapshot["stalls"] == 1
+                assert snapshot["worker"]["state"] == "stalled"
+                assert "stalled" in snapshot["worker"]["last_error"]
+                clock.advance(0.06)  # > backoff_base_s
+                assert server.supervisor.poll() == 1
+                # The replacement serves while the zombie is still wedged.
+                assert server.classify(stream[1], timeout=60.0).status in scored
+                assert not wedged.done()
+                fault["release"].set()
+                # The zombie finishes its own ticket, then sees it was
+                # superseded and exits; its exit is not recorded.
+                assert wedged.result(timeout=60.0).status in scored
+                zombie.join(timeout=60.0)
+                assert not zombie.is_alive()
+                snapshot = server.supervisor.snapshot()
+                assert snapshot["live_workers"] == 1
+                assert snapshot["worker"]["state"] == "live"
+                assert snapshot["worker"]["generation"] == 2
+                assert snapshot["stalls"] == snapshot["restarts"] == 1
+                assert snapshot["deaths"] == 0
+                assert server.stats()["completed"] == 2
+            finally:
+                server.close(timeout=10.0)
+
     def test_supervision_config_validation(self):
         with pytest.raises(ValueError):
             SupervisorConfig(restart_budget=0)
@@ -846,6 +904,12 @@ class TestWorkerSupervision:
             SupervisorConfig(poll_interval_s=0.0)
         with pytest.raises(ValueError):
             SupervisorConfig(heartbeat_timeout_s=-1.0)
+
+    def test_worker_count_is_not_an_option(self):
+        # One supervised worker serves every batch: a caller still passing
+        # ``workers`` fails loudly instead of having it silently ignored.
+        with pytest.raises(TypeError):
+            ServeConfig(workers=1)
 
 
 class TestAdaptiveShedding:
@@ -878,17 +942,17 @@ class TestAdaptiveShedding:
 
     def test_projection_is_backlog_times_service(self, fitted_validator, stream):
         server = self._server(
-            fitted_validator, max_batch=4, workers=2, latency_slo_ms=10_000.0
+            fitted_validator, max_batch=4, latency_slo_ms=10_000.0
         )
         server._service_ewma.observe(0.8)
         # Empty queue: nothing ahead of a new request.
         assert server._projected_wait_s() == 0.0
         for image in stream[:4]:
             server.submit(image)
-        # One full batch ahead, shared over two workers.
-        assert server._projected_wait_s() == pytest.approx(0.4)
-        server.submit(stream[4])
+        # One full batch ahead.
         assert server._projected_wait_s() == pytest.approx(0.8)
+        server.submit(stream[4])
+        assert server._projected_wait_s() == pytest.approx(1.6)
 
     def _drive(self, fitted_validator, seconds_per_batch, **config):
         """A never-started server on a manual clock, plus its clock; the
@@ -983,7 +1047,6 @@ class TestDeadlineRecheck:
             ServeConfig(
                 max_batch=4,
                 max_wait_ms=10_000.0,
-                workers=1,
                 supervision=_manual_supervision(),
             ),
             clock=clock,

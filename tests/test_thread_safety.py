@@ -249,7 +249,7 @@ class TestMonitorHotSwap:
 
         server = ValidationServer(
             incumbent,
-            ServeConfig(max_batch=1, max_wait_ms=0.0, workers=1, queue_depth=64),
+            ServeConfig(max_batch=1, max_wait_ms=0.0, queue_depth=64),
         )
         with server:
             first = [f.result(timeout=60.0) for f in map(server.submit, images[:6])]
@@ -271,7 +271,7 @@ class TestMonitorHotSwap:
 
         server = ValidationServer(
             incumbent,
-            ServeConfig(max_batch=1, max_wait_ms=0.0, workers=2, queue_depth=64),
+            ServeConfig(max_batch=1, max_wait_ms=0.0, queue_depth=64),
         )
         stop = threading.Event()
 

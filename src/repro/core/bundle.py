@@ -24,12 +24,14 @@ not discovered in production flag rates.
   is the threshold finite, is every layer actually fitted, are the
   contributions usable).
 
-:class:`BundleStore` shelves bundles through a
-:class:`~repro.core.checkpoint.CheckpointStore`, reusing its
-length + sha256 + pickle framing and atomic ``os.replace`` writes — so a
-bundle on disk is doubly verified (the store's frame catches rot, the
-manifest fingerprint catches payload/manifest divergence) and a corrupt
-bundle is quarantined, never half-loaded. The serve-layer
+:class:`BundleStore` keeps each bundle in one file of two frames (the
+self-verifying frame of :mod:`repro.utils.cache`): the manifest as JSON,
+then the raw payload, whose frame digest is the fit fingerprint. The
+payload is hashed once when it is packed, and once more when a stored
+bundle is loaded; every byte of the file is verified before anything in
+it is unpickled, and a corrupt bundle file is quarantined, never
+half-loaded. Files in the earlier format (one frame around a pickled
+dict) are refused as corrupt and quarantined. The serve-layer
 :class:`~repro.serve.rollout.RolloutController` consumes these bundles to
 hot-swap a live server's monitor with shadow scoring and automatic
 rollback; see ``docs/rollout.md``.
@@ -38,6 +40,7 @@ rollback; see ``docs/rollout.md``.
 from __future__ import annotations
 
 import hashlib
+import json
 import pickle
 import re
 from dataclasses import asdict, dataclass
@@ -45,10 +48,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.checkpoint import (
-    CheckpointIntegrityError,
-    CheckpointStore,
-    _check_name,
+from repro.core.checkpoint import _check_name
+from repro.utils.cache import (
+    FrameError,
+    frame_header,
+    quarantine_file,
+    read_frame_file,
+    write_atomic,
 )
 
 
@@ -64,12 +70,26 @@ class BundleValidationError(BundleError):
     """A bundle is intact but semantically unfit to serve (e.g. NaN epsilon)."""
 
 
-#: On-disk key pattern: ``bundle-<name>-v<version>`` inside a CheckpointStore.
+#: On-disk key pattern: ``bundle-<name>-v<version>`` (the file adds ``.ckpt``).
 _KEY_RE = re.compile(r"^bundle-(?P<name>[A-Za-z0-9][A-Za-z0-9._-]*)-v(?P<version>\d+)$")
 
 
 def _fingerprint(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
+
+
+def _decode_manifest(head: bytes) -> "BundleManifest":
+    """The manifest in a bundle file's first frame (JSON, never a pickle)."""
+    try:
+        fields = json.loads(head)
+        fields["layer_names"] = tuple(fields["layer_names"])
+        if fields["layer_contributions"] is not None:
+            fields["layer_contributions"] = tuple(fields["layer_contributions"])
+        return BundleManifest(**fields)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise FrameError(
+            f"not a validator bundle ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -106,7 +126,8 @@ class ValidatorBundle:
 
     def __init__(self, manifest: BundleManifest, payload: bytes) -> None:
         self.manifest = manifest
-        self.payload = payload
+        self._payload = payload
+        self._digest: str | None = None  # sha256 of the payload, hashed once
         self._validator = None  # lazily unpickled
 
     # -- construction ----------------------------------------------------------
@@ -126,11 +147,12 @@ class ValidatorBundle:
         if not isinstance(version, int) or version < 1:
             raise ValueError(f"version must be a positive int, got {version!r}")
         payload = pickle.dumps(validator, protocol=pickle.HIGHEST_PROTOCOL)
+        digest = _fingerprint(payload)
         contributions = getattr(validator, "layer_contributions", None)
         manifest = BundleManifest(
             name=name,
             version=version,
-            fingerprint=_fingerprint(payload),
+            fingerprint=digest,
             epsilon=float(validator.epsilon),
             combiner=validator.config.combiner,
             layer_names=tuple(v.layer_name for v in validator.validators),
@@ -149,10 +171,16 @@ class ValidatorBundle:
         # the round trip fails at pack time — and a candidate monitor
         # built from this bundle never aliases the live incumbent.
         bundle = cls(manifest, payload)
+        bundle._digest = digest
         bundle.validate()
         return bundle
 
     # -- access ----------------------------------------------------------------
+
+    @property
+    def payload(self) -> bytes:
+        """The pickled fitted validator (read-only: its digest is cached)."""
+        return self._payload
 
     @property
     def validator(self):
@@ -180,11 +208,13 @@ class ValidatorBundle:
         hashes to the manifest's fit fingerprint, or the unpickled
         validator disagrees with the manifest's threshold or layer list —
         either way the bundle is not the artifact its manifest claims.
+        The payload is hashed at most once per bundle object.
         """
-        actual = _fingerprint(self.payload)
-        if actual != self.manifest.fingerprint:
+        if self._digest is None:
+            self._digest = _fingerprint(self._payload)
+        if self._digest != self.manifest.fingerprint:
             raise BundleIntegrityError(
-                f"bundle {self.manifest.key}: payload fingerprint {actual[:12]}… "
+                f"bundle {self.manifest.key}: payload fingerprint {self._digest[:12]}… "
                 f"does not match the manifest's fit fingerprint "
                 f"{self.manifest.fingerprint[:12]}…"
             )
@@ -255,88 +285,78 @@ class ValidatorBundle:
 
 
 class BundleStore:
-    """A versioned bundle shelf over a :class:`CheckpointStore`.
+    """A versioned shelf of bundle files under one directory.
 
-    Each saved bundle is one checkpoint entry named
-    ``bundle-<name>-v<version>`` — the store's self-verifying frame
-    (length + sha256 + pickle, atomic replace, quarantine on corruption)
-    is the outer integrity layer; the bundle's own fingerprint is the
-    inner one. :meth:`load` runs both, then :meth:`ValidatorBundle.validate`,
-    so a bundle handed to a rollout is intact *and* fit to serve.
+    Each saved bundle is one file, ``bundle-<name>-v<version>.ckpt``, of
+    two frames: the manifest as JSON, then the raw payload, whose frame
+    digest is the manifest's fit fingerprint. :meth:`load` verifies both
+    frames, cross-checks manifest and validator
+    (:meth:`ValidatorBundle.verify`), then runs
+    :meth:`ValidatorBundle.validate`, so a bundle handed to a rollout is
+    intact *and* fit to serve.
     """
 
-    def __init__(self, root: str | Path | CheckpointStore) -> None:
-        self.store = root if isinstance(root, CheckpointStore) else CheckpointStore(root)
+    def __init__(self, root: str | Path) -> None:
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
 
     def key_for(self, name: str, version: int) -> str:
-        """The checkpoint-entry key of one ``(name, version)`` bundle."""
+        """The file stem of one ``(name, version)`` bundle."""
         return f"bundle-{_check_name(name)}-v{int(version)}"
 
     def path_for(self, name: str, version: int) -> Path:
         """On-disk path of one bundle (fault injectors corrupt this file)."""
-        return self.store.path_for(self.key_for(name, version))
+        return self.root / f"{self.key_for(name, version)}.ckpt"
 
     def exists(self, name: str, version: int) -> bool:
         """Whether ``(name, version)`` is currently on the shelf."""
-        return self.store.exists(self.key_for(name, version))
+        return self.path_for(name, version).exists()
 
     def save(self, bundle: ValidatorBundle) -> Path:
-        """Atomically persist a bundle (verified + validated first)."""
+        """Atomically persist a bundle (verified + validated first), reusing
+        its payload digest: saving neither re-pickles nor re-hashes."""
         bundle.verify().validate()
-        key = self.key_for(bundle.manifest.name, bundle.manifest.version)
-        if self.store.exists(key):
+        path = self.path_for(bundle.manifest.name, bundle.manifest.version)
+        if path.exists():
             raise BundleError(
                 f"bundle {bundle.manifest.key} already exists; bundles are "
                 "immutable — bump the version instead of overwriting"
             )
-        self.store.save(
-            key, {"manifest": asdict(bundle.manifest), "payload": bundle.payload}
+        head = json.dumps(asdict(bundle.manifest)).encode()
+        digest = bytes.fromhex(bundle.manifest.fingerprint)
+        write_atomic(
+            path,
+            frame_header(head), head,
+            frame_header(bundle.payload, digest), bundle.payload,
         )
-        return self.store.path_for(key)
+        return path
 
     def load(self, name: str, version: int) -> ValidatorBundle:
         """Load, integrity-check, and semantically validate one bundle.
 
         Raises :class:`FileNotFoundError` when absent,
-        :class:`BundleIntegrityError` when the frame, fingerprint, or
-        manifest cross-checks fail (the store quarantines a corrupt
-        frame), and :class:`BundleValidationError` when the bundle is
-        intact but unfit to serve.
+        :class:`BundleIntegrityError` when a frame, the manifest, the
+        fingerprint, or the manifest/validator cross-checks fail (a file
+        whose frames or manifest are corrupt is quarantined), and
+        :class:`BundleValidationError` when the bundle is intact but unfit
+        to serve.
         """
-        key = self.key_for(name, version)
+        path = self.path_for(name, version)
         try:
-            state = self.store.load(key)
-        except FileNotFoundError:
-            raise
-        except CheckpointIntegrityError as exc:
+            (head, _), (payload, digest) = read_frame_file(path, frames=2)
+            manifest = _decode_manifest(head)
+        except FrameError as exc:
+            quarantine_file(path, self.root)
             raise BundleIntegrityError(
-                f"bundle {name}@v{version}: {exc}"
-            ) from exc
-        except Exception as exc:  # unpicklable payload inside an intact frame
-            raise BundleIntegrityError(
-                f"bundle {name}@v{version}: frame verified but payload failed "
-                f"to load ({type(exc).__name__}: {exc})"
-            ) from exc
-        if (
-            not isinstance(state, dict)
-            or set(state) != {"manifest", "payload"}
-            or not isinstance(state["payload"], bytes)
-        ):
-            raise BundleIntegrityError(
-                f"bundle {name}@v{version}: entry is not a validator bundle"
-            )
-        try:
-            manifest = BundleManifest(**state["manifest"])
-        except TypeError as exc:
-            raise BundleIntegrityError(
-                f"bundle {name}@v{version}: manifest schema mismatch ({exc})"
-            ) from exc
+                f"bundle {name}@v{version}: {exc}; file quarantined"
+            ) from None
         if manifest.name != name or manifest.version != int(version):
             raise BundleIntegrityError(
                 f"bundle {name}@v{version}: manifest identifies itself as "
                 f"{manifest.key}"
             )
-        bundle = ValidatorBundle(manifest, state["payload"])
+        bundle = ValidatorBundle(manifest, payload)
+        bundle._digest = digest.hex()  # read_frame_file just hashed it
         try:
             bundle.verify()
         except BundleIntegrityError:
@@ -353,7 +373,7 @@ class BundleStore:
         """All saved versions of ``name``, ascending."""
         _check_name(name)
         found = []
-        for path in self.store.root.glob(f"bundle-{name}-v*.ckpt"):
+        for path in self.root.glob(f"bundle-{name}-v*.ckpt"):
             match = _KEY_RE.match(path.stem)
             if match and match.group("name") == name:
                 found.append(int(match.group("version")))
@@ -367,4 +387,4 @@ class BundleStore:
         return self.load(name, versions[-1])
 
     def __repr__(self) -> str:
-        return f"BundleStore(root={self.store.root})"
+        return f"BundleStore(root={self.root})"

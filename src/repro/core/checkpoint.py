@@ -8,18 +8,19 @@ resumed run must be **bit-identical** to an uninterrupted one, just as the
 in-process fitting pipeline is bit-identical to per-layer
 ``LayerValidator.fit``.
 
-Two primitives, both following :class:`~repro.utils.cache.ArtifactCache`
-conventions (stage to a uniquely-named temp file, ``os.replace`` into
-place, sha256 verified on read, corrupt entries quarantined):
+Two primitives, both written in the self-verifying frame of
+:mod:`repro.utils.cache` (8-byte length, sha256, body) and through its
+helpers (stage to a uniquely-named temp file, ``os.replace`` into place,
+sha256 verified on read, corrupt files quarantined):
 
 * :class:`CheckpointStore` — atomic whole-state snapshots. Each snapshot
-  is one self-verifying file (length + sha256 + pickle, the same framing
-  journal records use) that lands in a single ``os.replace``, so ``save``
-  never leaves a torn checkpoint (the previous snapshot survives any
-  crash mid-write — there is no separate integrity file that could land
-  out of step with the payload) and ``load_or_none`` treats a corrupt
-  snapshot as absent, so a resume after the worst-case crash simply
-  restarts the interrupted stage from the last good snapshot.
+  is one file holding one frame around the pickle, which lands in a
+  single ``os.replace``, so ``save`` never leaves a torn checkpoint (the
+  previous snapshot survives any crash mid-write — there is no separate
+  integrity file that could land out of step with the payload) and
+  ``load_or_none`` treats a corrupt snapshot as absent, so a resume after
+  the worst-case crash simply restarts the interrupted stage from the
+  last good snapshot.
 * :class:`TaskJournal` — an append-only, per-record-checksummed journal
   for pipelines made of many small independent results (the ``(layer,
   class)`` solves of Algorithm 1, the per-experiment reports of the CLI).
@@ -36,16 +37,24 @@ continues the exact stream the interrupted run would have drawn.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import re
-import struct
-import uuid
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro import obs
+from repro.utils.cache import (
+    QUARANTINE_DIR,
+    UNPICKLE_ERRORS,
+    FrameError,
+    default_cache,
+    frame_header,
+    quarantine_file,
+    read_frame,
+    read_frame_file,
+    write_atomic,
+)
 
 
 def _loads_counter():
@@ -66,18 +75,9 @@ class CheckpointIntegrityError(CheckpointError):
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
-#: Frame header (checkpoints and journal records alike): 8-byte big-endian
-#: payload length + 32-byte sha256.
-_FRAME_HEADER = struct.Struct(">Q32s")
-
 #: First element of the frame a journal header is wrapped in; see
 #: :meth:`TaskJournal.write_header`.
 _HEADER_SENTINEL = "__task-journal-header__"
-
-
-def _frame(payload: bytes) -> bytes:
-    """One self-verifying frame: length + digest + payload."""
-    return _FRAME_HEADER.pack(len(payload), hashlib.sha256(payload).digest()) + payload
 
 
 def _check_name(name: str) -> str:
@@ -88,35 +88,20 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
-    """Stage ``payload`` to a unique temp file, fsync, and rename into place."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}-{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # only on a failed write; replace consumed it
-            tmp.unlink()
-
-
 class CheckpointStore:
     """Atomic, integrity-checked snapshots of arbitrary picklable state.
 
     Keys are flat names; each snapshot is a single self-verifying file —
-    the pickle framed with its length and sha256 digest. Writes are atomic
-    (temp + ``os.replace``), and because the digest travels inside the
-    same file there is no crash window in which a good snapshot's payload
-    and integrity record diverge: the store always holds either the
-    previous complete snapshot or the new one. Reads verify the embedded
+    one frame around the pickle. Writes are atomic (temp +
+    ``os.replace``), and because the digest travels inside the same file
+    there is no crash window in which a good snapshot's payload and
+    integrity record diverge: the store always holds either the previous
+    complete snapshot or the new one. Reads verify the embedded
     digest before unpickling; a corrupt entry is quarantined for
     post-mortem rather than half-loaded.
     """
 
-    #: Subdirectory (under the store root) that corrupt entries are moved to.
-    QUARANTINE_DIR = ".quarantine"
+    QUARANTINE_DIR = QUARANTINE_DIR
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -139,7 +124,7 @@ class CheckpointStore:
         payload whose integrity record is out of step.
         """
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        _atomic_write(self.path_for(name), _frame(payload))
+        write_atomic(self.path_for(name), frame_header(payload), payload)
         obs.counter(
             "checkpoint_saves_total", help="Checkpoint snapshots written"
         ).inc()
@@ -152,21 +137,14 @@ class CheckpointStore:
         if the frame is truncated or the bytes fail verification.
         """
         path = self.path_for(name)
-        blob = path.read_bytes()
-        if len(blob) < _FRAME_HEADER.size:
+        try:
+            [(payload, _)] = read_frame_file(path)
+        except FrameError as exc:
             self.quarantine(name)
             _loads_counter().labels(result="corrupt").inc()
             raise CheckpointIntegrityError(
-                f"{path.name}: truncated checkpoint frame; entry quarantined"
-            )
-        length, digest = _FRAME_HEADER.unpack(blob[: _FRAME_HEADER.size])
-        payload = blob[_FRAME_HEADER.size :]
-        if len(payload) != length or hashlib.sha256(payload).digest() != digest:
-            self.quarantine(name)
-            _loads_counter().labels(result="corrupt").inc()
-            raise CheckpointIntegrityError(
-                f"{path.name}: checksum mismatch; entry quarantined"
-            )
+                f"{path.name}: {exc}; entry quarantined"
+            ) from None
         state = pickle.loads(payload)
         _loads_counter().labels(result="ok").inc()
         return state
@@ -185,7 +163,7 @@ class CheckpointStore:
             return self.load(name)
         except CheckpointIntegrityError:
             return None
-        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError):
+        except UNPICKLE_ERRORS:
             self.quarantine(name)
             return None
 
@@ -199,18 +177,12 @@ class CheckpointStore:
 
     def quarantine(self, name: str) -> Path | None:
         """Move a corrupt snapshot into ``.quarantine/`` for post-mortem."""
-        path = self.path_for(name)
-        if not path.exists():
-            return None
-        hole = self.root / self.QUARANTINE_DIR
-        hole.mkdir(parents=True, exist_ok=True)
-        token = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        destination = hole / f"{path.name}.{token}"
-        os.replace(path, destination)
-        obs.counter(
-            "checkpoint_quarantines_total",
-            help="Corrupt checkpoint snapshots moved to quarantine",
-        ).inc()
+        destination = quarantine_file(self.path_for(name), self.root)
+        if destination is not None:
+            obs.counter(
+                "checkpoint_quarantines_total",
+                help="Corrupt checkpoint snapshots moved to quarantine",
+            ).inc()
         return destination
 
     def journal(self, name: str) -> "TaskJournal":
@@ -250,7 +222,8 @@ class TaskJournal:
         """Durably append one record (length + digest + pickle, fsynced)."""
         payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
         with open(self.path, "ab") as fh:
-            fh.write(_frame(payload))
+            fh.write(frame_header(payload))
+            fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
         obs.counter(
@@ -275,11 +248,8 @@ class TaskJournal:
 
     def header(self) -> Any:
         """Frame 0's header value, or ``None`` if the journal has none."""
-        for record in self._iter_frames():
-            if self._is_header(record):
-                return record[1]
-            return None
-        return None
+        first = next(self._iter_frames(), None)
+        return first[1] if self._is_header(first) else None
 
     @staticmethod
     def _is_header(record: Any) -> bool:
@@ -290,20 +260,18 @@ class TaskJournal:
         )
 
     def replay(self) -> list[Any]:
-        """Every intact record, in append order; a torn tail is dropped."""
-        return list(self.iter_records())
+        """Every intact record, in append order; a torn tail is dropped.
 
-    def iter_records(self) -> Iterator[Any]:
-        """Yield intact records lazily, skipping any header frame."""
-        replayed = obs.counter(
+        The header frame, if any, is not a record and is skipped.
+        """
+        records = list(self._iter_frames())
+        if records and self._is_header(records[0]):
+            del records[0]
+        obs.counter(
             "journal_replayed_records_total",
             help="Intact journal records yielded by replay",
-        )
-        for index, record in enumerate(self._iter_frames()):
-            if index == 0 and self._is_header(record):
-                continue
-            replayed.inc()
-            yield record
+        ).inc(len(records))
+        return records
 
     def _iter_frames(self) -> Iterator[Any]:
         """Yield every intact frame (header included); see :meth:`replay`."""
@@ -311,24 +279,16 @@ class TaskJournal:
             return
         with open(self.path, "rb") as fh:
             while True:
-                header = fh.read(_FRAME_HEADER.size)
-                if len(header) == 0:
-                    return  # clean end of journal
-                if len(header) < _FRAME_HEADER.size:
-                    return  # torn tail: header itself was mid-write
-                length, digest = _FRAME_HEADER.unpack(header)
-                payload = fh.read(length)
-                if len(payload) < length:
-                    return  # torn tail: payload was mid-write
-                if hashlib.sha256(payload).digest() != digest:
+                try:
+                    frame = read_frame(fh)
+                except FrameError:
                     raise CheckpointIntegrityError(
                         f"{self.path.name}: journal record failed its checksum "
                         "(storage corruption, not a torn write)"
-                    )
-                yield pickle.loads(payload)
-
-    def __len__(self) -> int:
-        return len(self.replay())
+                    ) from None
+                if frame is None:
+                    return  # clean end, or a torn tail that was mid-write
+                yield pickle.loads(frame[0])
 
     def clear(self) -> bool:
         """Delete the journal file; returns whether one existed."""
@@ -344,7 +304,5 @@ def default_checkpoint_store() -> CheckpointStore:
     cache with ``REPRO_CACHE_DIR`` relocates the checkpoints with it)."""
     root = os.environ.get("REPRO_CHECKPOINT_DIR")
     if root is None:
-        from repro.utils.cache import default_cache
-
         return CheckpointStore(default_cache().root / ".checkpoints")
     return CheckpointStore(root)

@@ -4,19 +4,19 @@ Paths are normalised to carry the ``.npz`` suffix in *both* directions:
 ``numpy.savez`` historically appended the suffix on save, so
 ``save_state_dict(model, "foo")`` wrote ``foo.npz`` while
 ``load_state_dict(model, "foo")`` looked for a literal ``foo`` and failed.
-Saves are also atomic (staged to a unique temp file, then ``os.replace``),
-so a crash mid-save never leaves a torn archive under the official name.
+Saves are also atomic (:func:`repro.utils.cache.write_atomic`), so a
+crash mid-save never leaves a torn archive under the official name.
 """
 
 from __future__ import annotations
 
-import os
-import uuid
+import io
 from pathlib import Path
 
 import numpy as np
 
 from repro.nn.module import Module
+from repro.utils.cache import write_atomic
 
 
 def _npz_path(path: str | Path) -> Path:
@@ -35,16 +35,9 @@ def save_state_dict(model: Module, path: str | Path) -> Path:
     where the archive landed.
     """
     path = _npz_path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}-{uuid.uuid4().hex}.tmp")
-    try:
-        # Writing through an open file handle keeps numpy from appending
-        # its own suffix to the temp name.
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **model.state_dict())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # only on a failed write; replace consumed it
-            tmp.unlink()
+    archive = io.BytesIO()
+    np.savez_compressed(archive, **model.state_dict())
+    write_atomic(path, archive.getvalue())
     return path
 
 

@@ -362,6 +362,7 @@ class WorkerSupervisor:
                 "state": self.breaker.state,
                 "breaker": self.breaker.snapshot(),
                 "poll_errors": self._poll_errors,
+                "last_poll_error": self._last_poll_error,
                 "worker": {
                     "state": self._state,
                     "generation": self._generation,

@@ -13,10 +13,10 @@ The four fault classes mirror the resilience layer's threat model:
   hidden representations are overwritten with NaN (or Inf) before any
   validator sees them;
 * :func:`corrupt_artifact` — storage rot: a cached pickle is bit-flipped
-  or truncated on disk (optionally with its checksum sidecar refreshed,
-  to exercise the unpickling-error path rather than the checksum path);
+  or truncated on disk (optionally with its frame digest refreshed, to
+  exercise the unpickling-error path rather than the checksum path);
 * :func:`corrupt_bundle` — the same rot on a saved validator bundle's
-  self-verifying frame, exercising the rollout layer's integrity
+  self-verifying frames, exercising the rollout layer's integrity
   guardrail (a corrupt bundle must be refused and latched, never served);
 * :func:`fail_packed_scorer` — a scorer that starts raising: the packed
   batched scorer of one layer validator fails on chosen call numbers;
@@ -54,6 +54,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 import numpy as np
+
+from repro.utils.cache import FRAME_HEADER, frame_header
 
 
 # -- activation faults ---------------------------------------------------------
@@ -106,43 +108,38 @@ def corrupt_artifact(
 ) -> Iterator[None]:
     """Corrupt a cached artifact on disk, restoring the original on exit.
 
-    ``mode="bitflip"`` flips one bit at a seed-determined offset (the
-    pickle often still loads — only the checksum catches it);
-    ``mode="truncate"`` cuts the file in half (an interrupted write).
-    ``refresh_checksum`` re-writes the sidecar to match the corrupted
-    bytes, so the corruption must be caught by unpickling rather than by
-    integrity verification. The original pickle and sidecar bytes are
-    restored on exit even if the entry was quarantined in between.
+    The entry is one frame (40-byte header, then the pickle), and the
+    corruption lands in the pickle. ``mode="bitflip"`` flips one bit at a
+    seed-determined offset (the pickle often still loads — only the
+    checksum catches it); ``mode="truncate"`` cuts the pickle in half (an
+    interrupted write). ``refresh_checksum`` rewrites the frame header to
+    match the corrupted pickle, so the corruption must be caught by
+    unpickling rather than by integrity verification. The original bytes
+    are restored on exit even if the entry was quarantined in between.
     """
     if mode not in {"bitflip", "truncate"}:
         raise ValueError(f"mode must be 'bitflip' or 'truncate', got {mode!r}")
     path = cache.path_for(name, config)
-    sidecar = cache.checksum_path_for(name, config)
     original = path.read_bytes()
-    original_sidecar = sidecar.read_bytes() if sidecar.exists() else None
-
-    payload = bytearray(original)
+    header = original[: FRAME_HEADER.size]
+    body = bytearray(original[FRAME_HEADER.size :])
     if mode == "bitflip":
         rng = np.random.default_rng(seed)
-        # Skip the pickle protocol header so the file stays recognisably
+        # Skip the pickle protocol header so the body stays recognisably
         # a pickle — the interesting corruption is in the payload.
-        offset = int(rng.integers(2, max(3, len(payload))))
-        payload[offset] ^= 1 << int(rng.integers(0, 8))
+        offset = int(rng.integers(2, max(3, len(body))))
+        body[offset] ^= 1 << int(rng.integers(0, 8))
     else:
-        payload = payload[: max(1, len(payload) // 2)]
-    path.write_bytes(bytes(payload))
+        body = body[: max(1, len(body) // 2)]
     if refresh_checksum:
-        import hashlib
-
-        sidecar.write_text(hashlib.sha256(bytes(payload)).hexdigest() + "\n")
+        header = frame_header(bytes(body))
+    path.write_bytes(header + bytes(body))
     try:
         yield
     finally:
+        # A load in between may have quarantined (moved) the entry;
+        # write_bytes recreates the file at its canonical path either way.
         path.write_bytes(original)
-        if original_sidecar is not None:
-            sidecar.write_bytes(original_sidecar)
-        elif sidecar.exists():
-            sidecar.unlink()
 
 
 @contextlib.contextmanager
@@ -155,14 +152,15 @@ def corrupt_bundle(
 ) -> Iterator[None]:
     """Corrupt a saved validator bundle on disk, restoring it on exit.
 
-    Operates on a :class:`~repro.core.bundle.BundleStore` entry — a single
-    self-verifying checkpoint frame (length + sha256 + pickle).
-    ``mode="bitflip"`` flips one bit at a seed-determined offset *past*
-    the 40-byte frame header, so the frame parses but its digest check
-    fails; ``mode="truncate"`` cuts the file in half (an interrupted
-    copy). Either way :meth:`BundleStore.load` must raise
+    Operates on a :class:`~repro.core.bundle.BundleStore` file: a
+    manifest frame then a payload frame, each behind a 40-byte header.
+    ``mode="bitflip"`` flips one bit at a seed-determined offset inside
+    the payload, past both frame headers and the manifest, so the frames
+    parse but the payload's digest check fails; ``mode="truncate"`` cuts
+    the file in half (an interrupted copy). Either way
+    :meth:`BundleStore.load` must raise
     :class:`~repro.core.bundle.BundleIntegrityError` and quarantine the
-    entry. The original bytes are restored on exit even if the entry was
+    file. The original bytes are restored on exit even if the file was
     quarantined in between.
     """
     if mode not in {"bitflip", "truncate"}:
@@ -173,10 +171,9 @@ def corrupt_bundle(
     payload = bytearray(original)
     if mode == "bitflip":
         rng = np.random.default_rng(seed)
-        # The first 40 bytes are the frame header (length + digest); a
-        # flip there is caught trivially. Flip inside the pickled payload
-        # so the digest check has to do the catching.
-        offset = int(rng.integers(40, max(41, len(payload))))
+        (manifest_length, _) = FRAME_HEADER.unpack_from(original)
+        start = 2 * FRAME_HEADER.size + manifest_length
+        offset = int(rng.integers(start, max(start + 1, len(payload))))
         payload[offset] ^= 1 << int(rng.integers(0, 8))
     else:
         payload = payload[: max(1, len(payload) // 2)]

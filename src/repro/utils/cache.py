@@ -1,4 +1,5 @@
-"""Caching utilities: the on-disk artifact cache and content hashing.
+"""Caching utilities: the on-disk artifact cache, content hashing, and the
+self-verifying file frame every on-disk artifact is written in.
 
 Training even a small CNN in pure numpy takes tens of seconds, so every
 expensive artifact (trained models, fitted validators, searched corner-case
@@ -6,18 +7,24 @@ suites) is cached on disk keyed by a stable hash of its configuration.
 Entries are pickled; the cache directory defaults to ``.artifacts/`` at the
 repository root and can be relocated with the ``REPRO_CACHE_DIR``
 environment variable.
+
+Cache entries, checkpoint snapshots, journal records and validator
+bundles are all written in one frame (body length, body sha256, body) by
+the helpers below, which stage and rename files into place, verify them
+before anything is unpickled, and quarantine them when corrupt. This
+module imports nothing from ``repro.core``, which imports it at load time.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import pickle
+import struct
 import uuid
 from pathlib import Path
-from typing import Any, Callable
-
-import json
+from typing import Any, BinaryIO, Callable
 
 import numpy as np
 
@@ -65,20 +72,102 @@ def hash_array(*arrays: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+#: Frame header: 8-byte big-endian body length + the body's 32-byte sha256.
+FRAME_HEADER = struct.Struct(">Q32s")
+
+#: Subdirectory (under a store's root) that corrupt files are moved to.
+QUARANTINE_DIR = ".quarantine"
+
+#: What unpickling verified bytes raises when they are not a pickle of a
+#: class this code still has (a foreign file, a renamed class).
+UNPICKLE_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
+                   ImportError, IndexError, ValueError)
+
+
+class FrameError(RuntimeError):
+    """Bytes on disk are not the intact frames they should be."""
+
+
+def frame_header(body: bytes, digest: bytes | None = None) -> bytes:
+    """The header that frames ``body``; pass ``digest`` if its sha256 is known."""
+    if digest is None:
+        digest = hashlib.sha256(body).digest()
+    return FRAME_HEADER.pack(len(body), digest)
+
+
+def write_atomic(path: Path, *chunks: bytes) -> None:
+    """Write ``chunks`` to a unique (pid + random) temp file, fsync, and
+    rename it into place: concurrent writers never share a staging file,
+    and readers see the old file or the complete new one."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():  # only on a failed write; replace consumed it
+            tmp.unlink()
+
+
+def read_frame(fh: BinaryIO) -> tuple[bytes, bytes] | None:
+    """The next frame in ``fh`` as ``(body, digest)``, or ``None`` at its end.
+
+    A frame cut short (the tail a crash left mid-write) also reads as the
+    end. A complete frame whose body does not hash to its digest raises
+    :class:`FrameError`.
+    """
+    header = fh.read(FRAME_HEADER.size)
+    if len(header) < FRAME_HEADER.size:
+        return None
+    length, digest = FRAME_HEADER.unpack(header)
+    if length > os.fstat(fh.fileno()).st_size - fh.tell():
+        return None  # never allocate a length the file cannot hold
+    body = fh.read(length)
+    if hashlib.sha256(body).digest() != digest:
+        raise FrameError("checksum mismatch")
+    return body, digest
+
+
+def read_frame_file(path: Path, frames: int = 1) -> list[tuple[bytes, bytes]]:
+    """``(body, digest)`` of each of the ``frames`` frames that make up ``path``.
+
+    :class:`FrameError` if a digest fails, the file ends early, or bytes
+    follow the last frame.
+    """
+    with open(path, "rb") as fh:
+        found = []
+        for index in range(frames):
+            frame = read_frame(fh)
+            if frame is None:
+                raise FrameError(
+                    f"truncated: ends before frame {index + 1} of {frames} is complete"
+                )
+            found.append(frame)
+        if fh.read(1):
+            raise FrameError("bytes follow the last frame")
+    return found
+
+
+def quarantine_file(path: Path, root: Path) -> Path | None:
+    """Move a corrupt file into ``root/.quarantine/``; its new path, or ``None``.
+
+    The unique suffix means repeated corruption never clobbers evidence.
+    """
+    hole = root / QUARANTINE_DIR
+    hole.mkdir(parents=True, exist_ok=True)
+    destination = hole / f"{path.name}.{os.getpid()}-{uuid.uuid4().hex[:8]}"
+    try:
+        os.replace(path, destination)
+    except FileNotFoundError:
+        return None
+    return destination
+
+
 class ArtifactIntegrityError(RuntimeError):
     """A cached artifact failed its content-checksum verification."""
-
-
-class _HashingWriter:
-    """File-object wrapper that feeds every written byte to a digest."""
-
-    def __init__(self, fh) -> None:
-        self._fh = fh
-        self.digest = hashlib.sha256()
-
-    def write(self, data) -> int:
-        self.digest.update(data)
-        return self._fh.write(data)
 
 
 class ArtifactCache:
@@ -88,15 +177,14 @@ class ArtifactCache:
     (anything else is stringified, which is fine as long as the string is
     stable across runs).
 
-    Every stored pickle gets a ``<file>.sha256`` sidecar with the digest of
-    its bytes; :meth:`load` verifies it, and an entry whose sidecar is
-    missing, stale, or whose pickle no longer matches is *quarantined* —
-    moved into a ``.quarantine/`` subdirectory for post-mortem inspection —
-    rather than half-loaded or silently deleted.
+    Each entry is one file holding one frame around the pickle, so the
+    digest lands in the same ``os.replace`` as the bytes it covers.
+    :meth:`load` verifies it before unpickling, and an entry that fails
+    is *quarantined* — moved into a ``.quarantine/`` subdirectory for
+    post-mortem inspection — rather than half-loaded or silently deleted.
     """
 
-    #: Subdirectory (under the cache root) that corrupt entries are moved to.
-    QUARANTINE_DIR = ".quarantine"
+    QUARANTINE_DIR = QUARANTINE_DIR
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -106,142 +194,72 @@ class ArtifactCache:
         """Deterministic cache path for a (name, config) pair."""
         return self.root / f"{name}-{_stable_hash(config)}.pkl"
 
-    def checksum_path_for(self, name: str, config: Any) -> Path:
-        """Path of the checksum sidecar written beside each pickle."""
-        path = self.path_for(name, config)
-        return path.with_name(path.name + ".sha256")
-
     def contains(self, name: str, config: Any) -> bool:
         """Whether a cached entry exists for (name, config)."""
         return self.path_for(name, config).exists()
 
-    def load(self, name: str, config: Any, verify: bool = True) -> Any:
-        """Unpickle the cached value for (name, config), verifying integrity.
+    def load(self, name: str, config: Any) -> Any:
+        """Verify and unpickle the cached value for (name, config).
 
-        With ``verify`` (the default), the pickle's bytes are hashed and
-        compared to the ``.sha256`` sidecar before unpickling. A missing
-        sidecar or a mismatched digest quarantines the entry and raises
-        :class:`ArtifactIntegrityError` — a truncated or bit-flipped
-        artifact is never half-loaded. ``verify=False`` restores the
-        trusting pre-checksum behaviour.
+        A truncated, bit-flipped or overlong entry is quarantined and
+        raises :class:`ArtifactIntegrityError` — it is never half-loaded.
         """
         path = self.path_for(name, config)
-        if not verify:
-            with open(path, "rb") as fh:
-                return pickle.load(fh)
-        with open(path, "rb") as fh:
-            payload = fh.read()
-        sidecar = self.checksum_path_for(name, config)
-        if not sidecar.exists():
+        try:
+            [(body, _)] = read_frame_file(path)
+        except FrameError as exc:
             self.quarantine(name, config)
             raise ArtifactIntegrityError(
-                f"{path.name}: checksum sidecar missing; entry quarantined"
-            )
-        expected = sidecar.read_text().strip()
-        actual = hashlib.sha256(payload).hexdigest()
-        if actual != expected:
-            self.quarantine(name, config)
-            raise ArtifactIntegrityError(
-                f"{path.name}: checksum mismatch (expected {expected[:12]}…, "
-                f"got {actual[:12]}…); entry quarantined"
-            )
-        return pickle.loads(payload)
+                f"{path.name}: {exc}; entry quarantined"
+            ) from None
+        return pickle.loads(body)
 
     def store(self, name: str, config: Any, value: Any) -> None:
-        """Pickle ``value`` under (name, config), atomically, with checksum.
-
-        The temp file carries a per-write unique suffix (pid + random), so
-        concurrent processes building the same artifact each write their
-        own staging file and the final ``os.replace`` promotes a complete
-        pickle — never a half-written one another writer clobbered. The
-        digest is computed while writing and landed in a ``.sha256``
-        sidecar (same staging discipline) after the pickle is promoted; a
-        crash between the two leaves a sidecar-less entry, which
-        :meth:`get_or_build` treats as stale and rebuilds.
-        """
-        path = self.path_for(name, config)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}-{uuid.uuid4().hex}.tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                writer = _HashingWriter(fh)
-                pickle.dump(value, writer, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():  # only on a failed write; replace consumed it
-                tmp.unlink()
-        sidecar = self.checksum_path_for(name, config)
-        sidecar_tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}-{uuid.uuid4().hex}.tmp")
-        try:
-            sidecar_tmp.write_text(writer.digest.hexdigest() + "\n")
-            os.replace(sidecar_tmp, sidecar)
-        finally:
-            if sidecar_tmp.exists():
-                sidecar_tmp.unlink()
+        """Pickle ``value`` under (name, config) as one frame, atomically."""
+        body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        write_atomic(self.path_for(name, config), frame_header(body), body)
 
     def discard(self, name: str, config: Any) -> bool:
         """Remove the entry for (name, config); returns whether one existed."""
         path = self.path_for(name, config)
-        sidecar = self.checksum_path_for(name, config)
-        if sidecar.exists():
-            sidecar.unlink()
         if path.exists():
             path.unlink()
             return True
         return False
 
     def quarantine(self, name: str, config: Any) -> Path | None:
-        """Move a corrupt entry (and sidecar) into ``.quarantine/``.
-
-        Returns the quarantined pickle's new path, or ``None`` if no entry
-        existed. Quarantined files keep their name plus a unique suffix,
-        so repeated corruption of the same key never clobbers evidence.
-        """
-        path = self.path_for(name, config)
-        if not path.exists():
-            return None
-        hole = self.root / self.QUARANTINE_DIR
-        hole.mkdir(parents=True, exist_ok=True)
-        token = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        destination = hole / f"{path.name}.{token}"
-        os.replace(path, destination)
-        sidecar = self.checksum_path_for(name, config)
-        if sidecar.exists():
-            os.replace(sidecar, hole / f"{sidecar.name}.{token}")
-        return destination
+        """Move the entry for (name, config) into ``.quarantine/``."""
+        return quarantine_file(self.path_for(name, config), self.root)
 
     def get_or_build(self, name: str, config: Any, build: Callable[[], Any]) -> Any:
         """Return the cached value for ``(name, config)``, building it once.
 
-        A cache entry that fails integrity verification (missing or stale
-        checksum sidecar, bit-flipped or truncated bytes) or that cannot
-        be unpickled (a foreign file, an artifact pickled against a class
-        that has since changed) is treated as a miss: the entry is
-        quarantined and rebuilt rather than poisoning every future run.
+        A cache entry that fails integrity verification (bit-flipped,
+        truncated or overlong bytes) or that cannot be unpickled (a foreign
+        file, an artifact pickled against a class that has since changed)
+        is treated as a miss: the entry is quarantined and rebuilt rather
+        than poisoning every future run.
         """
         if self.contains(name, config):
             try:
                 return self.load(name, config)
             except ArtifactIntegrityError:
                 pass  # load already quarantined the entry
-            except (pickle.UnpicklingError, EOFError, AttributeError,
-                    ImportError, IndexError, ValueError):
+            except UNPICKLE_ERRORS:
                 self.quarantine(name, config)
         value = build()
         self.store(name, config, value)
         return value
 
     def clear(self) -> int:
-        """Delete every cache entry; returns the number of pickles removed.
+        """Delete every cache entry; returns the number removed.
 
-        Checksum sidecars are removed alongside their pickles; quarantined
-        evidence under ``.quarantine/`` is left untouched.
+        Quarantined evidence under ``.quarantine/`` is left untouched.
         """
         removed = 0
         for path in self.root.glob("*.pkl"):
             path.unlink()
             removed += 1
-        for sidecar in self.root.glob("*.pkl.sha256"):
-            sidecar.unlink()
         return removed
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import (
     BundleError,
+    CheckpointStore,
     BundleIntegrityError,
     BundleStore,
     BundleValidationError,
@@ -25,6 +26,7 @@ from repro.core import (
 )
 from repro.core.bundle import _fingerprint
 from repro.testing import corrupt_bundle
+from repro.utils.cache import FRAME_HEADER, frame_header, write_atomic
 from tests.helpers import easy_image_task, train_tiny_model
 
 pytestmark = pytest.mark.rollout
@@ -165,13 +167,66 @@ class TestLegacyPickles:
 
 
 class TestStore:
-    def test_save_load_round_trip(self, bundle, tmp_path):
+    def test_save_load_round_trip(self, fitted_validator, bundle, tmp_path):
         store = BundleStore(tmp_path)
         path = store.save(bundle)
         assert path.name == "bundle-tiny-v1.ckpt"
         loaded = store.load("tiny", 1)
         assert loaded.manifest == bundle.manifest
         assert loaded.payload == bundle.payload
+        images, _ = easy_image_task(6, seed=5)
+        ref_pred, ref_d = fitted_validator.discrepancies(images)
+        got_pred, got_d = loaded.validator.discrepancies(images)
+        np.testing.assert_array_equal(got_pred, ref_pred)
+        np.testing.assert_array_equal(got_d, ref_d)
+
+    def test_round_trip_hashes_twice_pickles_once_unpickles_twice(
+        self, fitted_validator, tmp_path, monkeypatch
+    ):
+        # pack hashes and pickles the payload, and unpickles it to validate;
+        # save reuses that digest; load hashes once and unpickles once.
+        import hashlib
+
+        real_sha256, real_dumps, real_loads = hashlib.sha256, pickle.dumps, pickle.loads
+        hashed, dumped, loaded = [], [], []
+
+        class CountingSha256:
+            def __init__(self, data=b"", **kwargs):
+                self._hash = real_sha256(**kwargs)
+                self.update(data)
+
+            def update(self, data):
+                hashed.append(len(data))
+                self._hash.update(data)
+
+            def digest(self):
+                return self._hash.digest()
+
+            def hexdigest(self):
+                return self._hash.hexdigest()
+
+        def dumps(*args, **kwargs):
+            dumped.append(args[0])
+            return real_dumps(*args, **kwargs)
+
+        def loads(*args, **kwargs):
+            loaded.append(len(args[0]))
+            return real_loads(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", CountingSha256)
+        monkeypatch.setattr(pickle, "dumps", dumps)
+        monkeypatch.setattr(pickle, "loads", loads)
+        store = BundleStore(tmp_path)
+        packed = ValidatorBundle.pack(fitted_validator, version=1, name="tiny")
+        store.save(packed)
+        restored = store.load("tiny", 1)
+        monkeypatch.undo()
+
+        size = len(packed.payload)
+        assert [n for n in hashed if n >= size] == [size, size]
+        assert dumped == [fitted_validator]
+        assert loaded == [size, size]
+        assert restored.manifest == packed.manifest
 
     def test_bundles_are_immutable(self, bundle, tmp_path):
         store = BundleStore(tmp_path)
@@ -205,18 +260,45 @@ class TestStore:
         # The injector restored the original bytes: loadable again.
         assert store.load("tiny", 1).manifest == bundle.manifest
 
-    def test_poisoned_entry_is_refused_at_load(self, bundle, tmp_path):
-        # An intact frame whose content is not a bundle (wrong schema)
-        # must fail as an integrity error, not unpickle into the rollout.
+    def test_manifest_bitflip_is_refused_and_quarantined(self, bundle, tmp_path):
         store = BundleStore(tmp_path)
-        store.store.save(store.key_for("tiny", 1), {"surprise": True})
+        path = store.save(bundle)
+        blob = bytearray(path.read_bytes())
+        blob[FRAME_HEADER.size + 1] ^= 0x01  # inside the manifest's JSON
+        path.write_bytes(bytes(blob))
+        with pytest.raises(BundleIntegrityError, match="checksum mismatch"):
+            store.load("tiny", 1)
+        assert not store.exists("tiny", 1)
+        assert list((tmp_path / ".quarantine").iterdir())
+
+    def test_old_format_bundle_is_refused_and_quarantined(self, bundle, tmp_path):
+        # The earlier format: one checkpoint frame around a pickled dict.
+        # It is refused before anything in it is unpickled.
+        store = BundleStore(tmp_path)
+        state = {"manifest": dataclasses.asdict(bundle.manifest), "payload": bundle.payload}
+        CheckpointStore(tmp_path).save(store.key_for("tiny", 1), state)
+        assert store.versions("tiny") == [1]
+        with pytest.raises(BundleIntegrityError):
+            store.load("tiny", 1)
+        assert not store.exists("tiny", 1)
+        assert list((tmp_path / ".quarantine").iterdir())
+
+    def test_poisoned_entry_is_refused_at_load(self, bundle, tmp_path):
+        # Intact frames whose manifest is not a bundle's (here a pickle)
+        # must fail as an integrity error, never unpickle into the rollout.
+        store = BundleStore(tmp_path)
+        head = pickle.dumps({"surprise": True})
+        write_atomic(
+            store.path_for("tiny", 1),
+            frame_header(head), head, frame_header(bundle.payload), bundle.payload,
+        )
         with pytest.raises(BundleIntegrityError, match="not a validator bundle"):
             store.load("tiny", 1)
+        assert list((tmp_path / ".quarantine").iterdir())
 
     def test_misfiled_bundle_is_refused_at_load(self, bundle, tmp_path):
         # A bundle copied under the wrong key must not impersonate it.
         store = BundleStore(tmp_path)
-        state = {"manifest": dataclasses.asdict(bundle.manifest), "payload": bundle.payload}
-        store.store.save(store.key_for("tiny", 7), state)
+        store.path_for("tiny", 7).write_bytes(store.save(bundle).read_bytes())
         with pytest.raises(BundleIntegrityError, match="identifies itself"):
             store.load("tiny", 7)

@@ -116,6 +116,30 @@ class TestCheckpointStore:
         with pytest.raises(ValueError):
             store.journal("a/b")
 
+    def test_frame_bytes_are_unchanged(self, tmp_path):
+        # Snapshots and journals written before the frame helpers moved
+        # into repro.utils.cache must still load: pin the byte layout,
+        # 8-byte big-endian length + sha256 + pickle, built by hand here.
+        import hashlib
+        import struct
+
+        def frame(value):
+            body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            return struct.pack(">Q32s", len(body), hashlib.sha256(body).digest()) + body
+
+        store = CheckpointStore(tmp_path)
+        store.path_for("old").write_bytes(frame({"epoch": 7}))
+        assert store.load("old") == {"epoch": 7}
+        store.save("new", {"epoch": 7})
+        assert store.path_for("new").read_bytes() == frame({"epoch": 7})
+
+        journal = store.journal("old")
+        journal.path.write_bytes(frame(("__task-journal-header__", "fp")) + frame("a") + frame("b"))
+        assert journal.header() == "fp"
+        assert journal.replay() == ["a", "b"]
+        journal.append("c")
+        assert journal.path.read_bytes().endswith(frame("c"))
+
     def test_default_store_honours_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ck"))
         store = default_checkpoint_store()
@@ -129,7 +153,7 @@ class TestTaskJournal:
         for record in records:
             journal.append(record)
         assert journal.replay() == records
-        assert len(journal) == 5
+        assert len(journal.replay()) == 5
 
     def test_torn_tail_dropped(self, tmp_path):
         journal = TaskJournal(tmp_path / "j.journal")
@@ -174,7 +198,7 @@ class TestTaskJournal:
         journal.append("record")
         assert journal.header() == "fingerprint-1"
         assert journal.replay() == ["record"]
-        assert len(journal) == 1  # the header frame is not a record
+        assert len(journal.replay()) == 1  # the header frame is not a record
 
     def test_header_requires_fresh_journal(self, tmp_path):
         journal = TaskJournal(tmp_path / "j.journal")
@@ -414,11 +438,11 @@ class TestSolveTasksRecovery:
         with crash_at_task(4) as stats:
             with pytest.raises(InjectedCrashError):
                 solve_tasks(features, config, journal=journal)
-        assert stats["crashed"] and len(journal) == 4
+        assert stats["crashed"] and len(journal.replay()) == 4
         resumed = solve_tasks(features, config, journal=journal)
         _assert_solutions_equal(reference, resumed)
         # Resume solved only the missing tasks: journal now holds all six.
-        assert len(journal) == len(features)
+        assert len(journal.replay()) == len(features)
 
     def test_journal_replay_skips_completed_solves(self, tmp_path, monkeypatch):
         features = _task_features()
@@ -444,7 +468,7 @@ class TestSolveTasksRecovery:
         solutions = solve_tasks(features, config, journal=journal)
         assert (99, 99) not in solutions
         assert journal.header() is not None  # re-stamped for this solve
-        assert len(journal) == len(features)  # stale record gone
+        assert len(journal.replay()) == len(features)  # stale record gone
 
     def _count_resolves(self, monkeypatch):
         # Replayed solutions are merged directly; only fresh solves pass

@@ -134,9 +134,9 @@ def test_kill_at_task_j_resumes_bit_identically(kills, data, seed):
     with tempfile.TemporaryDirectory() as tmp:
         journal = CheckpointStore(Path(tmp)).journal("fit")
         for kill_at in kill_points:
-            with crash_at_task(kill_at - len(journal)):
+            with crash_at_task(kill_at - len(journal.replay())):
                 with pytest.raises(InjectedCrashError):
                     solve_tasks(features, config, journal=journal)
-            assert len(journal) == kill_at  # exactly j solves survived the kill
+            assert len(journal.replay()) == kill_at  # exactly j solves survived the kill
         resumed = solve_tasks(features, config, journal=journal)
     assert _solution_bytes(resumed) == _solution_bytes(reference)

@@ -354,8 +354,8 @@ class TestArtifactFault:
         with corrupt_artifact(
             cache, "model", {"v": 1}, mode="truncate", refresh_checksum=True
         ):
-            # The sidecar matches the corrupt bytes, so integrity passes
-            # and the unpickling error itself must trigger the rebuild.
+            # The frame digest matches the corrupt bytes, so integrity
+            # passes and the unpickling error itself must trigger the rebuild.
             assert cache.get_or_build("model", {"v": 1}, lambda: "fresh") == "fresh"
 
     def test_restores_original_on_exit(self, tmp_path):

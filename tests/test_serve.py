@@ -897,6 +897,36 @@ class TestWorkerSupervision:
             finally:
                 server.close(timeout=10.0)
 
+    def test_poller_error_is_reported_in_the_snapshot(
+        self, fitted_validator, monkeypatch
+    ):
+        # A poll that raises must not kill the poller, and the snapshot
+        # says why it failed, not only that it did.
+        server = ValidationServer(
+            RuntimeMonitor(fitted_validator),
+            ServeConfig(supervision=SupervisorConfig(poll_interval_s=0.005)),
+        )
+        supervisor = server.supervisor
+        assert supervisor.snapshot()["last_poll_error"] is None
+        real_poll = supervisor.poll
+        calls = []
+
+        def poll_fails_once():
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("poll exploded")
+            return real_poll()
+
+        monkeypatch.setattr(supervisor, "poll", poll_fails_once)
+        server.start()
+        try:
+            _await(lambda: len(calls) >= 2, message="a poll after the failing one")
+            snapshot = supervisor.snapshot()
+            assert snapshot["poll_errors"] == 1
+            assert snapshot["last_poll_error"] == "RuntimeError: poll exploded"
+        finally:
+            server.close(timeout=10.0)
+
     def test_supervision_config_validation(self):
         with pytest.raises(ValueError):
             SupervisorConfig(restart_budget=0)

@@ -210,16 +210,23 @@ class TestStableHash:
         assert _stable_hash(config) != _stable_hash({"dtype": np.float64})
 
 
+@pytest.mark.faults
 class TestArtifactIntegrity:
-    def test_store_writes_checksum_sidecar(self, tmp_path):
+    def test_store_writes_one_frame_file(self, tmp_path):
+        import pickle
+
+        from repro.utils.cache import FRAME_HEADER, frame_header
+
         cache = ArtifactCache(tmp_path)
         cache.store("thing", {"a": 1}, [1, 2, 3])
-        sidecar = cache.checksum_path_for("thing", {"a": 1})
-        assert sidecar.exists()
-        import hashlib
-
-        payload = cache.path_for("thing", {"a": 1}).read_bytes()
-        assert sidecar.read_text().strip() == hashlib.sha256(payload).hexdigest()
+        path = cache.path_for("thing", {"a": 1})
+        # The digest travels inside the entry's own file: no sidecar.
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert not list(tmp_path.glob("*.sha256"))
+        blob = path.read_bytes()
+        body = blob[FRAME_HEADER.size :]
+        assert blob[: FRAME_HEADER.size] == frame_header(body)
+        assert pickle.loads(body) == [1, 2, 3]
 
     def test_bit_flipped_pickle_rebuilt_and_quarantined(self, tmp_path):
         # Regression for the blind spot where only unpickling errors
@@ -234,47 +241,25 @@ class TestArtifactIntegrity:
         assert cache.get_or_build("thing", {"a": 1}, lambda: "rebuilt") == "rebuilt"
         quarantined = list((tmp_path / ArtifactCache.QUARANTINE_DIR).iterdir())
         assert any(p.name.startswith("thing-") and ".pkl." in p.name for p in quarantined)
-        # The rebuilt entry carries a fresh, matching sidecar.
+        # The rebuilt entry carries a fresh, matching frame.
         assert cache.load("thing", {"a": 1}) == "rebuilt"
 
-    def test_missing_sidecar_treated_as_stale(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store("thing", {}, "value")
-        cache.checksum_path_for("thing", {}).unlink()
-        assert cache.get_or_build("thing", {}, lambda: "rebuilt") == "rebuilt"
-
-    def test_stale_sidecar_treated_as_miss(self, tmp_path):
+    def test_appended_byte_is_a_miss_and_rebuilt(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.store("thing", {}, "old")
-        sidecar = cache.checksum_path_for("thing", {})
-        stale = sidecar.read_text()
-        cache.path_for("thing", {}).write_bytes(
-            cache.path_for("thing", {}).read_bytes() + b" "
-        )
-        assert sidecar.read_text() == stale
+        path = cache.path_for("thing", {})
+        path.write_bytes(path.read_bytes() + b" ")
         assert cache.get_or_build("thing", {}, lambda: "rebuilt") == "rebuilt"
+        assert list((tmp_path / ArtifactCache.QUARANTINE_DIR).iterdir())
 
-    def test_load_without_verify_trusts_bytes(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store("thing", {}, "value")
-        cache.checksum_path_for("thing", {}).unlink()
-        assert cache.load("thing", {}, verify=False) == "value"
-
-    def test_discard_removes_sidecar(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store("thing", {}, "value")
-        cache.discard("thing", {})
-        assert not cache.checksum_path_for("thing", {}).exists()
-
-    def test_clear_removes_sidecars_but_not_quarantine(self, tmp_path):
+    def test_clear_keeps_quarantine(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.store("a", {}, 1)
         cache.store("b", {}, 2)
         cache.path_for("a", {}).write_bytes(b"\x05junk")
         with pytest.raises(Exception):
             cache.load("a", {})
-        assert cache.clear() == 1  # only b's pickle remained
-        assert not list(tmp_path.glob("*.sha256"))
+        assert cache.clear() == 1  # only b's entry remained
         assert list((tmp_path / ArtifactCache.QUARANTINE_DIR).iterdir())
 
     def test_quarantine_missing_entry_returns_none(self, tmp_path):

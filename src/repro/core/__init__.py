@@ -20,12 +20,7 @@ from repro.core.fitting import fit_validators_from_arrays
 from repro.core.validator import DeepValidator, LayerValidator, ValidatorConfig
 from repro.core.thresholds import centroid_threshold, fpr_calibrated_threshold
 from repro.core.monitor import RuntimeMonitor, ValidationVerdict
-from repro.core.resilience import (
-    CircuitBreaker,
-    DegradedModeWarning,
-    DegradedScorer,
-    InputGuard,
-)
+from repro.core.resilience import CircuitBreaker, DegradedModeWarning, InputGuard
 from repro.core.weighting import (
     fit_auc_greedy_weights,
     fit_logistic_weights,
@@ -67,7 +62,6 @@ __all__ = [
     "ValidationVerdict",
     "CircuitBreaker",
     "DegradedModeWarning",
-    "DegradedScorer",
     "InputGuard",
     "fit_logistic_weights",
     "fit_auc_greedy_weights",

@@ -177,13 +177,7 @@ class CheckpointStore:
 
     def quarantine(self, name: str) -> Path | None:
         """Move a corrupt snapshot into ``.quarantine/`` for post-mortem."""
-        destination = quarantine_file(self.path_for(name), self.root)
-        if destination is not None:
-            obs.counter(
-                "checkpoint_quarantines_total",
-                help="Corrupt checkpoint snapshots moved to quarantine",
-            ).inc()
-        return destination
+        return quarantine_file(self.path_for(name), self.root)
 
     def journal(self, name: str) -> "TaskJournal":
         """The append-only journal called ``name`` inside this store."""

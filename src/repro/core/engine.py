@@ -11,20 +11,28 @@ reference at 1e-8):
    by predicted label and each group is scored against its own class's
    support vectors with one matrix product — no scaler pass and no
    per-image round trip for batch-size-1 monitoring traffic.
-2. **Chunked evaluation** — the forward pass and every kernel block are
-   evaluated in sample chunks of :data:`CHUNK_SIZE`, bounding transient
-   memory to ``CHUNK_SIZE x support_vectors_of_one_class`` floats
-   regardless of how large a batch callers throw at it.
+2. **Chunked kernel blocks** — the forward pass runs in sample chunks of
+   :data:`CHUNK_SIZE`, and each layer's kernel blocks are evaluated in
+   chunks of the same size, bounding the transient kernel block to
+   ``CHUNK_SIZE x support_vectors_of_one_class`` floats. The forward
+   pass's probe outputs are not bounded: ``hidden_representations``
+   materialises every chunk, so the whole batch's representations are
+   held at once.
 
 Every batch is scored afresh: runtime inputs are a stream of new images,
-so there is nothing to memoise.
+so there is nothing to memoise. The engine stops at per-layer
+discrepancies; joining them (Eq. 3) and thresholding are the validator's
+(:meth:`~repro.core.validator.DeepValidator.combine`,
+:meth:`~repro.core.validator.DeepValidator.joint_discrepancy`,
+:meth:`~repro.core.validator.DeepValidator.flag`), which route through
+this engine.
 
 Usage::
 
     engine = validator.engine()            # kept on the validator
     predictions, D = engine.discrepancies(images)
-    d = engine.joint_discrepancy(images)   # Eq. 3 via the batched path
-    flags = engine.flag(images)            # d > validator.epsilon
+    d = validator.combine(D)               # Eq. 3
+    predictions, D, errors = engine.discrepancies_resilient(images, skip={1})
 """
 
 from __future__ import annotations
@@ -50,8 +58,9 @@ def _layer_seconds():
 class ValidationEngine:
     """Vectorised scoring facade over a fitted ``DeepValidator``.
 
-    The engine shares the validator's model, per-layer validators,
-    combiner config, and ``epsilon`` — it adds speed, not policy.
+    The engine shares the validator's model and per-layer validators —
+    it adds speed, not policy; the combiner and ``epsilon`` stay on the
+    validator.
     """
 
     def __init__(self, validator) -> None:
@@ -129,15 +138,6 @@ class ValidationEngine:
                     columns.append(np.full(len(images), np.nan))
             per_layer = np.stack(columns, axis=1)
         return predictions, per_layer, errors
-
-    def joint_discrepancy(self, images: np.ndarray) -> np.ndarray:
-        """The joint discrepancy ``d`` (Eq. 3) via the batched path."""
-        _, per_layer = self.discrepancies(images)
-        return self.validator.combine(per_layer)
-
-    def flag(self, images: np.ndarray) -> np.ndarray:
-        """Boolean mask of images whose joint discrepancy exceeds epsilon."""
-        return self.joint_discrepancy(images) > self.validator.epsilon
 
     def __repr__(self) -> str:
         return f"ValidationEngine(layers={len(self.validator.validators)})"

@@ -25,6 +25,7 @@ Operators observe partial failure through :meth:`RuntimeMonitor.health`.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass
@@ -34,12 +35,7 @@ import numpy as np
 
 from repro import obs
 from repro.core import resilience
-from repro.core.resilience import (
-    CircuitBreaker,
-    DegradedModeWarning,
-    DegradedScorer,
-    InputGuard,
-)
+from repro.core.resilience import CircuitBreaker, DegradedModeWarning, InputGuard
 from repro.core.validator import DeepValidator
 from repro.utils.warnings_ import emit_warning
 
@@ -65,6 +61,15 @@ def _breaker_state_gauge():
         help="Per-layer circuit-breaker state (0=closed, 1=half-open, 2=open)",
         labels=("layer",),
     )
+
+
+def _publish_transition(layer: str, old_state: str, new_state: str) -> None:
+    obs.counter(
+        "monitor_breaker_transitions_total",
+        help="Circuit-breaker state transitions per layer",
+        labels=("layer", "to"),
+    ).labels(layer=layer, to=new_state).inc()
+    _breaker_state_gauge().labels(layer=layer).set(BREAKER_STATE_CODES[new_state])
 
 
 @dataclass
@@ -105,11 +110,33 @@ class ValidationVerdict:
             f"d={self.joint_discrepancy:.4f}, {label}{extra})"
         )
 
+    @classmethod
+    def unscored(
+        cls, status: str, reason: str, n_layers: int, detail: dict | None = None
+    ) -> "ValidationVerdict":
+        """A verdict for an input that was never scored.
+
+        ``prediction`` is ``-1``, ``joint_discrepancy`` NaN and
+        ``per_layer`` ``n_layers`` NaNs (at least one); the monitor's
+        quarantines and the server's queue-level rejections all take
+        this shape.
+        """
+        return cls(
+            prediction=-1,
+            joint_discrepancy=float("nan"),
+            per_layer=np.full(max(n_layers, 1), np.nan),
+            accepted=False,
+            status=status,
+            reason=reason,
+            detail=detail,
+        )
+
 
 @dataclass
 class _LayerHealth:
     """Per-layer failure bookkeeping surfaced by ``RuntimeMonitor.health``."""
 
+    name: str
     breaker: CircuitBreaker
     last_error: str | None = None
     skipped_batches: int = 0
@@ -120,16 +147,19 @@ class RuntimeMonitor:
 
     The monitor is thread-safe: any number of threads (the
     :mod:`repro.serve` worker and any direct callers) may call :meth:`classify`
-    concurrently. Verdict tallies, the lazily-built per-layer breaker
-    registry, and breaker state transitions are serialised by locks held
-    only around bookkeeping — the forward pass and kernel scoring run
-    unlocked, so concurrent batches overlap. :meth:`health` returns an
-    atomic snapshot.
+    concurrently. Verdict tallies, the per-layer skip counts and breaker
+    state transitions are serialised by locks held only around
+    bookkeeping — the forward pass and kernel scoring run unlocked, so
+    concurrent batches overlap. The per-layer health entries (one
+    breaker per validated layer) are built once, at construction: the
+    layer set is fixed once the validator is fitted. :meth:`health`
+    returns an atomic snapshot.
 
     Parameters
     ----------
     validator:
-        A fitted ``DeepValidator`` with a calibrated ``epsilon``.
+        A fitted ``DeepValidator`` with a calibrated ``epsilon``; an
+        unfitted one raises ``ValueError``.
     on_reject:
         Optional callback invoked with each rejected (flagged, degraded-
         rejected, or quarantined) verdict — the hook for human
@@ -153,18 +183,36 @@ class RuntimeMonitor:
         breaker_cooldown: float = 30.0,
         clock: Callable[[], float] | None = None,
     ) -> None:
+        if not validator.validators:
+            # The per-layer breakers are built from the fitted layer set;
+            # a monitor built before the fit would score without them.
+            raise ValueError("RuntimeMonitor needs a fitted DeepValidator")
         self.validator = validator
         self.on_reject = on_reject
         self.guard = guard if guard is not None else InputGuard()
-        self.scorer = DegradedScorer(validator)
-        self._clock = clock if clock is not None else time.monotonic
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown = breaker_cooldown
-        # Guards the verdict tallies, the lazy breaker registry, and the
-        # per-layer bookkeeping. Scoring itself (forward pass + kernels)
-        # runs outside the lock, so concurrent batches overlap freely.
+        # Guards the verdict tallies and the per-layer skip counts.
+        # Scoring itself (forward pass + kernels) runs outside the lock,
+        # so concurrent batches overlap freely.
         self._lock = threading.RLock()
-        self._layers: dict[int, _LayerHealth] = {}
+        clock = clock if clock is not None else time.monotonic
+        self._layers = [
+            _LayerHealth(
+                layer.layer_name,
+                CircuitBreaker(
+                    failure_threshold=breaker_threshold,
+                    cooldown=breaker_cooldown,
+                    clock=clock,
+                    on_transition=functools.partial(
+                        _publish_transition, layer.layer_name
+                    ),
+                ),
+            )
+            for layer in validator.validators
+        ]
+        for layer in self._layers:
+            _breaker_state_gauge().labels(layer=layer.name).set(
+                BREAKER_STATE_CODES[CircuitBreaker.CLOSED]
+            )
         self.stats = {
             "accepted": 0,
             "rejected": 0,
@@ -173,62 +221,6 @@ class RuntimeMonitor:
         }
 
     # -- internals -------------------------------------------------------------
-
-    def _layer_health(self, position: int) -> _LayerHealth:
-        # Lock-free fast path: dict reads are safe, and an entry, once
-        # installed, is never replaced.
-        health = self._layers.get(position)
-        if health is not None:
-            return health
-        with self._lock:
-            health = self._layers.get(position)
-            if health is not None:
-                # Another thread won the first-touch race; its breaker and
-                # gauge registration stand — creating a second breaker here
-                # would split failure counts across two objects.
-                return health
-            name = self._layer_name(position)
-
-            def publish(old_state: str, new_state: str, layer: str = name) -> None:
-                obs.counter(
-                    "monitor_breaker_transitions_total",
-                    help="Circuit-breaker state transitions per layer",
-                    labels=("layer", "to"),
-                ).labels(layer=layer, to=new_state).inc()
-                _breaker_state_gauge().labels(layer=layer).set(
-                    BREAKER_STATE_CODES[new_state]
-                )
-
-            health = _LayerHealth(
-                CircuitBreaker(
-                    failure_threshold=self._breaker_threshold,
-                    cooldown=self._breaker_cooldown,
-                    clock=self._clock,
-                    on_transition=publish,
-                )
-            )
-            _breaker_state_gauge().labels(layer=name).set(
-                BREAKER_STATE_CODES[CircuitBreaker.CLOSED]
-            )
-            self._layers[position] = health
-            return health
-
-    def _layer_name(self, position: int) -> str:
-        validators = self.validator.validators
-        if position < len(validators):
-            return validators[position].layer_name
-        return f"layer{position}"
-
-    def _quarantine_verdict(self, reason: str) -> ValidationVerdict:
-        n_layers = max(len(self.validator.validators), 1)
-        return ValidationVerdict(
-            prediction=-1,
-            joint_discrepancy=float("nan"),
-            per_layer=np.full(n_layers, np.nan),
-            accepted=False,
-            status=resilience.QUARANTINED,
-            reason=reason,
-        )
 
     def _finish(self, verdicts: list[ValidationVerdict]) -> list[ValidationVerdict]:
         """Tally one batch's verdicts, then run the rejection hook on each.
@@ -278,10 +270,13 @@ class RuntimeMonitor:
         with obs.span("monitor.classify") as span:
             report = self.guard.inspect(images)
             span.set(batch=report.count)
+            n_layers = len(self._layers)
             if report.batch_reason is not None:
                 return self._finish(
                     [
-                        self._quarantine_verdict(report.batch_reason)
+                        ValidationVerdict.unscored(
+                            resilience.QUARANTINED, report.batch_reason, n_layers
+                        )
                         for _ in range(report.count)
                     ]
                 )
@@ -291,9 +286,12 @@ class RuntimeMonitor:
             verdicts: list[ValidationVerdict] = []
             scored_iter = iter(scored)
             for index in range(report.count):
-                if index in report.sample_reasons:
+                reason = report.sample_reasons.get(index)
+                if reason is not None:
                     verdicts.append(
-                        self._quarantine_verdict(report.sample_reasons[index])
+                        ValidationVerdict.unscored(
+                            resilience.QUARANTINED, reason, n_layers
+                        )
                     )
                 else:
                     verdicts.append(next(scored_iter))
@@ -301,15 +299,13 @@ class RuntimeMonitor:
 
     def _score(self, images: np.ndarray) -> list[ValidationVerdict]:
         """Score guard-approved images, isolating substrate failures."""
-        n_layers = len(self.validator.validators)
-        skip = {
-            position
-            for position in range(n_layers)
-            if not self._layer_health(position).breaker.allow()
-        }
+        layers = self._layers
+        skip: set[int] = set()
         with self._lock:
-            for position in skip:
-                self._layers[position].skipped_batches += 1
+            for position, layer in enumerate(layers):
+                if not layer.breaker.allow():
+                    skip.add(position)
+                    layer.skipped_batches += 1
         try:
             predictions, per_layer, errors = (
                 self.validator.engine().discrepancies_resilient(images, skip=skip)
@@ -320,47 +316,45 @@ class RuntimeMonitor:
                 f"{exc}); quarantining the batch",
                 DegradedModeWarning,
             )
+            reason = f"scoring failed: {type(exc).__name__}: {exc}"
             return [
-                self._quarantine_verdict(
-                    f"scoring failed: {type(exc).__name__}: {exc}"
-                )
+                ValidationVerdict.unscored(resilience.QUARANTINED, reason, len(layers))
                 for _ in range(len(images))
             ]
 
         # A layer that raised, or whose column contains non-finite values
         # (e.g. NaN activations upstream), failed for this batch.
-        failed: set[int] = set(errors)
-        for position in range(n_layers):
-            if position in skip or position in errors:
-                continue
-            if not np.isfinite(per_layer[:, position]).all():
-                failed.add(position)
-        for position in range(n_layers):
-            health = self._layer_health(position)
+        dropped = set(skip)
+        for position, layer in enumerate(layers):
             if position in skip:
                 continue
-            if position in failed:
-                error = errors.get(position)
-                health.last_error = (
-                    f"{type(error).__name__}: {error}"
-                    if error is not None
-                    else "non-finite discrepancies"
-                )
-                health.breaker.record_failure()
-            else:
-                health.breaker.record_success()
+            error = errors.get(position)
+            if error is None and np.isfinite(per_layer[:, position]).all():
+                layer.breaker.record_success()
+                continue
+            layer.last_error = (
+                f"{type(error).__name__}: {error}"
+                if error is not None
+                else "non-finite discrepancies"
+            )
+            layer.breaker.record_failure()
+            dropped.add(position)
 
-        dropped = skip | failed
+        names: tuple[str, ...] = ()
         if dropped:
-            names = tuple(sorted(self._layer_name(p) for p in dropped))
-            if len(dropped) >= n_layers:
+            names = tuple(sorted(layers[p].name for p in dropped))
+            if len(dropped) >= len(layers):
                 emit_warning(
-                    f"all {n_layers} layer validators unavailable "
+                    f"all {len(layers)} layer validators unavailable "
                     f"({', '.join(names)}); quarantining the batch",
                     DegradedModeWarning,
                 )
                 return [
-                    self._quarantine_verdict("no healthy layer validators")
+                    ValidationVerdict.unscored(
+                        resilience.QUARANTINED,
+                        "no healthy layer validators",
+                        len(layers),
+                    )
                     for _ in range(len(images))
                 ]
             emit_warning(
@@ -368,10 +362,8 @@ class RuntimeMonitor:
                 f"{', '.join(names)}",
                 DegradedModeWarning,
             )
-        else:
-            names = ()
 
-        joints = self.scorer.combine(per_layer, frozenset(dropped))
+        joints = self.validator.combine(per_layer, dropped)
         verdicts = []
         for prediction, row, joint in zip(predictions, per_layer, joints):
             accepted = bool(joint <= self.validator.epsilon)
@@ -432,14 +424,14 @@ class RuntimeMonitor:
         half, and ``rejection_rate`` always matches ``counts``.
         """
         with self._lock:
-            layers = {}
-            for position in range(len(self.validator.validators)):
-                health = self._layer_health(position)
-                layers[self._layer_name(position)] = {
-                    **health.breaker.snapshot(),
-                    "last_error": health.last_error,
-                    "skipped_batches": health.skipped_batches,
+            layers = {
+                layer.name: {
+                    **layer.breaker.snapshot(),
+                    "last_error": layer.last_error,
+                    "skipped_batches": layer.skipped_batches,
                 }
+                for layer in self._layers
+            }
             counts = dict(self.stats)
         scored = counts["accepted"] + counts["rejected"]
         rate = counts["rejected"] / scored if scored else float("nan")

@@ -4,7 +4,7 @@ Deep Validation's premise is that the *classifier* fails on corner-case
 inputs — but a production monitor must also survive failures of its own
 substrate: NaN activations from a numerically-broken layer, a scorer that
 starts raising, an input that violates the serving contract. This module
-provides the three building blocks :class:`~repro.core.monitor.RuntimeMonitor`
+provides the two building blocks :class:`~repro.core.monitor.RuntimeMonitor`
 composes into a fault-tolerant serving path:
 
 * :class:`InputGuard` — shape/dtype/range/finiteness contract checks that
@@ -13,19 +13,17 @@ composes into a fault-tolerant serving path:
 * :class:`CircuitBreaker` — per-layer failure accounting with the classic
   closed → open → half-open lifecycle, so a persistently broken layer
   validator is skipped outright (no latency spent on a known-bad scorer)
-  and re-probed after a cooldown;
-* :class:`DegradedScorer` — when one or more layer validators are skipped
-  or fail, drops those columns from the joint discrepancy and rescales the
-  remaining sum (and hence the effective threshold) by the calibrated
-  per-layer contributions, so flagging stays meaningful instead of biased
-  toward acceptance. With zero layers skipped it defers to
-  ``DeepValidator.combine`` unchanged, so the fault-free path is
-  bit-identical to normal scoring.
+  and re-probed after a cooldown.
 
-Degraded scoring announces itself with :class:`DegradedModeWarning`
-(escalatable to an error via ``REPRO_STRICT=1``, see
-:mod:`repro.utils.warnings_`), and every skipped layer is recorded on the
-verdict so operators can see partial failure instead of silence.
+When layers are skipped or fail, the monitor scores the rest through
+``DeepValidator.combine(per_layer, skipped=...)``, which drops those
+columns and rescales the remaining sum (and hence the effective
+threshold) by the calibrated per-layer contributions, so flagging stays
+meaningful instead of biased toward acceptance. Degraded scoring
+announces itself with :class:`DegradedModeWarning` (escalatable to an
+error via ``REPRO_STRICT=1``, see :mod:`repro.utils.warnings_`), and
+every skipped layer is recorded on the verdict so operators can see
+partial failure instead of silence.
 """
 
 from __future__ import annotations
@@ -82,8 +80,17 @@ class GuardReport:
         return mask
 
 
+#: Accepted numpy dtype kinds: floats, ints, unsigned ints and bools.
+#: Object/string batches are rejected wholesale.
+ALLOWED_KINDS = "fiub"
+
+
 class InputGuard:
     """Serving-contract checks applied before any forward pass.
+
+    Every guard accepts only numeric batches (:data:`ALLOWED_KINDS`) and
+    quarantines samples containing NaN or Inf — a NaN pixel otherwise
+    poisons every downstream activation.
 
     Parameters
     ----------
@@ -92,27 +99,17 @@ class InputGuard:
     value_range:
         Inclusive ``(low, high)`` bounds on pixel values; ``None`` skips
         the check.
-    require_finite:
-        Quarantine samples containing NaN or Inf (the default — a NaN
-        pixel otherwise poisons every downstream activation).
-    allowed_kinds:
-        Accepted numpy dtype kinds (default: floats, ints, unsigned ints,
-        bools). Object/string batches are rejected wholesale.
     """
 
     def __init__(
         self,
         expected_shape: tuple[int, ...] | None = None,
         value_range: tuple[float, float] | None = None,
-        require_finite: bool = True,
-        allowed_kinds: str = "fiub",
     ) -> None:
         if value_range is not None and value_range[0] > value_range[1]:
             raise ValueError(f"value_range low > high: {value_range}")
         self.expected_shape = tuple(expected_shape) if expected_shape else None
         self.value_range = value_range
-        self.require_finite = require_finite
-        self.allowed_kinds = allowed_kinds
 
     def inspect(self, images) -> GuardReport:
         """Check a batch against the contract; never raises on bad input.
@@ -129,7 +126,7 @@ class InputGuard:
             return GuardReport(
                 None, 1, batch_reason=f"input not convertible to an array: {exc}"
             )
-        if array.dtype.kind not in self.allowed_kinds:
+        if array.dtype.kind not in ALLOWED_KINDS:
             count = len(array) if array.ndim >= 1 else 1
             return GuardReport(
                 None, max(count, 1),
@@ -153,10 +150,9 @@ class InputGuard:
             )
         reasons: dict[int, str] = {}
         if len(array) and array.dtype.kind == "f":
-            if self.require_finite:
-                finite = np.isfinite(array.reshape(len(array), -1)).all(axis=1)
-                for index in np.flatnonzero(~finite):
-                    reasons[int(index)] = "non-finite pixel values (NaN/Inf)"
+            finite = np.isfinite(array.reshape(len(array), -1)).all(axis=1)
+            for index in np.flatnonzero(~finite):
+                reasons[int(index)] = "non-finite pixel values (NaN/Inf)"
         if len(array) and self.value_range is not None:
             low, high = self.value_range
             flat = array.reshape(len(array), -1)
@@ -315,75 +311,3 @@ class CircuitBreaker:
             f"CircuitBreaker(state={self.state!r}, failures={self.failures}, "
             f"threshold={self.failure_threshold})"
         )
-
-
-# -- degraded-mode scoring -----------------------------------------------------
-
-
-class DegradedScorer:
-    """Joint-discrepancy combiner that tolerates missing layer columns.
-
-    With no skipped layers this defers to ``DeepValidator.combine`` — the
-    fault-free path is bit-identical to normal scoring. With skipped
-    layers, the surviving columns are combined and, for the ``"sum"``
-    combiner, rescaled by the calibrated per-layer contribution ratio
-    ``total / active`` so the degraded sum — and therefore the comparison
-    against the unchanged ``epsilon`` — stays commensurable with the
-    full-layer score (rescaling the sum up is algebraically identical to
-    rescaling the threshold down). ``"mean"``/``"max"`` combine the active
-    columns directly; ``"last"`` falls back to the rearmost active layer.
-
-    Calibrated contributions come from
-    ``DeepValidator.layer_contributions`` (recorded by
-    ``calibrate_threshold`` as the mean absolute weighted per-layer
-    discrepancy over the calibration sets); validators calibrated before
-    this field existed fall back to uniform contributions.
-    """
-
-    def __init__(self, validator) -> None:
-        self.validator = validator
-
-    def contributions(self) -> np.ndarray:
-        """Per-layer contribution magnitudes (uniform when uncalibrated)."""
-        n_layers = len(self.validator.layer_indices)
-        recorded = getattr(self.validator, "layer_contributions", None)
-        if recorded is not None and len(recorded) == n_layers:
-            recorded = np.asarray(recorded, dtype=np.float64)
-            if np.all(np.isfinite(recorded)) and recorded.sum() > 0:
-                return recorded
-        return np.ones(n_layers)
-
-    def combine(
-        self, per_layer: np.ndarray, skipped: frozenset[int] | set[int]
-    ) -> np.ndarray:
-        """Joint discrepancy over the active layers only.
-
-        ``skipped`` holds positions (indices into the validated-layer
-        list) excluded from the combination; their columns are ignored
-        entirely, so NaN placeholders never leak into the score.
-        """
-        if not skipped:
-            return self.validator.combine(per_layer)
-        config = self.validator.config
-        n_layers = per_layer.shape[1]
-        active = np.array(
-            [i for i in range(n_layers) if i not in skipped], dtype=np.intp
-        )
-        if len(active) == 0:
-            return np.full(len(per_layer), np.nan)
-        columns = per_layer[:, active]
-        if config.weights is not None:
-            columns = columns * np.asarray(config.weights)[active][None, :]
-        if config.combiner == "sum":
-            contributions = self.contributions()
-            total = contributions.sum()
-            active_total = contributions[active].sum()
-            scale = total / active_total if active_total > 0 else (
-                n_layers / len(active)
-            )
-            return columns.sum(axis=1) * scale
-        if config.combiner == "mean":
-            return columns.mean(axis=1)
-        if config.combiner == "max":
-            return columns.max(axis=1)
-        return columns[:, -1]  # "last": rearmost surviving layer

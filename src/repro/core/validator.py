@@ -361,17 +361,63 @@ class DeepValidator:
         _, per_layer = self.engine().discrepancies(images)
         return self.combine(per_layer)
 
-    def combine(self, per_layer: np.ndarray) -> np.ndarray:
-        """Join per-layer discrepancies into a single score per sample."""
-        if self.config.weights is not None:
-            per_layer = per_layer * np.asarray(self.config.weights)[None, :]
+    def combine(
+        self, per_layer: np.ndarray, skipped: frozenset[int] | set[int] = frozenset()
+    ) -> np.ndarray:
+        """Join per-layer discrepancies into a single score per sample.
+
+        ``skipped`` holds layer positions (indices into ``validators``)
+        left out of the join — degraded-mode scoring, when a layer
+        validator failed or is open-circuited. Their columns are ignored,
+        so NaN placeholders never leak into the score. The ``"sum"``
+        combiner then rescales the surviving sum by the calibrated
+        contribution ratio ``total / active`` (uniform contributions when
+        none are recorded), which keeps it commensurable with the
+        unchanged ``epsilon``; ``"mean"``/``"max"`` join the active
+        columns and ``"last"`` takes the rearmost active layer. With no
+        layer active the score is NaN. An empty ``skipped`` is the
+        ordinary Eq. 3 join.
+        """
+        weights = self.config.weights
+        scale = None
+        if skipped:
+            n_layers = per_layer.shape[1]
+            active = np.array(
+                [i for i in range(n_layers) if i not in skipped], dtype=np.intp
+            )
+            if len(active) == 0:
+                return np.full(len(per_layer), np.nan)
+            per_layer = per_layer[:, active]
+            if weights is not None:
+                weights = np.asarray(weights)[active]
+            if self.config.combiner == "sum":
+                contributions = self._contributions()
+                active_total = contributions[active].sum()
+                scale = (
+                    contributions.sum() / active_total
+                    if active_total > 0
+                    else n_layers / len(active)
+                )
+        if weights is not None:
+            per_layer = per_layer * np.asarray(weights)[None, :]
         if self.config.combiner == "sum":
-            return per_layer.sum(axis=1)
+            joint = per_layer.sum(axis=1)
+            return joint if scale is None else joint * scale
         if self.config.combiner == "mean":
             return per_layer.mean(axis=1)
         if self.config.combiner == "max":
             return per_layer.max(axis=1)
         return per_layer[:, -1]  # "last"
+
+    def _contributions(self) -> np.ndarray:
+        """Calibrated per-layer contributions, uniform when none are usable."""
+        n_layers = len(self.layer_indices)
+        recorded = getattr(self, "layer_contributions", None)
+        if recorded is not None and len(recorded) == n_layers:
+            recorded = np.asarray(recorded, dtype=np.float64)
+            if np.all(np.isfinite(recorded)) and recorded.sum() > 0:
+                return recorded
+        return np.ones(n_layers)
 
     # -- deployment ------------------------------------------------------------
 
@@ -407,8 +453,7 @@ class DeepValidator:
         Calibration also records ``layer_contributions`` — the mean
         absolute weighted per-layer discrepancy over both calibration sets
         — which degraded-mode scoring uses to rescale the joint sum when a
-        layer validator is skipped (see
-        :class:`~repro.core.resilience.DegradedScorer`).
+        layer validator is skipped (see :meth:`combine`).
         """
         from repro.core.thresholds import centroid_threshold
 

@@ -30,4 +30,4 @@ class DeepValidationDetector(Detector):
         return self
 
     def score(self, images: np.ndarray) -> np.ndarray:
-        return self.validator.engine().joint_discrepancy(images)
+        return self.validator.joint_discrepancy(images)

@@ -168,13 +168,13 @@ def run_augmentation_study(
 
     validator = DeepValidator(model, ValidatorConfig(nu=0.1, max_per_class=100))
     validator.fit(dataset.train_images, dataset.train_labels)
-    clean_scores = validator.engine().joint_discrepancy(context.clean_images)
+    clean_scores = validator.joint_discrepancy(context.clean_images)
     residual = []
     for name in suite.viable_transformations:
         result = suite.result(name)
         still_fooled = model.predict(result.images) != result.seed_labels
         if still_fooled.any():
-            residual.append(validator.engine().joint_discrepancy(result.images[still_fooled]))
+            residual.append(validator.joint_discrepancy(result.images[still_fooled]))
     residual_scores = np.concatenate(residual) if residual else np.empty(0)
     if len(residual_scores):
         labels = np.concatenate(

@@ -111,8 +111,8 @@ def _run(
     labels = context.suite.seed_labels
     # Both detectors pinned to the same clean-data FPR.
     dv_sweep = run_distortion_sweep(
-        model, context.engine.joint_discrepancy, configs, seeds, labels,
-        clean_scores=context.engine.joint_discrepancy(context.clean_images),
+        model, context.validator.joint_discrepancy, configs, seeds, labels,
+        clean_scores=context.validator.joint_discrepancy(context.clean_images),
         fpr=fpr, detector_name="deep-validation",
     )
     fs_sweep = run_distortion_sweep(

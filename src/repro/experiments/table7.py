@@ -55,8 +55,8 @@ def run_table7(dataset_name: str, profile: str = "tiny", seed: int = 0) -> Table
         if detector is None:
             scores = np.concatenate(
                 [
-                    context.engine.joint_discrepancy(clean),
-                    context.engine.joint_discrepancy(scc),
+                    context.validator.joint_discrepancy(clean),
+                    context.validator.joint_discrepancy(scc),
                 ]
             )
         else:

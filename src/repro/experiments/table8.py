@@ -146,13 +146,13 @@ def _run(dataset_name: str, profile: str, seed: int) -> Table8Result:
 
     squeezer = FeatureSqueezing(model, greyscale=dataset.channels == 1)
     squeezer.fit(dataset.train_images, dataset.train_labels)
-    clean_dv = context.engine.joint_discrepancy(context.clean_images)
+    clean_dv = context.validator.joint_discrepancy(context.clean_images)
     clean_fs = squeezer.score(context.clean_images)
 
     cells: list[AttackCell] = []
     pooled: dict[str, list[np.ndarray]] = {"dv_sae": [], "fs_sae": [], "dv_ae": [], "fs_ae": []}
     for name, mode, result in _attack_battery(context, seeds, labels):
-        dv_scores = context.engine.joint_discrepancy(result.adversarial)
+        dv_scores = context.validator.joint_discrepancy(result.adversarial)
         fs_scores = squeezer.score(result.adversarial)
         success = result.success
         cells.append(

@@ -20,10 +20,10 @@ the queue:
   worker picks up the new generation at the next group boundary (no drain, no
   dropped tickets). Guardrails keep watching the candidate's live stream.
 * **ROLLED_BACK** — any guardrail trip reverts the server to the
-  incumbent (if the candidate was serving) and **latches** a
-  :class:`~repro.core.resilience.CircuitBreaker` against re-promoting the
-  same bundle version; :meth:`~RolloutController.begin_shadow` refuses a
-  latched bundle until an operator resets it.
+  incumbent (if the candidate was serving) and **latches** the bundle
+  version against re-promotion; :meth:`~RolloutController.begin_shadow`
+  refuses a latched bundle until an operator clears it with
+  :meth:`~RolloutController.unlatch`.
 
 Guardrails (rollback ``reason`` vocabulary in parentheses):
 
@@ -68,7 +68,6 @@ from repro.core.bundle import (
     ValidatorBundle,
 )
 from repro.core.drift import DiscrepancyDriftMonitor
-from repro.core.resilience import CircuitBreaker
 
 #: Rollout lifecycle states.
 IDLE = "IDLE"
@@ -78,6 +77,13 @@ ROLLED_BACK = "ROLLED_BACK"
 
 #: Gauge encoding of the lifecycle (``rollout_state``).
 ROLLOUT_STATE_CODES = {IDLE: 0, SHADOW: 1, PROMOTED: 2, ROLLED_BACK: 3}
+
+#: Tuning of the :class:`DiscrepancyDriftMonitor` that watches a candidate's
+#: joint-discrepancy stream: EWMA smoothing, alarm band width in standard
+#: errors, and observations before the alarm can fire.
+DRIFT_ALPHA = 0.1
+DRIFT_SIGMAS = 6.0
+DRIFT_WARMUP = 10
 
 #: Monitor statuses that carry a real (comparable) joint discrepancy.
 _SCORED = (resilience.VALIDATED, resilience.FLAGGED)
@@ -131,31 +137,25 @@ class RolloutConfig:
 
     ``shadow_sample_every`` thins shadow scoring to every Nth scoring
     group (1 = every group); ``min_shadow_batches`` is the evidence floor
-    before :meth:`~RolloutController.promote` (or auto-promotion) is
-    allowed; ``max_flag_rate_divergence`` bounds the absolute difference
-    between incumbent and candidate flag rates over the shadow window;
+    before :meth:`~RolloutController.promote` is allowed;
+    ``max_flag_rate_divergence`` bounds the absolute difference between
+    incumbent and candidate flag rates over the shadow window;
     ``max_candidate_failures`` bounds candidate scoring failures (strict
-    default: the first failure trips). ``drift_*`` configure the
+    default: the first failure trips). The
     :class:`DiscrepancyDriftMonitor` watching the candidate's joint
-    stream — it calibrates itself from the first
+    stream (tuned by :data:`DRIFT_ALPHA`, :data:`DRIFT_SIGMAS` and
+    :data:`DRIFT_WARMUP`) calibrates itself from the first
     ``drift_calibration_samples`` cleanly-scored incumbent joints of the
-    shadow window, so the alarm band reflects *current* traffic.
-    ``auto_promote`` promotes as soon as the evidence floor is met with
-    every guardrail green. ``relatch_cooldown_s`` is the rollback
-    breaker's cooldown; the default ``math.inf`` latches a rolled-back
-    bundle version permanently (operator must :meth:`unlatch`).
+    shadow window, so the alarm band reflects *current* traffic. A
+    rolled-back bundle version stays latched until an operator calls
+    :meth:`~RolloutController.unlatch`.
     """
 
     shadow_sample_every: int = 1
     min_shadow_batches: int = 8
     max_flag_rate_divergence: float = 0.25
     max_candidate_failures: int = 0
-    drift_alpha: float = 0.1
-    drift_sigmas: float = 6.0
-    drift_warmup: int = 10
     drift_calibration_samples: int = 32
-    auto_promote: bool = False
-    relatch_cooldown_s: float = math.inf
 
     def __post_init__(self) -> None:
         if self.shadow_sample_every < 1:
@@ -180,10 +180,6 @@ class RolloutConfig:
                 "drift_calibration_samples must be >= 2, got "
                 f"{self.drift_calibration_samples}"
             )
-        if self.relatch_cooldown_s < 0:
-            raise ValueError(
-                f"relatch_cooldown_s must be >= 0, got {self.relatch_cooldown_s}"
-            )
 
 
 class RolloutController:
@@ -202,16 +198,12 @@ class RolloutController:
         server,
         store: BundleStore | None = None,
         config: RolloutConfig | None = None,
-        clock: Callable[[], float] | None = None,
         monitor_factory: Callable[[ValidatorBundle], object] | None = None,
         drift_monitor: DiscrepancyDriftMonitor | None = None,
     ) -> None:
-        import time
-
         self.server = server
         self.store = store
         self.config = config if config is not None else RolloutConfig()
-        self._clock = clock if clock is not None else time.monotonic
         self._monitor_factory = (
             monitor_factory if monitor_factory is not None else self._default_factory
         )
@@ -224,8 +216,8 @@ class RolloutController:
         self.bundle: ValidatorBundle | None = None
         self._candidate_key: str | None = None
         self.drift: DiscrepancyDriftMonitor | None = None
-        #: One permanently-latchable breaker per bundle key that rolled back.
-        self._latches: dict[str, CircuitBreaker] = {}
+        #: Bundle keys latched against re-promotion after a rollback.
+        self._latched: set[str] = set()
         self.last_rollback: dict | None = None
         #: Monotonic rollout generation; bumped on every transition so a
         #: shadow score that raced a state change is discarded, not recorded.
@@ -252,23 +244,11 @@ class RolloutController:
 
     # -- latches ---------------------------------------------------------------
 
-    def _latch(self, key: str) -> CircuitBreaker:
-        breaker = self._latches.get(key)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                failure_threshold=1,
-                cooldown=self.config.relatch_cooldown_s,
-                clock=self._clock,
-            )
-            self._latches[key] = breaker
-        return breaker
-
     def latched(self, key: str) -> bool:
         """Whether ``key`` (``name@vN``) is currently latched against
         re-promotion."""
         with self._lock:
-            breaker = self._latches.get(key)
-            return breaker is not None and not breaker.allow()
+            return key in self._latched
 
     def unlatch(self, key: str) -> bool:
         """Operator override: clear the re-promotion latch for ``key``.
@@ -278,7 +258,9 @@ class RolloutController:
         that reason should clear it.
         """
         with self._lock:
-            return self._latches.pop(key, None) is not None
+            latched = key in self._latched
+            self._latched.discard(key)
+            return latched
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -332,7 +314,7 @@ class RolloutController:
                     f"a rollout of {self._candidate_key} is already in progress "
                     f"({self.state}); finalize or roll it back first"
                 )
-            if not self._latch(key).allow():
+            if key in self._latched:
                 raise RolloutError(
                     f"bundle {key} is latched after a rollback; re-promotion "
                     "refused (unlatch() to override)"
@@ -350,9 +332,7 @@ class RolloutController:
                     self.drift.reset_stream()
             else:
                 self.drift = DiscrepancyDriftMonitor(
-                    alpha=self.config.drift_alpha,
-                    sigmas=self.config.drift_sigmas,
-                    warmup=self.config.drift_warmup,
+                    alpha=DRIFT_ALPHA, sigmas=DRIFT_SIGMAS, warmup=DRIFT_WARMUP
                 )
             self._epoch += 1
             self._transition(SHADOW)
@@ -373,13 +353,12 @@ class RolloutController:
                     f"only {self._shadow_batches}/{self.config.min_shadow_batches} "
                     "shadow batches observed; promote(force=True) to override"
                 )
-            self._promote_locked()
-
-    def _promote_locked(self) -> None:
-        self.server.swap_monitor(self.candidate, bundle_version=self._candidate_key)
-        _swaps_counter().labels(direction="promote").inc()
-        self._epoch += 1
-        self._transition(PROMOTED)
+            self.server.swap_monitor(
+                self.candidate, bundle_version=self._candidate_key
+            )
+            _swaps_counter().labels(direction="promote").inc()
+            self._epoch += 1
+            self._transition(PROMOTED)
 
     def finalize(self) -> None:
         """Accept a promoted candidate as the new incumbent (PROMOTED → IDLE)."""
@@ -431,7 +410,7 @@ class RolloutController:
     def _refuse(self, key: str, reason: str, message: str) -> None:
         """Latch + count a bundle that failed before ever becoming candidate."""
         with self._lock:
-            self._latch(key).record_failure()
+            self._latched.add(key)
             _rollbacks_counter().labels(reason=reason).inc()
             self.last_rollback = {
                 "reason": reason,
@@ -457,7 +436,7 @@ class RolloutController:
             )
             _swaps_counter().labels(direction="rollback").inc()
         if self._candidate_key is not None:
-            self._latch(self._candidate_key).record_failure()
+            self._latched.add(self._candidate_key)
         _rollbacks_counter().labels(reason=reason).inc()
         self.last_rollback = {
             "reason": reason,
@@ -571,10 +550,6 @@ class RolloutController:
                     "divergence",
                 )
                 return
-        if self.config.auto_promote and (
-            self._shadow_batches >= self.config.min_shadow_batches
-        ):
-            self._promote_locked()
 
     def _feed_drift_locked(
         self, incumbent_joints: list[float], candidate_joints: list[float]
@@ -650,11 +625,7 @@ class RolloutController:
                 "candidate_failures": self._candidate_failures,
                 "divergence": self._divergence,
                 "drift_calibrated": bool(drift is not None and drift.calibrated),
-                "latched": sorted(
-                    key
-                    for key, breaker in self._latches.items()
-                    if not breaker.allow()
-                ),
+                "latched": sorted(self._latched),
                 "last_rollback": self.last_rollback,
             }
 

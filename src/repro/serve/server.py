@@ -75,6 +75,10 @@ from repro.serve.supervisor import SupervisorConfig, WorkerSupervisor
 OVERLOADED = "OVERLOADED"
 EXPIRED = "EXPIRED"
 
+#: Smoothing factor of the per-batch service-time EWMA the load shedder
+#: projects queue waits from.
+SHED_ALPHA = 0.2
+
 #: ``stats()`` count key → ``serve_shed_total`` reason label for requests
 #: shed at the door (resolved ``OVERLOADED`` without ever being queued,
 #: or drained unscored at shutdown).
@@ -142,7 +146,7 @@ class ServeConfig:
 
     ``latency_slo_ms`` (optional) arms adaptive load shedding: when the
     projected queue wait — the live backlog, in batches, times the
-    per-batch service time (an EWMA smoothed with ``shed_alpha``) —
+    per-batch service time (an EWMA smoothed with :data:`SHED_ALPHA`) —
     exceeds the SLO, ``submit`` sheds the request immediately with a
     structured ``OVERLOADED`` verdict carrying the projection, instead of
     queueing work that is already late. An empty queue always admits.
@@ -157,7 +161,6 @@ class ServeConfig:
     queue_depth: int = 256
     default_timeout_ms: float | None = None
     latency_slo_ms: float | None = None
-    shed_alpha: float = 0.2
     supervision: SupervisorConfig = field(default_factory=SupervisorConfig)
 
     def __post_init__(self) -> None:
@@ -169,8 +172,6 @@ class ServeConfig:
             raise ValueError(
                 f"latency_slo_ms must be > 0, got {self.latency_slo_ms}"
             )
-        if not 0.0 < self.shed_alpha <= 1.0:
-            raise ValueError(f"shed_alpha must be in (0, 1], got {self.shed_alpha}")
 
 
 class ValidationServer:
@@ -209,7 +210,7 @@ class ValidationServer:
         self._lock = threading.Lock()
         self._started = False
         self._closed = False
-        self._service_ewma = Ewma(self.config.shed_alpha)
+        self._service_ewma = Ewma(SHED_ALPHA)
         self.supervisor = WorkerSupervisor(
             self, self.config.supervision, clock=self._clock
         )
@@ -412,20 +413,6 @@ class ValidationServer:
 
     # -- worker side -----------------------------------------------------------
 
-    def _rejection_verdict(
-        self, status: str, reason: str, detail: dict | None = None
-    ) -> ValidationVerdict:
-        n_layers = max(len(self.monitor.validator.validators), 1)
-        return ValidationVerdict(
-            prediction=-1,
-            joint_discrepancy=float("nan"),
-            per_layer=np.full(n_layers, np.nan),
-            accepted=False,
-            status=status,
-            reason=reason,
-            detail=detail,
-        )
-
     def _resolve_rejection(
         self,
         future: VerdictFuture,
@@ -434,7 +421,10 @@ class ValidationServer:
         count_key: str,
         detail: dict | None = None,
     ) -> None:
-        if not future._try_resolve(self._rejection_verdict(status, reason, detail)):
+        verdict = ValidationVerdict.unscored(
+            status, reason, len(self.monitor.validator.validators), detail
+        )
+        if not future._try_resolve(verdict):
             return  # lost a legitimate race (e.g. close-drain vs. the worker)
         with self._lock:
             self._counts[count_key] += 1

@@ -13,8 +13,8 @@ closes that hole for the server's one worker:
   re-raised to the supervisor's thread wrapper), and a periodic
   join-probe catches a thread that vanished without reporting;
 * it **restarts** a dead worker with capped exponential backoff
-  (``backoff_base_s * 2**consecutive_restarts``, capped at
-  ``backoff_cap_s``, measured on the injectable clock);
+  (``BACKOFF_BASE_S * 2**consecutive_restarts``, capped at
+  ``BACKOFF_CAP_S``, measured on the injectable clock);
 * it **fails fast** when restarting stops helping: worker deaths feed a
   :class:`~repro.core.resilience.CircuitBreaker` whose
   ``failure_window`` turns the threshold into a *budget per window* —
@@ -46,6 +46,12 @@ from repro import obs
 from repro.core.resilience import CircuitBreaker
 
 
+#: Restart backoff: the first restart waits this long after a death, and
+#: each consecutive restart doubles the wait, up to :data:`BACKOFF_CAP_S`.
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
+
+
 def _restarts_counter():
     return obs.counter(
         "serve_worker_restarts_total",
@@ -57,11 +63,11 @@ def _restarts_counter():
 class SupervisorConfig:
     """Tuning knobs for :class:`WorkerSupervisor`.
 
-    ``backoff_base_s`` / ``backoff_cap_s`` shape the restart backoff
-    curve (``base * 2**consecutive_restarts``, capped). ``restart_budget``
-    worker deaths within ``restart_window_s`` trip the restart breaker
-    (fail-fast shedding); the same window is the breaker cooldown before
-    a probe restart. ``heartbeat_timeout_s`` (optional) additionally
+    ``restart_budget`` worker deaths within ``restart_window_s`` trip the
+    restart breaker (fail-fast shedding); the same window is the breaker
+    cooldown before a probe restart. The restart backoff itself is fixed
+    (:data:`BACKOFF_BASE_S`, :data:`BACKOFF_CAP_S`).
+    ``heartbeat_timeout_s`` (optional) additionally
     replaces a worker that has been busy on a single batch longer than
     the timeout; ``None`` (the default) trusts the worker to finish —
     replacement spawns threads we can never reclaim, so it is opt-in.
@@ -72,8 +78,6 @@ class SupervisorConfig:
     worker's exception.
     """
 
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
     restart_budget: int = 5
     restart_window_s: float = 30.0
     heartbeat_timeout_s: float | None = None
@@ -81,13 +85,6 @@ class SupervisorConfig:
     max_batch_retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.backoff_base_s < 0:
-            raise ValueError(f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
-        if self.backoff_cap_s < self.backoff_base_s:
-            raise ValueError(
-                f"backoff_cap_s must be >= backoff_base_s, got "
-                f"{self.backoff_cap_s} < {self.backoff_base_s}"
-            )
         if self.restart_budget < 1:
             raise ValueError(f"restart_budget must be >= 1, got {self.restart_budget}")
         if self.restart_window_s <= 0:
@@ -281,8 +278,8 @@ class WorkerSupervisor:
             if self._state not in ("dead", "stalled"):
                 return 0
             backoff = min(
-                self.config.backoff_base_s * (2 ** self._consecutive_restarts),
-                self.config.backoff_cap_s,
+                BACKOFF_BASE_S * (2 ** self._consecutive_restarts),
+                BACKOFF_CAP_S,
             )
             if self._died_at is not None and now - self._died_at < backoff:
                 return 0

@@ -28,6 +28,8 @@ from typing import Any, BinaryIO, Callable
 
 import numpy as np
 
+from repro import obs
+
 
 def _encode_opaque(value: Any) -> dict:
     """JSON stand-in for a non-serialisable config value: type + repr.
@@ -155,6 +157,8 @@ def quarantine_file(path: Path, root: Path) -> Path | None:
     """Move a corrupt file into ``root/.quarantine/``; its new path, or ``None``.
 
     The unique suffix means repeated corruption never clobbers evidence.
+    Each file actually moved counts once in ``checkpoint_quarantines_total``,
+    whichever store (cache, checkpoint or bundle) it came from.
     """
     hole = root / QUARANTINE_DIR
     hole.mkdir(parents=True, exist_ok=True)
@@ -163,6 +167,10 @@ def quarantine_file(path: Path, root: Path) -> Path | None:
         os.replace(path, destination)
     except FileNotFoundError:
         return None
+    obs.counter(
+        "checkpoint_quarantines_total",
+        help="Corrupt cache entries, checkpoint snapshots and bundles moved to quarantine",
+    ).inc()
     return destination
 
 

@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
     BundleError,
     CheckpointStore,
@@ -25,6 +26,7 @@ from repro.core import (
     ValidatorConfig,
 )
 from repro.core.bundle import _fingerprint
+from repro.obs.metrics import MetricsRegistry
 from repro.testing import corrupt_bundle
 from repro.utils.cache import FRAME_HEADER, frame_header, write_atomic
 from tests.helpers import easy_image_task, train_tiny_model
@@ -259,6 +261,17 @@ class TestStore:
             assert list((tmp_path / ".quarantine").iterdir())
         # The injector restored the original bytes: loadable again.
         assert store.load("tiny", 1).manifest == bundle.manifest
+
+    def test_corrupt_bundle_counts_one_quarantine(self, bundle, tmp_path):
+        store = BundleStore(tmp_path)
+        store.save(bundle)
+        registry = MetricsRegistry()
+        with obs.use(registry=registry, enabled=True):
+            with corrupt_bundle(store, "tiny", 1, mode="bitflip"):
+                with pytest.raises(BundleIntegrityError):
+                    store.load("tiny", 1)
+        (series,) = registry.snapshot()["checkpoint_quarantines_total"]["series"]
+        assert series["value"] == 1.0
 
     def test_manifest_bitflip_is_refused_and_quarantined(self, bundle, tmp_path):
         store = BundleStore(tmp_path)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import DeepValidator, RuntimeMonitor, ValidatorConfig
+from repro.obs.metrics import MetricsRegistry
 
 #: Every top-level key ``RuntimeMonitor.health()`` documents.
 HEALTH_KEYS = {
@@ -85,6 +87,11 @@ class TestRuntimeMonitor:
         verdict = monitor.classify(test_x[:1])[0]
         assert "prediction=" in repr(verdict)
 
+    def test_unfitted_validator_refused(self, trained_tiny_model):
+        model = trained_tiny_model[0]
+        with pytest.raises(ValueError, match="fitted"):
+            RuntimeMonitor(DeepValidator(model))
+
     def test_predictions_match_model(self, fitted_validator, trained_tiny_model):
         model, _, _, test_x, _ = trained_tiny_model
         monitor = RuntimeMonitor(fitted_validator)
@@ -130,6 +137,31 @@ class TestHealthRegression:
             assert snapshot["times_opened"] == 0
             assert snapshot["last_error"] is None
             assert snapshot["skipped_batches"] == 0
+
+    def test_fresh_monitor_lists_every_layer_closed_before_any_call(
+        self, fitted_validator
+    ):
+        registry = MetricsRegistry()
+        with obs.use(registry=registry, enabled=True):
+            monitor = RuntimeMonitor(fitted_validator)
+            # Published at construction, before any classify or health call.
+            gauge = registry.snapshot()["monitor_breaker_state"]["series"]
+            layers = monitor.health()["layers"]
+        names = [validator.layer_name for validator in fitted_validator.validators]
+        assert {s["labels"]["layer"]: s["value"] for s in gauge} == {
+            name: 0.0 for name in names
+        }
+        assert list(layers) == names
+        for snapshot in layers.values():
+            assert snapshot == {
+                "state": "closed",
+                "failures": 0,
+                "successes": 0,
+                "consecutive_failures": 0,
+                "times_opened": 0,
+                "last_error": None,
+                "skipped_batches": 0,
+            }
 
     def test_validated_flow(self, fitted_validator, trained_tiny_model):
         _, _, _, test_x, _ = trained_tiny_model

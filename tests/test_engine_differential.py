@@ -250,11 +250,12 @@ class TestEngineAgainstValidator:
         validator = DeepValidator(model, ValidatorConfig(max_per_class=60))
         validator.fit(train_x, train_y)
         engine = validator.engine()
-        first = engine.joint_discrepancy(test_x)
-        second = engine.joint_discrepancy(test_x)
+        first = validator.joint_discrepancy(test_x)
+        second = validator.joint_discrepancy(test_x)
         np.testing.assert_array_equal(first, second)
+        _, per_layer = engine.discrepancies(test_x)
         np.testing.assert_array_equal(
-            engine.flag(test_x), validator.flag(test_x)
+            validator.combine(per_layer) > validator.epsilon, validator.flag(test_x)
         )
 
     def test_deployment_helpers_route_through_engine(self, trained_tiny_model):
@@ -284,11 +285,11 @@ class TestEngineAgainstValidator:
         model, train_x, train_y, test_x, _ = trained_tiny_model
         validator = DeepValidator(model, ValidatorConfig(max_per_class=60))
         validator.fit(train_x, train_y)
-        expected = validator.engine().joint_discrepancy(test_x)
+        expected = validator.joint_discrepancy(test_x)
         restored = pickle.loads(pickle.dumps(validator))
         assert "_engine" not in restored.__dict__
         np.testing.assert_allclose(
-            restored.engine().joint_discrepancy(test_x), expected, atol=TOLERANCE
+            restored.joint_discrepancy(test_x), expected, atol=TOLERANCE
         )
 
 
@@ -318,8 +319,8 @@ class TestEngineEdgeBatches:
         assert predictions.shape == ref_predictions.shape == (0,)
         assert per_layer.shape == ref_per_layer.shape == (0, 3)
         np.testing.assert_allclose(per_layer, ref_per_layer, atol=TOLERANCE, rtol=0)
-        assert validator.engine().joint_discrepancy(empty).shape == (0,)
-        assert validator.engine().flag(empty).shape == (0,)
+        assert validator.joint_discrepancy(empty).shape == (0,)
+        assert validator.flag(empty).shape == (0,)
 
     def test_single_image_batch(self, edge_case_validator, trained_tiny_model):
         validator = edge_case_validator

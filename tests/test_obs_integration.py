@@ -432,6 +432,19 @@ class TestCheckpointCounters:
         assert loads == {"ok": 1.0, "corrupt": 1.0}
         assert snap["checkpoint_quarantines_total"]["series"][0]["value"] == 1.0
 
+    def test_corrupt_cache_entry_counts_one_quarantine(self, scoped, tmp_path):
+        from repro.utils.cache import ArtifactCache
+
+        registry = scoped[0]
+        cache = ArtifactCache(tmp_path)
+        cache.store("entry", {"k": 1}, [1, 2, 3])
+        cache.path_for("entry", {"k": 1}).write_bytes(b"garbage")
+        assert cache.get_or_build("entry", {"k": 1}, lambda: [4]) == [4]
+        # A quarantine of a file that is already gone moves nothing.
+        assert cache.quarantine("absent", {}) is None
+        snap = registry.snapshot()
+        assert snap["checkpoint_quarantines_total"]["series"][0]["value"] == 1.0
+
     def test_journal_append_and_replay_counters(self, scoped, tmp_path):
         from repro.core.checkpoint import TaskJournal
 

@@ -8,6 +8,8 @@ the breaker, and the degraded path on a fault-free replay is bit-identical
 to the normal path.
 """
 
+import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -24,7 +26,6 @@ from repro.core.resilience import (
     VALIDATED,
     CircuitBreaker,
     DegradedModeWarning,
-    DegradedScorer,
     InputGuard,
 )
 from repro.testing import (
@@ -193,25 +194,50 @@ class TestDegradedParity:
 
     def test_degraded_combine_with_no_skips_defers_to_combine(self, fitted_validator):
         per_layer = np.random.default_rng(3).normal(size=(6, 3))
-        scorer = DegradedScorer(fitted_validator)
         np.testing.assert_array_equal(
-            scorer.combine(per_layer, frozenset()),
+            fitted_validator.combine(per_layer, skipped=frozenset()),
             fitted_validator.combine(per_layer),
         )
 
     def test_degraded_sum_rescales_by_contributions(self, fitted_validator):
         per_layer = np.abs(np.random.default_rng(4).normal(size=(5, 3)))
-        scorer = DegradedScorer(fitted_validator)
-        contributions = scorer.contributions()
-        degraded = scorer.combine(per_layer, {1})
+        contributions = fitted_validator.layer_contributions
+        degraded = fitted_validator.combine(per_layer, skipped={1})
         expected = per_layer[:, [0, 2]].sum(axis=1) * (
             contributions.sum() / contributions[[0, 2]].sum()
         )
         np.testing.assert_allclose(degraded, expected, rtol=1e-12)
 
+    def test_degraded_combiners_use_the_active_columns(self, fitted_validator):
+        per_layer = np.random.default_rng(5).normal(size=(5, 3))
+
+        def variant(combiner, contributions):
+            validator = copy.copy(fitted_validator)
+            validator.config = dataclasses.replace(
+                fitted_validator.config, combiner=combiner
+            )
+            validator.layer_contributions = contributions
+            return validator
+
+        uniform = variant("sum", None)
+        assert np.array_equal(
+            uniform.combine(per_layer, skipped={1}),
+            per_layer[:, [0, 2]].sum(axis=1) * (3 / 2),
+        )
+        assert np.array_equal(
+            variant("mean", None).combine(per_layer, skipped={1}),
+            per_layer[:, [0, 2]].mean(axis=1),
+        )
+        assert np.array_equal(
+            variant("max", None).combine(per_layer, skipped={0}),
+            per_layer[:, [1, 2]].max(axis=1),
+        )
+        last = variant("last", None)
+        assert np.array_equal(last.combine(per_layer, skipped={2}), per_layer[:, 1])
+        assert np.array_equal(last.combine(per_layer, skipped={0}), per_layer[:, 2])
+
     def test_all_layers_skipped_yields_nan(self, fitted_validator):
-        scorer = DegradedScorer(fitted_validator)
-        joints = scorer.combine(np.zeros((4, 3)), {0, 1, 2})
+        joints = fitted_validator.combine(np.zeros((4, 3)), skipped={0, 1, 2})
         assert np.isnan(joints).all()
 
     def test_calibration_records_contributions(self, fitted_validator):

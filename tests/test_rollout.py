@@ -99,8 +99,6 @@ class TestConfig:
             RolloutConfig(max_candidate_failures=-1)
         with pytest.raises(ValueError):
             RolloutConfig(drift_calibration_samples=1)
-        with pytest.raises(ValueError):
-            RolloutConfig(relatch_cooldown_s=-1.0)
 
 
 class TestStateMachine:

@@ -709,10 +709,10 @@ class TestWorkerSupervision:
                 # The orphaned ticket went back to the queue, not lost.
                 assert not future.done()
                 # Backoff gate: a poll at the death instant must NOT
-                # restart yet (backoff_base_s has not elapsed).
+                # restart yet (BACKOFF_BASE_S has not elapsed).
                 server.supervisor.poll()
                 assert server.supervisor.snapshot()["restarts"] == 0
-                clock.advance(0.06)  # > backoff_base_s
+                clock.advance(0.06)  # > BACKOFF_BASE_S
                 assert server.supervisor.poll() == 1
                 verdict = future.result(timeout=60.0)
             assert verdict.status in (resilience.VALIDATED, resilience.FLAGGED)
@@ -876,7 +876,7 @@ class TestWorkerSupervision:
                 assert snapshot["stalls"] == 1
                 assert snapshot["worker"]["state"] == "stalled"
                 assert "stalled" in snapshot["worker"]["last_error"]
-                clock.advance(0.06)  # > backoff_base_s
+                clock.advance(0.06)  # > BACKOFF_BASE_S
                 assert server.supervisor.poll() == 1
                 # The replacement serves while the zombie is still wedged.
                 assert server.classify(stream[1], timeout=60.0).status in scored

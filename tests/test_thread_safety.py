@@ -1,8 +1,8 @@
 """Thread-safety stress tests for the shared serving substrate.
 
 These pin the headline bugfixes behind ``repro.serve``: the monitor's
-verdict tallies and breaker registry are lock-guarded (no lost counts,
-no double-registered breakers), breaker transitions fire exactly once
+verdict tallies are lock-guarded (no lost counts), its per-layer breakers
+are built once and shared by every caller, breaker transitions fire exactly once
 under concurrent failures, ``health()`` snapshots are atomic, and
 threads scoring the same batch concurrently each get the serial result.
 
@@ -12,6 +12,7 @@ assumptions: every assertion is about *conservation*, not ordering.
 """
 
 import pickle
+import sys
 import threading
 import time
 
@@ -181,20 +182,44 @@ class TestMonitorThreadSafety:
 
     def test_breaker_registry_not_duplicated(self, fitted_validator):
         monitor = RuntimeMonitor(fitted_validator)
-        positions = range(len(fitted_validator.validators))
-        seen = [[] for _ in range(8)]
+        # Built at construction: one breaker per validated layer, in layer
+        # order, before any classify or health call.
+        breakers = [layer.breaker for layer in monitor._layers]
+        assert [layer.name for layer in monitor._layers] == [
+            validator.layer_name for validator in fitted_validator.validators
+        ]
+        assert len({id(breaker) for breaker in breakers}) == len(
+            fitted_validator.validators
+        )
+        assert all(b.successes == 0 and b.failures == 0 for b in breakers)
 
-        def toucher(slot: int):
+        n_threads, per_thread = 4, 2
+        images, _ = easy_image_task(n_threads * per_thread * 2, seed=37)
+
+        def classify_slice(start: int):
             def run():
-                for position in positions:
-                    seen[slot].append(monitor._layer_health(position))
+                for b in range(per_thread):
+                    monitor.classify(images[start + b * 2 : start + b * 2 + 2])
 
             return run
 
-        _run_threads([toucher(s) for s in range(8)])
-        for position in positions:
-            healths = {id(slot_seen[position]) for slot_seen in seen}
-            assert len(healths) == 1, "first-touch race created duplicate breakers"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleavings inside bookkeeping
+        try:
+            _run_threads(
+                [classify_slice(t * per_thread * 2) for t in range(n_threads)]
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        # Every concurrent caller recorded into those same objects: no
+        # breaker was replaced, and each counts every batch exactly once.
+        assert all(
+            layer.breaker is breaker
+            for layer, breaker in zip(monitor._layers, breakers)
+        )
+        for breaker in breakers:
+            assert breaker.successes == n_threads * per_thread
+            assert breaker.failures == 0
 
 
 def _verdict_matches(reference, candidate) -> bool:

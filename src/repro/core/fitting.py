@@ -1,25 +1,27 @@
 """Memory-bounded fitting pipeline for Algorithm 1.
 
-This module runs ``DeepValidator.fit`` in three stages:
+This module runs ``DeepValidator.fit`` in two stages:
 
-1. **Planning** — :func:`plan_fit_tasks` replays Algorithm 1's exact
-   per-layer RNG discipline (``seed + layer position``, classes visited in
-   sorted order) to decide *which rows* each ``(layer, class)`` task will
-   train on, before any activation is computed. Subsampling therefore
-   depends only on the labels and the seed.
-2. **Chunked extraction** — :func:`extract_task_features` streams the kept
-   images through :meth:`ProbedSequential.iter_hidden_representations` in
-   ``chunk_size`` batches and gathers *only* the planned rows per layer, so
-   peak transient memory is ``chunk_size x widest layer`` plus the
-   (``classes x max_per_class``)-row training buffers — never the full
-   dataset's activations.
-3. **Solving** — :func:`solve_tasks` runs the independent ``(layer, class)``
+1. **One streamed extraction** — :func:`extract_task_features` walks the
+   whole training draw once through
+   :meth:`ProbedSequential.iter_hidden_representations` in ``chunk_size``
+   batches. Each chunk's probabilities give Algorithm 1's line-2 filter
+   (misclassified images are dropped), and each kept row goes straight
+   into a bounded per-``(layer, class)`` sample. Sampling is bottom-k:
+   kept row ``j`` carries the key ``new_rng(seed + layer position)
+   .random(n)[j]``, and a task trains on the ``max_per_class`` rows of
+   its class with the smallest keys, in ascending row order
+   (:func:`bottom_k`, which ``LayerValidator.fit`` shares). A sample
+   never holds more than ``max_per_class`` rows, so peak transient memory
+   is ``chunk_size x widest layer`` plus the (``classes x
+   max_per_class``)-row buffers — never the full draw's activations.
+2. **Solving** — :func:`solve_tasks` runs the independent ``(layer, class)``
    solves (scaler stats, Gram matrix, SMO) in-process, in sorted key order.
    Each is the same ``StandardScaler.fit`` and ``OneClassSVM.fit`` call
    ``LayerValidator.fit`` makes, so the assembled validator is
-   bit-identical to the per-layer reference path.
+   bit-identical to the per-layer reference path fitted on the same rows.
 
-Stage 3 is also the pipeline's recovery point. Given a ``journal``
+Stage 2 is also the pipeline's recovery point. Given a ``journal``
 (:class:`~repro.core.checkpoint.TaskJournal`), every completed solution is
 flushed to disk as it lands; a rerun replays the journal and solves only
 the missing tasks, so a crash at task 97/100 costs three solves, not a
@@ -56,26 +58,6 @@ def _tasks_counter():
     )
 
 
-@dataclass(frozen=True)
-class FitTask:
-    """One independent unit of Algorithm 1: fit class ``klass`` at one layer.
-
-    ``position`` indexes the validated-layer list (it seeds the RNG),
-    ``layer_index`` the model probe, and ``rows`` the training-set rows the
-    task trains on — in the exact (possibly shuffled) order the serial
-    subsampler would visit them, since SMO initialisation is order-sensitive.
-    """
-
-    position: int
-    layer_index: int
-    klass: int
-    rows: np.ndarray
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.position, self.klass)
-
-
 @dataclass
 class TaskSolution:
     """What one ``(layer, class)`` solve keeps, and what the journal records.
@@ -96,80 +78,142 @@ class TaskSolution:
     scaler_scale: np.ndarray | None = None
 
 
-# -- stage 1: planning ---------------------------------------------------------
+# -- stage 1: filtering, sampling and gathering in one pass -------------------
 
 
-def plan_fit_tasks(labels, layer_positions, config) -> list[FitTask]:
-    """Replay Algorithm 1's subsampling to a task list, without activations.
+def bottom_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest ``keys``, in ascending position order.
 
-    ``layer_positions`` is a list of ``(position, layer_index)`` pairs as
-    enumerated by ``DeepValidator.fit``; ``position`` feeds the per-layer
-    RNG (``config.seed + position``) exactly like the serial path, and
-    classes are visited in ``np.unique`` order, so the chosen rows — and
-    their order — match a serial ``LayerValidator.fit`` draw for draw.
+    Algorithm 1's subsample of one class: every row carries a seeded
+    uniform key and the ``k`` rows with the smallest keys are kept, ties
+    going to the earlier row. With ``k`` or fewer keys every position is
+    kept. ``LayerValidator.fit`` and the streamed pipeline both select
+    through this, so they train on the same rows in the same order.
     """
-    labels = np.asarray(labels)
-    if not config.per_class:
-        labels = np.zeros(len(labels), dtype=np.int64)
-    tasks: list[FitTask] = []
-    for position, layer_index in layer_positions:
-        gen = new_rng(config.seed + position)
-        for klass in np.unique(labels):
-            rows = np.flatnonzero(labels == klass)
-            if len(rows) < 2:
-                raise ValueError(
-                    f"class {klass} has only {len(rows)} correctly classified "
-                    "training images; cannot fit its reference distribution"
-                )
-            if len(rows) > config.max_per_class:
-                rows = gen.choice(rows, size=config.max_per_class, replace=False)
-            tasks.append(FitTask(position, layer_index, int(klass), rows))
-    return tasks
+    if len(keys) <= k:
+        return np.arange(len(keys))
+    return np.sort(np.argsort(keys, kind="stable")[:k])
 
 
-# -- stage 2: chunked extraction -----------------------------------------------
+class _TaskSample:
+    """One task's bottom-k rows so far, held in at most ``k`` buffer rows.
 
-
-def extract_task_features(
-    model, images: np.ndarray, tasks: list[FitTask], chunk_size: int = 256
-) -> dict[tuple[int, int], np.ndarray]:
-    """Gather each task's training features with bounded transient memory.
-
-    Streams ``images`` through the model in ``chunk_size`` batches and
-    copies only the planned rows of each validated layer into per-layer
-    buffers (at most ``classes x max_per_class`` rows each); the full
-    ``(N, features)`` activation matrices are never materialised.
+    ``rows`` are kept-row ids in ascending order and ``slots`` the buffer
+    row each one's features sit in. A row that enters takes the slot of
+    the row it evicts, so the buffer never grows past ``k`` rows. The
+    buffer keeps the probes' dtype; the solve converts each task to
+    float64 (exactly) when it runs.
     """
-    unions: dict[int, np.ndarray] = {}
-    for task in tasks:
-        if task.layer_index in unions:
-            unions[task.layer_index] = np.union1d(unions[task.layer_index], task.rows)
-        else:
-            unions[task.layer_index] = np.unique(task.rows)
 
-    buffers: dict[int, np.ndarray] = {}
-    for start, _, reps in model.iter_hidden_representations(images, batch_size=chunk_size):
-        stop = start + len(reps[0]) if reps else start
-        for layer_index, union in unions.items():
-            lo, hi = np.searchsorted(union, [start, stop])
-            if lo == hi:
-                continue
-            rep = reps[layer_index]
-            if layer_index not in buffers:
-                buffers[layer_index] = np.empty((len(union), rep.shape[1]), dtype=rep.dtype)
-            buffers[layer_index][lo:hi] = rep[union[lo:hi] - start]
+    def __init__(self, k: int, rep: np.ndarray) -> None:
+        self.k = k
+        self.seen = 0
+        self.rows = np.empty(0, dtype=np.intp)
+        self.slots = np.empty(0, dtype=np.intp)
+        self.buffer = np.empty((k, rep.shape[1]), dtype=rep.dtype)
 
-    features: dict[tuple[int, int], np.ndarray] = {}
-    for task in tasks:
-        union = unions[task.layer_index]
-        positions = np.searchsorted(union, task.rows)
-        features[task.key] = np.asarray(
-            buffers[task.layer_index][positions], dtype=np.float64
-        )
+    def offer(self, rows, local, keys, rep) -> None:
+        """Offer kept rows ``rows`` (all later than every row held), whose
+        features are ``rep[local]``, under the per-row ``keys``."""
+        self.seen += len(rows)
+        held = len(self.rows)
+        if held + len(rows) <= self.k:  # room for every row: nothing evicted
+            self.buffer[held : held + len(rows)] = rep[local]
+            self.rows = np.concatenate([self.rows, rows])
+            self.slots = np.arange(len(self.rows))
+            return
+        chosen = bottom_k(keys[np.concatenate([self.rows, rows])], self.k)
+        stay = chosen[chosen < held]
+        enter = chosen[len(stay):] - held
+        evicted = np.ones(held, dtype=bool)
+        evicted[stay] = False
+        # The evicted rows' slots and any never used: one per entering row.
+        free = np.concatenate([self.slots[evicted], np.arange(held, self.k)])
+        self.buffer[free] = rep[local[enter]]
+        self.rows = np.concatenate([self.rows[stay], rows[enter]])
+        self.slots = np.concatenate([self.slots[stay], free])
+
+
+def _sample_tasks(chunks, layer_positions, config, n: int) -> dict:
+    """Each ``(layer position, class)`` task's features, by sorted key.
+
+    ``chunks`` yields ``(classes, local, reps)``: kept rows
+    ``reps[layer][local]`` labelled ``classes``, in order. Kept row ``j``
+    carries the key ``new_rng(seed + position).random(n)[j]``; numpy's
+    stream is prefix-stable, so this is the key
+    ``LayerValidator.fit(..., rng=seed + position)`` draws for the ``j``-th
+    of its rows, whatever the number kept. Features come back in ascending
+    row order, in the probes' dtype.
+    """
+    keys = [
+        new_rng(config.seed + position).random(n) for position, _ in layer_positions
+    ]
+    cap = min(config.max_per_class, n)  # no task sees more than n rows
+    samples: dict[tuple[int, int], _TaskSample] = {}
+    kept = 0
+    for classes, local, reps in chunks:
+        if not config.per_class:
+            classes = np.zeros(len(local), dtype=np.int64)
+        ids = kept + np.arange(len(local))
+        kept += len(local)
+        for klass in np.unique(classes):
+            mine = classes == klass
+            rows, at = ids[mine], local[mine]
+            for (position, layer_index), layer_keys in zip(layer_positions, keys):
+                rep = reps[layer_index]
+                sample = samples.get((position, int(klass)))
+                if sample is None:
+                    sample = samples[(position, int(klass))] = _TaskSample(cap, rep)
+                sample.offer(rows, at, layer_keys, rep)
+    features = {}
+    for (position, klass), sample in sorted(samples.items()):
+        if sample.seen < 2:
+            raise ValueError(
+                f"class {klass} has only {sample.seen} correctly classified "
+                "training images; cannot fit its reference distribution"
+            )
+        if np.array_equal(sample.slots, np.arange(len(sample.slots))):
+            features[(position, klass)] = sample.buffer[: len(sample.slots)]
+        else:  # evictions left the rows out of order
+            features[(position, klass)] = sample.buffer[sample.slots]
     return features
 
 
-# -- stage 3: solving the (layer, class) tasks ---------------------------------
+def extract_task_features(
+    model, images: np.ndarray, labels: np.ndarray, layer_positions, config,
+    chunk_size: int = 256,
+) -> tuple[dict[tuple[int, int], np.ndarray], int]:
+    """Algorithm 1's lines 2-3 in one streamed forward pass.
+
+    ``images`` stream through ``model.iter_hidden_representations`` in
+    ``chunk_size`` batches. Each chunk's probabilities give line 2's
+    keep mask (every row when ``config.filter_misclassified`` is off),
+    and its kept rows go straight into the per-task samples, which hold
+    at most ``max_per_class`` rows each. Returns ``(task_features,
+    correctly_classified)``; the full ``(N, features)`` activation
+    matrices are never materialised.
+    """
+    labels = np.asarray(labels)
+    correct = 0
+
+    def kept_chunks():
+        nonlocal correct
+        for start, probabilities, reps in model.iter_hidden_representations(
+            images, batch_size=chunk_size
+        ):
+            truth = labels[start : start + len(probabilities)]
+            hits = probabilities.argmax(axis=1) == truth
+            correct += int(hits.sum())
+            if not config.filter_misclassified:
+                hits[:] = True  # ablation: skip line 2 and keep every image
+            local = np.flatnonzero(hits)
+            yield truth[local], local, reps
+
+    features = _sample_tasks(kept_chunks(), layer_positions, config, len(images))
+    return features, correct
+
+
+# -- stage 2: solving the (layer, class) tasks ---------------------------------
 
 
 def _solve_config(config) -> dict:
@@ -185,10 +229,12 @@ def _solve_config(config) -> dict:
 def _solve_fit_task(features: np.ndarray, cfg: dict) -> TaskSolution:
     """Scaler stats, Gram, and SMO for one task.
 
-    The same ``StandardScaler.fit`` and ``OneClassSVM.fit`` calls
-    ``LayerValidator.fit`` makes, so solutions are bit-identical to the
-    per-layer reference path.
+    The same float64 conversion, ``StandardScaler.fit`` and
+    ``OneClassSVM.fit`` calls ``LayerValidator.fit`` makes, so solutions
+    are bit-identical to the per-layer reference path. Converting here,
+    one task at a time, keeps the gathered features in the probes' dtype.
     """
+    features = np.asarray(features, dtype=np.float64)
     scaler_mean = scaler_scale = None
     if cfg["standardize"]:
         scaler = StandardScaler().fit(features)
@@ -294,7 +340,6 @@ def solve_tasks(
 
 
 def build_layer_validators(
-    tasks: list[FitTask],
     solutions: dict[tuple[int, int], TaskSolution],
     layer_positions,
     layer_names,
@@ -302,9 +347,9 @@ def build_layer_validators(
 ) -> list:
     """Assemble fitted ``LayerValidator``s from task solutions.
 
-    Iterates tasks (already in planning order) rather than the solution
-    mapping, so assembly order — and therefore every downstream structure —
-    is fixed by the plan, not by solve order.
+    Installs solutions in sorted ``(position, class)`` order, whatever
+    order they were solved or replayed in, so every downstream structure
+    is fixed by the task keys alone.
     """
     from repro.core.validator import LayerValidator
 
@@ -312,8 +357,7 @@ def build_layer_validators(
         position: LayerValidator(layer_index, layer_names[layer_index], config)
         for position, layer_index in layer_positions
     }
-    for task in tasks:
-        solution = solutions[task.key]
+    for (position, klass), solution in sorted(solutions.items()):
         scaler = None
         if config.standardize:
             scaler = StandardScaler.from_stats(
@@ -329,7 +373,7 @@ def build_layer_validators(
             iterations=solution.iterations,
             converged=solution.converged,
         )
-        validators[task.position].install(task.klass, svm, scaler)
+        validators[position].install(klass, svm, scaler)
     return [validators[position] for position, _ in layer_positions]
 
 
@@ -344,30 +388,32 @@ def fit_deep_validator(
     config,
     chunk_size: int = 256,
     journal=None,
-) -> list:
-    """The full pipeline behind ``DeepValidator.fit``: plan, extract, solve.
+) -> tuple[list, int]:
+    """The full pipeline behind ``DeepValidator.fit``: extract, then solve.
 
-    ``journal`` (a
-    :class:`~repro.core.checkpoint.TaskJournal`) makes the solve stage
-    resumable across process deaths; the plan is a pure function of the
-    labels and the seed, so a journal written by an interrupted fit of the
-    same data/config replays into the identical task graph. Returns the
-    fitted per-layer validators in layer order.
+    ``images`` is the whole training draw: the one forward pass of
+    :func:`extract_task_features` filters it as well as gathering it.
+    ``journal`` (a :class:`~repro.core.checkpoint.TaskJournal`) makes the
+    solve stage resumable across process deaths; the sampled rows are a
+    pure function of the draw, the model and the seed, so a journal
+    written by an interrupted fit of the same data/config replays into
+    the identical task graph. Returns the fitted per-layer validators in
+    layer order and the number of correctly classified images.
     """
     layer_positions = list(enumerate(layer_indices))
     with obs.span(
         "fit.pipeline", layers=len(layer_indices), images=len(images)
     ):
-        with profile_section("fit.plan"):
-            tasks = plan_fit_tasks(labels, layer_positions, config)
         with profile_section("fit.extract"):
-            task_features = extract_task_features(
-                model, images, tasks, chunk_size=chunk_size
+            task_features, correct = extract_task_features(
+                model, images, labels, layer_positions, config,
+                chunk_size=chunk_size,
             )
         solutions = solve_tasks(task_features, config, journal=journal)
-        return build_layer_validators(
-            tasks, solutions, layer_positions, model.probe_names, config
+        validators = build_layer_validators(
+            solutions, layer_positions, model.probe_names, config
         )
+    return validators, correct
 
 
 def fit_validators_from_arrays(
@@ -380,22 +426,19 @@ def fit_validators_from_arrays(
 ) -> list:
     """Fit per-layer validators from already-extracted representations.
 
-    ``representations[i]`` holds layer ``i``'s ``(N, features_i)`` matrix.
-    Used by the determinism suite (no model required) and by callers that
-    already hold activations; mathematically identical to
-    ``LayerValidator.fit`` per layer. ``journal`` passes through to
-    :func:`solve_tasks` for crash-safe, resumable solving.
+    ``representations[i]`` holds layer ``i``'s ``(N, features_i)`` matrix
+    of kept rows. Used by the determinism suite (no model required) and by
+    callers that already hold activations; the rows are sampled by the
+    same bounded samples as the streamed pass, fed as one chunk, and the
+    result is mathematically identical to ``LayerValidator.fit`` per
+    layer. ``journal`` passes through to :func:`solve_tasks` for
+    crash-safe, resumable solving.
     """
     labels = np.asarray(labels)
     if layer_names is None:
         layer_names = [f"layer{i}" for i in range(len(representations))]
     layer_positions = list(enumerate(layer_indices))
-    tasks = plan_fit_tasks(labels, layer_positions, config)
-    task_features = {
-        task.key: np.asarray(
-            representations[task.layer_index][task.rows], dtype=np.float64
-        )
-        for task in tasks
-    }
+    chunk = (labels, np.arange(len(labels)), representations)
+    task_features = _sample_tasks([chunk], layer_positions, config, len(labels))
     solutions = solve_tasks(task_features, config, journal=journal)
-    return build_layer_validators(tasks, solutions, layer_positions, layer_names, config)
+    return build_layer_validators(solutions, layer_positions, layer_names, config)

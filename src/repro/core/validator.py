@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.fitting import bottom_k, fit_deep_validator
 from repro.nn.sequential import ProbedSequential
 from repro.svm.oneclass import OneClassSVM
 from repro.svm.packed import PackedClassSVMs, pack_class_svms
@@ -28,11 +29,15 @@ class ValidatorConfig:
     """Hyper-parameters shared by every per-layer validator.
 
     ``nu`` bounds the training-outlier fraction of each one-class SVM;
-    ``max_per_class`` subsamples each (layer, class) representation set to
-    keep kernel matrices laptop-sized; ``layers`` restricts validation to a
-    subset of probe indices (``None`` validates every hidden layer —
-    rear-layer policies pass an explicit list); ``combiner`` selects how
-    per-layer discrepancies join (the paper uses the unweighted ``"sum"``).
+    ``max_per_class`` caps each (layer, class) training set to keep kernel
+    matrices laptop-sized: a larger class trains on its ``max_per_class``
+    rows with the smallest seeded keys (bottom-k, one key stream per layer
+    position from ``seed + position``), in ascending row order, and a
+    class at or under the cap keeps every row; ``layers`` restricts
+    validation to a subset of probe indices (``None`` validates every
+    hidden layer — rear-layer policies pass an explicit list);
+    ``combiner`` selects how per-layer discrepancies join (the paper uses
+    the unweighted ``"sum"``).
 
     ``filter_misclassified`` and ``per_class`` exist for ablations: the
     paper's Algorithm 1 both drops misclassified training images (line 2)
@@ -86,7 +91,12 @@ class LayerValidator:
         labels: np.ndarray,
         rng: RngLike = None,
     ) -> "LayerValidator":
-        """Fit one one-class SVM per class present in ``labels``."""
+        """Fit one one-class SVM per class present in ``labels``.
+
+        A class with more than ``max_per_class`` rows trains on the rows
+        with the smallest keys of ``rng.random(len(labels))``, in ascending
+        row order (:func:`~repro.core.fitting.bottom_k`).
+        """
         representations = np.asarray(representations, dtype=np.float64)
         labels = np.asarray(labels)
         if len(representations) != len(labels):
@@ -99,7 +109,7 @@ class LayerValidator:
         if not self.config.per_class:
             # Ablation: one class-agnostic reference distribution per layer.
             labels = np.zeros(len(labels), dtype=np.int64)
-        gen = new_rng(rng if rng is not None else self.config.seed)
+        keys = new_rng(rng if rng is not None else self.config.seed).random(len(labels))
         for klass in np.unique(labels):
             rows = np.flatnonzero(labels == klass)
             if len(rows) < 2:
@@ -107,8 +117,7 @@ class LayerValidator:
                     f"class {klass} has only {len(rows)} correctly classified "
                     "training images; cannot fit its reference distribution"
                 )
-            if len(rows) > self.config.max_per_class:
-                rows = gen.choice(rows, size=self.config.max_per_class, replace=False)
+            rows = rows[bottom_k(keys[rows], self.config.max_per_class)]
             features = representations[rows]
             if self.config.standardize:
                 scaler = StandardScaler().fit(features)
@@ -278,37 +287,26 @@ class DeepValidator:
     ) -> "DeepValidator":
         """Fit per-layer validators on correctly classified training images.
 
-        Runs the memory-bounded pipeline of :mod:`repro.core.fitting`:
-        representations are extracted in ``chunk_size`` batches (only the
-        subsampled training rows are retained per layer) and the
-        independent (layer, class) solves run in-process; the fitted
-        validator is bit-identical to per-layer ``LayerValidator.fit``.
+        Runs the memory-bounded pipeline of :mod:`repro.core.fitting`: one
+        streamed forward pass over ``train_images`` in ``chunk_size``
+        batches drops the misclassified images (Algorithm 1, line 2) and
+        keeps at most ``max_per_class`` sampled rows per (layer, class);
+        the independent (layer, class) solves then run in-process. The
+        fitted validator is bit-identical to per-layer
+        ``LayerValidator.fit`` on the same kept rows of the same forward.
         ``journal`` (a
         :class:`~repro.core.checkpoint.TaskJournal`) makes the solve stage
         crash-safe: completed (layer, class) solutions are flushed as they
         land and replayed on a rerun of the same data and config.
         """
-        from repro.core.fitting import fit_deep_validator
-
         self.__dict__.pop("_engine", None)  # refitting invalidates the engine
         # A refit reports only its own run: stale layer lists and image
         # counts from a previous fit must not accumulate.
-        self.fit_summary = _FitSummary()
-        train_labels = np.asarray(train_labels)
-        predictions = self.model.predict(train_images, batch_size=chunk_size)
-        keep = predictions == train_labels
-        self.fit_summary.total_training_images = len(train_images)
-        self.fit_summary.correctly_classified = int(keep.sum())
-        if not self.config.filter_misclassified:
-            # Ablation: skip Algorithm 1 line 2 and keep every image.
-            keep = np.ones(len(train_images), dtype=bool)
-        images = train_images[keep]
-        labels = train_labels[keep]
-
-        self.validators = fit_deep_validator(
+        self.fit_summary = _FitSummary(total_training_images=len(train_images))
+        self.validators, self.fit_summary.correctly_classified = fit_deep_validator(
             self.model,
-            images,
-            labels,
+            train_images,
+            train_labels,
             self.layer_indices,
             self.config,
             chunk_size=chunk_size,

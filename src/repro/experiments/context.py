@@ -160,7 +160,7 @@ def get_context(
 ) -> ExperimentContext:
     """Load or build the cached experiment context."""
     cache = cache if cache is not None else default_cache()
-    config = {"dataset": dataset_name, "profile": profile, "seed": seed, "kind": "context", "v": 2}
+    config = {"dataset": dataset_name, "profile": profile, "seed": seed, "kind": "context", "v": 3}
     return cache.get_or_build(
         "context", config, lambda: _build_context(dataset_name, profile, seed, cache)
     )

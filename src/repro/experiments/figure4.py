@@ -87,7 +87,7 @@ def run_figure4(
     cache = default_cache()
     config = {
         "dataset": dataset_name, "profile": profile, "seed": seed,
-        "ratios": list(ratios), "fpr": fpr, "kind": "figure4", "v": 1,
+        "ratios": list(ratios), "fpr": fpr, "kind": "figure4", "v": 2,
     }
     return cache.get_or_build(
         "figure4", config, lambda: _run(dataset_name, profile, seed, ratios, fpr)

@@ -127,7 +127,7 @@ def run_table8(
 ) -> Table8Result:
     """Run (or load) the Table VIII white-box attack battery."""
     cache = default_cache()
-    config = {"dataset": dataset_name, "profile": profile, "seed": seed, "kind": "table8", "v": 1}
+    config = {"dataset": dataset_name, "profile": profile, "seed": seed, "kind": "table8", "v": 2}
     return cache.get_or_build("table8", config, lambda: _run(dataset_name, profile, seed))
 
 

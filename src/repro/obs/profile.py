@@ -13,7 +13,7 @@ Usage::
     from repro.obs import profile_section, profiled
 
     with profile_section("fit.extract"):
-        features = extract_task_features(...)
+        features, correct = extract_task_features(...)
 
     @profiled("engine.forward")        # or bare @profiled: stage = qualname
     def hidden_representations(...): ...

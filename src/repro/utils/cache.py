@@ -22,6 +22,7 @@ import json
 import os
 import pickle
 import struct
+import time
 import uuid
 from pathlib import Path
 from typing import Any, BinaryIO, Callable
@@ -79,6 +80,10 @@ FRAME_HEADER = struct.Struct(">Q32s")
 
 #: Subdirectory (under a store's root) that corrupt files are moved to.
 QUARANTINE_DIR = ".quarantine"
+
+#: How many quarantined files a store's ``.quarantine/`` keeps; each move
+#: deletes the older ones.
+QUARANTINE_KEEP = 16
 
 #: What unpickling verified bytes raises when they are not a pickle of a
 #: class this code still has (a foreign file, a renamed class).
@@ -153,16 +158,29 @@ def read_frame_file(path: Path, frames: int = 1) -> list[tuple[bytes, bytes]]:
     return found
 
 
+def _quarantined_at(path: Path) -> int:
+    """When ``path`` was quarantined, in ns, read from its name's last
+    suffix; files named without a stamp sort as oldest."""
+    stamp = path.name.rsplit(".", 1)[-1].split("-", 1)[0]
+    return int(stamp) if len(stamp) == 20 and stamp.isdigit() else 0
+
+
 def quarantine_file(path: Path, root: Path) -> Path | None:
     """Move a corrupt file into ``root/.quarantine/``; its new path, or ``None``.
 
-    The unique suffix means repeated corruption never clobbers evidence.
-    Each file actually moved counts once in ``checkpoint_quarantines_total``,
-    whichever store (cache, checkpoint or bundle) it came from.
+    The new name is the old one plus a suffix of the quarantine time (ns)
+    and a unique tag, so repeated corruption never clobbers evidence.
+    After each move only the newest ``QUARANTINE_KEEP`` files of that
+    ``.quarantine/`` stay; older ones are deleted, so a store that keeps
+    meeting corrupt files does not grow without bound. Each file actually
+    moved counts once in ``checkpoint_quarantines_total``, whichever store
+    (cache, checkpoint or bundle) it came from.
     """
     hole = root / QUARANTINE_DIR
     hole.mkdir(parents=True, exist_ok=True)
-    destination = hole / f"{path.name}.{os.getpid()}-{uuid.uuid4().hex[:8]}"
+    destination = hole / (
+        f"{path.name}.{time.time_ns():020d}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+    )
     try:
         os.replace(path, destination)
     except FileNotFoundError:
@@ -171,6 +189,9 @@ def quarantine_file(path: Path, root: Path) -> Path | None:
         "checkpoint_quarantines_total",
         help="Corrupt cache entries, checkpoint snapshots and bundles moved to quarantine",
     ).inc()
+    held = sorted(hole.iterdir(), key=lambda p: (_quarantined_at(p), p.name))
+    for stale in held[:-QUARANTINE_KEEP]:
+        stale.unlink(missing_ok=True)
     return destination
 
 

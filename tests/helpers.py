@@ -68,3 +68,35 @@ def train_tiny_model(seed: int = 7):
     trainer = Trainer(model, Adam(model.parameters(), lr=3e-3), batch_size=32, rng=seed)
     trainer.fit(train_x, train_y, epochs=6)
     return model, train_x, train_y, test_x, test_y
+
+
+class StreamedModel:
+    """A stand-in model: its forward yields fixed probabilities and
+    representations, chunk by chunk, like ``iter_hidden_representations``."""
+
+    def __init__(self, probabilities, reps):
+        self.probabilities = probabilities
+        self.reps = reps
+        self.probe_names = [f"layer{i}" for i in range(len(reps))]
+
+    def iter_hidden_representations(self, images, batch_size=256):
+        for start in range(0, len(images), batch_size):
+            stop = min(start + batch_size, len(images))
+            yield start, self.probabilities[start:stop], [
+                rep[start:stop] for rep in self.reps
+            ]
+
+
+def misclassifying_model(labels, dims, seed=0, miss=0.2, classes=3):
+    """A stand-in whose predictions miss about ``miss`` of the rows,
+    scattered through the draw; returns ``(model, keep)``."""
+    rng = np.random.default_rng(seed)
+    reps = [
+        rng.normal(loc=labels[:, None] * 1.5, size=(len(labels), dim)).astype(np.float32)
+        for dim in dims
+    ]
+    predicted = labels.copy()
+    wrong = rng.random(len(labels)) < miss
+    predicted[wrong] = (labels[wrong] + 1) % classes
+    probabilities = np.eye(classes, dtype=np.float32)[predicted]
+    return StreamedModel(probabilities, reps), ~wrong

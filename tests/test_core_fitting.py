@@ -1,23 +1,27 @@
 """Tests for the memory-bounded fitting pipeline (Algorithm 1).
 
-Covers the refit-staleness regressions, the chunked extraction memory
-contract, and end-to-end equivalence with the per-layer reference fit. The
-hypothesis-driven bit-identity properties live in
-``test_fitting_determinism.py``.
+Covers the refit-staleness regressions, the bottom-k sampling contract of
+the one streamed extraction, its memory bounds, and end-to-end equivalence
+with the per-layer reference fit. The hypothesis-driven bit-identity
+properties live in ``test_fitting_determinism.py``.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import fitting
 from repro.core.fitting import (
+    build_layer_validators,
     extract_task_features,
     fit_validators_from_arrays,
-    plan_fit_tasks,
+    solve_tasks,
 )
 from repro.core.validator import DeepValidator, LayerValidator, ValidatorConfig
 from repro.nn.sequential import ProbedSequential
 from repro.svm.kernels import Kernel
 from repro.svm.oneclass import OneClassSVM
+from tests.helpers import misclassifying_model
+from tests.test_fitting_determinism import assert_validators_identical
 
 
 def gaussian_classes(seed=0, n=120, d=6, classes=3, spread=8.0):
@@ -56,40 +60,133 @@ class TestRefitStaleness:
         assert second.correctly_classified <= 100
 
 
+def contract_rows(labels, seed, cap):
+    """Algorithm 1's sample, restated: per class, the ``cap`` rows with the
+    smallest ``default_rng(seed).random(n)`` keys, in ascending row order."""
+    keys = np.random.default_rng(seed).random(len(labels))
+    chosen = {}
+    for klass in np.unique(labels):
+        rows = np.flatnonzero(labels == klass)
+        smallest = np.argsort(keys[rows], kind="stable")[:cap]
+        chosen[int(klass)] = rows[np.sort(smallest)]
+    return chosen
+
+
+def fit_streamed(model, labels, layer_indices, config, chunk_size):
+    """The pipeline behind ``DeepValidator.fit`` on a stand-in model."""
+    layer_positions = list(enumerate(layer_indices))
+    features, correct = extract_task_features(
+        model, np.zeros(len(labels)), labels, layer_positions, config,
+        chunk_size=chunk_size,
+    )
+    solutions = solve_tasks(features, config)
+    fitted = build_layer_validators(
+        solutions, layer_positions, model.probe_names, config
+    )
+    return fitted, features, correct
+
+
 class TestPlanning:
+    """Which rows each (layer, class) task trains on: bottom-k sampling."""
+
     def test_tasks_cover_layers_and_classes(self):
         _, labels = gaussian_classes(classes=3)
-        config = ValidatorConfig()
-        tasks = plan_fit_tasks(labels, [(0, 0), (1, 2)], config)
-        assert {(t.position, t.layer_index, t.klass) for t in tasks} == {
-            (0, 0, k) for k in range(3)
-        } | {(1, 2, k) for k in range(3)}
+        model, _ = misclassifying_model(labels, dims=(4, 5, 6))
+        layer_positions = [(0, 0), (1, 2)]
+        features, _ = extract_task_features(
+            model, np.zeros(len(labels)), labels, layer_positions, ValidatorConfig()
+        )
+        assert set(features) == {(p, k) for p in (0, 1) for k in range(3)}
 
-    def test_subsampling_matches_serial_rng(self):
-        # The planned rows must replay LayerValidator.fit's draws exactly:
-        # same per-layer generator, classes in sorted order.
-        from repro.utils.rng import new_rng
+    @pytest.mark.parametrize("chunk_size", [1, 7, 256])
+    def test_streamed_selection_matches_layer_validator_fit(self, chunk_size):
+        # Misclassified rows are scattered through the draw, so the kept-row
+        # ids the keys are indexed by differ from the draw's row numbers;
+        # classes are over the cap, so rows are evicted across chunks.
+        _, labels = gaussian_classes(seed=3, n=150, classes=3)
+        model, keep = misclassifying_model(labels, dims=(4, 6), seed=3)
+        config = ValidatorConfig(max_per_class=15, seed=4)
+        fitted, features, correct = fit_streamed(
+            model, labels, [1, 0], config, chunk_size
+        )
+        assert correct == int(keep.sum())
+        kept_labels = labels[keep]
+        reference = []
+        for position, index in enumerate([1, 0]):
+            kept = model.reps[index][keep]
+            reference.append(
+                LayerValidator(index, f"layer{index}", config).fit(
+                    kept, kept_labels, rng=config.seed + position
+                )
+            )
+            chosen = contract_rows(kept_labels, config.seed + position, 15)
+            for klass, rows in chosen.items():
+                np.testing.assert_array_equal(
+                    features[(position, klass)], np.asarray(kept[rows], np.float64)
+                )
+        assert_validators_identical(fitted, reference)
 
-        _, labels = gaussian_classes(n=400, classes=3)
-        config = ValidatorConfig(max_per_class=50, seed=9)
-        tasks = plan_fit_tasks(labels, [(2, 0)], config)
-        gen = new_rng(config.seed + 2)
-        for task in tasks:
-            rows = np.flatnonzero(labels == task.klass)
-            if len(rows) > config.max_per_class:
-                rows = gen.choice(rows, size=config.max_per_class, replace=False)
-            np.testing.assert_array_equal(task.rows, rows)
+    @pytest.mark.parametrize("cap", [30, 45])
+    def test_class_at_or_under_cap_keeps_every_row_in_order(self, cap):
+        labels = np.repeat([0, 1], 30)
+        np.random.default_rng(0).shuffle(labels)
+        model, _ = misclassifying_model(labels, dims=(3,), miss=0.0, classes=2)
+        config = ValidatorConfig(max_per_class=cap)
+        _, features, _ = fit_streamed(model, labels, [0], config, chunk_size=7)
+        for klass in (0, 1):
+            rows = np.flatnonzero(labels == klass)
+            np.testing.assert_array_equal(
+                features[(0, klass)], np.asarray(model.reps[0][rows], np.float64)
+            )
+
+    def test_per_class_false_collapses_to_one_task(self):
+        _, labels = gaussian_classes(seed=5, n=90, classes=3)
+        model, keep = misclassifying_model(labels, dims=(4,), seed=5)
+        config = ValidatorConfig(per_class=False, max_per_class=40, seed=2)
+        fitted, features, _ = fit_streamed(model, labels, [0], config, chunk_size=16)
+        assert list(features) == [(0, 0)]
+        kept = model.reps[0][keep]
+        (rows,) = contract_rows(np.zeros(len(kept)), config.seed, 40).values()
+        np.testing.assert_array_equal(features[(0, 0)], np.asarray(kept[rows], np.float64))
+        reference = LayerValidator(0, "layer0", config).fit(
+            kept, labels[keep], rng=config.seed
+        )
+        assert_validators_identical(fitted, [reference])
+
+    def test_filter_misclassified_false_keeps_every_row(self):
+        _, labels = gaussian_classes(seed=6, n=90, classes=3)
+        model, keep = misclassifying_model(labels, dims=(4,), seed=6)
+        assert not keep.all()
+        config = ValidatorConfig(filter_misclassified=False, max_per_class=20, seed=1)
+        fitted, features, correct = fit_streamed(model, labels, [0], config, chunk_size=16)
+        assert correct == int(keep.sum())  # still counted, no longer dropped
+        for klass, rows in contract_rows(labels, config.seed, 20).items():
+            np.testing.assert_array_equal(
+                features[(0, klass)], np.asarray(model.reps[0][rows], np.float64)
+            )
+        reference = LayerValidator(0, "layer0", config).fit(
+            model.reps[0], labels, rng=config.seed
+        )
+        assert_validators_identical(fitted, [reference])
 
     def test_tiny_class_rejected(self):
         labels = np.array([0, 0, 1])
         with pytest.raises(ValueError, match="class 1"):
-            plan_fit_tasks(labels, [(0, 0)], ValidatorConfig())
+            fit_validators_from_arrays([np.zeros((3, 2))], labels, [0], ValidatorConfig())
 
-    def test_per_class_false_collapses_to_one_task(self):
-        _, labels = gaussian_classes(classes=3)
-        tasks = plan_fit_tasks(labels, [(0, 0)], ValidatorConfig(per_class=False))
-        assert [t.klass for t in tasks] == [0]
-        assert len(tasks[0].rows) == len(labels)  # every image, one distribution
+    def test_layer_validator_keeps_small_classes_whole_and_ordered(self):
+        # Under the cap the reference path keeps today's rows, in order.
+        reps, labels = gaussian_classes(n=60, classes=2)
+        config = ValidatorConfig(max_per_class=60, standardize=False)
+        fitted = LayerValidator(0, "layer0", config).fit(reps, labels, rng=3)
+        for klass in (0, 1):
+            manual = OneClassSVM(nu=config.nu).fit(reps[labels == klass])
+            np.testing.assert_array_equal(
+                fitted._svms[klass].dual_coef_, manual.dual_coef_
+            )
+            np.testing.assert_array_equal(
+                fitted._svms[klass].support_vectors_, manual.support_vectors_
+            )
 
 
 class TestChunkedExtraction:
@@ -133,33 +230,74 @@ class TestChunkedExtraction:
         )
         assert seen and max(seen) <= 16
 
-    def test_gathered_features_bounded_by_max_per_class(self, trained_tiny_model):
+    def test_fit_makes_exactly_one_forward(self, trained_tiny_model, monkeypatch):
+        # Line 2's filter and the gathering share one streamed pass over
+        # the whole draw: no separate predict pass.
+        model, train_x, train_y, *_ = trained_tiny_model
+        calls: list[int] = []
+        original = ProbedSequential.iter_hidden_representations
+
+        def spying(self, images, batch_size=256, compiled=None):
+            calls.append(len(images))
+            return original(self, images, batch_size=batch_size, compiled=compiled)
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("fit must not run a separate predict pass")
+
+        monkeypatch.setattr(ProbedSequential, "iter_hidden_representations", spying)
+        monkeypatch.setattr(ProbedSequential, "predict", forbidden)
+        monkeypatch.setattr(ProbedSequential, "predict_proba", forbidden)
+        validator = DeepValidator(model, ValidatorConfig(nu=0.15)).fit(
+            train_x, train_y, chunk_size=64
+        )
+        assert calls == [len(train_x)]
+        assert validator.fit_summary.total_training_images == len(train_x)
+
+    def test_gathered_features_bounded_by_max_per_class(
+        self, trained_tiny_model, monkeypatch
+    ):
         model, train_x, train_y, *_ = trained_tiny_model
         config = ValidatorConfig(max_per_class=25)
-        labels = model.predict(train_x)
-        keep = labels == train_y
-        tasks = plan_fit_tasks(
-            train_y[keep], list(enumerate(range(len(model.probe_names)))), config
+        # No sample buffer may hold more than the cap after any chunk.
+        largest: list[int] = []
+        original = fitting._TaskSample.offer
+
+        def checked(self, *args):
+            original(self, *args)
+            assert len(self.buffer) <= 25 and len(self.rows) <= 25
+            largest.append(len(self.rows))
+
+        monkeypatch.setattr(fitting._TaskSample, "offer", checked)
+        features, _ = extract_task_features(
+            model, train_x, train_y,
+            list(enumerate(range(len(model.probe_names)))), config, chunk_size=16,
         )
-        features = extract_task_features(model, train_x[keep], tasks, chunk_size=16)
-        for task in tasks:
-            assert len(features[task.key]) <= 25
+        assert max(largest) == 25
+        for rows in features.values():
+            assert len(rows) <= 25
 
     def test_extraction_matches_materialised_rows(self, trained_tiny_model):
-        # Chunked gathering must return the same float64 rows, in the same
-        # order, as slicing the fully materialised representations.
+        # Streamed gathering must return the same float64 rows, in the same
+        # order, as slicing the materialised representations of the whole
+        # draw. The keep mask comes from the same forward: the float32
+        # forward depends on chunk composition, so representations of
+        # ``train_x[keep]`` may differ from these in their last bits.
         model, train_x, train_y, *_ = trained_tiny_model
         config = ValidatorConfig(max_per_class=30)
-        keep = model.predict(train_x) == train_y
-        images, labels = train_x[keep], train_y[keep]
-        tasks = plan_fit_tasks(
-            labels, list(enumerate(range(len(model.probe_names)))), config
+        layer_positions = list(enumerate(range(len(model.probe_names))))
+        features, correct = extract_task_features(
+            model, train_x, train_y, layer_positions, config, chunk_size=256
         )
-        features = extract_task_features(model, images, tasks, chunk_size=256)
-        _, full = model.hidden_representations(images)
-        for task in tasks:
-            expected = np.asarray(full[task.layer_index][task.rows], dtype=np.float64)
-            np.testing.assert_array_equal(features[task.key], expected)
+        probabilities, full = model.hidden_representations(train_x)
+        keep = probabilities.argmax(axis=1) == train_y
+        assert correct == int(keep.sum())
+        for position, layer_index in layer_positions:
+            kept = full[layer_index][keep]
+            chosen = contract_rows(train_y[keep], config.seed + position, 30)
+            for klass, rows in chosen.items():
+                np.testing.assert_array_equal(
+                    features[(position, klass)], np.asarray(kept[rows], np.float64)
+                )
 
 
 class TestReferenceEquivalence:
@@ -169,12 +307,17 @@ class TestReferenceEquivalence:
         model, train_x, train_y, *_ = trained_tiny_model
         config = ValidatorConfig(nu=0.15)
         validator = DeepValidator(model, config).fit(train_x, train_y)
-        keep = model.predict(train_x) == train_y
-        _, reps = model.hidden_representations(train_x[keep])
+        # Reference rows and keep mask from the same whole-draw forward the
+        # fit streams (the float32 forward depends on chunk composition).
+        probabilities, reps = model.hidden_representations(train_x)
+        keep = probabilities.argmax(axis=1) == train_y
         for position, fitted in enumerate(validator.validators):
             reference = LayerValidator(
                 fitted.layer_index, fitted.layer_name, config
-            ).fit(reps[fitted.layer_index], train_y[keep], rng=config.seed + position)
+            ).fit(
+                reps[fitted.layer_index][keep], train_y[keep],
+                rng=config.seed + position,
+            )
             assert fitted.classes == reference.classes
             for klass in fitted.classes:
                 sa, sb = fitted._svms[klass], reference._svms[klass]

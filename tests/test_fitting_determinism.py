@@ -1,21 +1,30 @@
 """Determinism suite: the fitting pipeline is bit-identical to Algorithm 1.
 
-:func:`repro.core.fitting.fit_validators_from_arrays` plans, gathers and
-solves the ``(layer, class)`` tasks out of line, then assembles them. Its
-contract is that this changes nothing: support vectors, dual coefficients,
-offsets, scaler statistics, and every downstream discrepancy must be
-*exactly* equal (``==``, not allclose) to the paper-faithful per-layer
-reference, ``LayerValidator(i, ...).fit(reps[i], labels, rng=seed +
-position)``, across random feature sets, class skews, kernels, the
-class-agnostic ablation, and ``max_per_class`` subsampling.
+:func:`repro.core.fitting.fit_validators_from_arrays` samples, gathers and
+solves the ``(layer, class)`` tasks out of line, then assembles them, and
+:func:`repro.core.fitting.extract_task_features` does the sampling and
+gathering chunk by chunk, filtering misclassified rows on the way. The
+contract is that neither changes anything: support vectors, dual
+coefficients, offsets, scaler statistics, and every downstream discrepancy
+must be *exactly* equal (``==``, not allclose) to the paper-faithful
+per-layer reference, ``LayerValidator(i, ...).fit(reps[i][keep],
+labels[keep], rng=seed + position)``, across random feature sets, class
+skews, kernels, the class-agnostic ablation, ``max_per_class`` bottom-k
+sampling and chunk sizes.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fitting import fit_validators_from_arrays
+from repro.core.fitting import (
+    build_layer_validators,
+    extract_task_features,
+    fit_validators_from_arrays,
+    solve_tasks,
+)
 from repro.core.validator import LayerValidator, ValidatorConfig
+from tests.helpers import misclassifying_model
 
 
 def random_layer_reps(seed, class_sizes, dims):
@@ -128,3 +137,29 @@ class TestReferenceBitIdentity:
             fitted[0].discrepancy(queries, predicted),
             reference[0].discrepancy(queries, predicted),
         )
+
+    @given(
+        seed=st.integers(0, 10_000),
+        max_per_class=st.integers(3, 40),
+        chunk_size=st.integers(1, 64),
+        miss=st.floats(0.0, 0.4),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_streamed_extraction(self, seed, max_per_class, chunk_size, miss):
+        # One streamed pass filters and samples chunk by chunk; the result
+        # equals the reference fitted on the kept rows of the whole draw.
+        labels = np.random.default_rng(seed).integers(0, 3, size=120)
+        model, keep = misclassifying_model(labels, dims=(4, 6), seed=seed, miss=miss)
+        config = ValidatorConfig(max_per_class=max_per_class, seed=seed % 7)
+        layer_positions = [(0, 1), (1, 0)]
+        features, correct = extract_task_features(
+            model, np.zeros(len(labels)), labels, layer_positions, config,
+            chunk_size=chunk_size,
+        )
+        assert correct == int(keep.sum())
+        fitted = build_layer_validators(
+            solve_tasks(features, config), layer_positions, model.probe_names, config
+        )
+        kept = [rep[keep] for rep in model.reps]
+        reference = reference_fit(kept, labels[keep], [1, 0], config)
+        assert_validators_identical(fitted, reference)

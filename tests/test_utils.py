@@ -266,6 +266,25 @@ class TestArtifactIntegrity:
         cache = ArtifactCache(tmp_path)
         assert cache.quarantine("ghost", {}) is None
 
+    def test_quarantine_keeps_only_the_newest_files(self, tmp_path):
+        from repro import obs
+        from repro.obs.metrics import MetricsRegistry
+        from repro.utils.cache import QUARANTINE_KEEP, quarantine_file
+
+        registry = MetricsRegistry()
+        hole = tmp_path / ArtifactCache.QUARANTINE_DIR
+        moved = []
+        with obs.use(registry=registry, enabled=True):
+            for index in range(QUARANTINE_KEEP + 3):
+                path = tmp_path / f"entry{index}.pkl"
+                path.write_bytes(b"corrupt")
+                moved.append(quarantine_file(path, tmp_path))
+                assert len(list(hole.iterdir())) <= QUARANTINE_KEEP
+        assert sorted(hole.iterdir()) == sorted(moved[-QUARANTINE_KEEP:])
+        # Every move counts, including those whose evidence was pruned.
+        counter = registry.snapshot()["checkpoint_quarantines_total"]
+        assert counter["series"][0]["value"] == QUARANTINE_KEEP + 3
+
 
 class TestHashArray:
     def test_content_sensitivity(self):

@@ -11,13 +11,15 @@ reference at 1e-8):
    by predicted label and each group is scored against its own class's
    support vectors with one matrix product — no scaler pass and no
    per-image round trip for batch-size-1 monitoring traffic.
-2. **Chunked kernel blocks** — the forward pass runs in sample chunks of
-   :data:`CHUNK_SIZE`, and each layer's kernel blocks are evaluated in
-   chunks of the same size, bounding the transient kernel block to
-   ``CHUNK_SIZE x support_vectors_of_one_class`` floats. The forward
-   pass's probe outputs are not bounded: ``hidden_representations``
-   materialises every chunk, so the whole batch's representations are
-   held at once.
+2. **One class grouping per chunk** — the forward pass runs in sample
+   chunks of :data:`CHUNK_SIZE`, and each chunk is grouped by predicted
+   class once (:func:`~repro.svm.packed.group_by_class`: the stable order,
+   the classes present and their row bounds). Every layer scores the
+   chunk off that shared grouping, so the transient kernel buffer of a
+   layer holds at most ``CHUNK_SIZE`` rows against their own classes'
+   support vectors. The forward pass's probe outputs are not bounded:
+   ``hidden_representations`` materialises every chunk, so the whole
+   batch's representations are held at once.
 
 Every batch is scored afresh: runtime inputs are a stream of new images,
 so there is nothing to memoise. The engine stops at per-layer
@@ -40,10 +42,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
+from repro.svm.packed import group_by_class
 from repro.utils.cache import hash_array  # noqa: F401 — perfbench wraps this name (engine.hash)
 
 #: Samples per evaluation chunk, for both the probed forward pass and the
-#: per-class kernel blocks.
+#: shared class grouping the per-class kernels score off.
 CHUNK_SIZE = 256
 
 
@@ -93,50 +96,53 @@ class ValidationEngine:
         is scored inside its own try/except, so one broken scorer yields a
         NaN column and an entry in ``layer_errors`` (keyed by layer
         *position* in the validated-layer list) instead of aborting the
-        batch. Positions in ``skip`` (open-circuited layers) are not
-        evaluated at all and also come back as NaN columns.
+        batch; a layer that raises on one chunk is not tried on the rest.
+        Positions in ``skip`` (open-circuited layers) are not evaluated at
+        all and also come back as NaN columns.
         """
-        if not self.validator.validators:
+        validators = self.validator.validators
+        if not validators:
             raise RuntimeError("DeepValidator is not fitted")
         images = np.asarray(images)
         if len(images) == 0:
             predictions = np.empty(0, dtype=np.int64)
-            return predictions, np.empty((0, len(self.validator.validators))), {}
+            return predictions, np.empty((0, len(validators))), {}
         with obs.span("engine.discrepancies", batch=len(images), skipped=len(skip)):
             probabilities, representations = self.model.hidden_representations(
                 images, batch_size=CHUNK_SIZE
             )
             predictions = probabilities.argmax(axis=1)
             errors: dict[int, Exception] = {}
-            columns = []
-            for position, validator in enumerate(self.validator.validators):
-                if position in skip:
-                    columns.append(np.full(len(images), np.nan))
-                    continue
-                name = validator.layer_name
-                try:
-                    # A numerically-broken layer (NaN/Inf representations)
-                    # must surface as NaN discrepancies the monitor can see,
-                    # not as numpy RuntimeWarnings spamming serving logs.
-                    with np.errstate(invalid="ignore", over="ignore"), obs.span(
-                        "engine.layer_score", layer=name
-                    ), obs.timed(_layer_seconds().labels(layer=name)):
-                        columns.append(
-                            validator.discrepancy_batched(
-                                representations[validator.layer_index],
-                                predictions,
-                                chunk_size=CHUNK_SIZE,
-                            )
-                        )
-                except Exception as exc:  # noqa: BLE001 — isolation is the contract
-                    obs.counter(
-                        "engine_layer_failures_total",
-                        help="Layer scorers that raised during resilient scoring",
-                        labels=("layer",),
-                    ).labels(layer=name).inc()
-                    errors[position] = exc
-                    columns.append(np.full(len(images), np.nan))
-            per_layer = np.stack(columns, axis=1)
+            per_layer = np.full((len(images), len(validators)), np.nan)
+            seconds = _layer_seconds()
+            # A numerically-broken layer (NaN/Inf representations) must
+            # surface as NaN discrepancies the monitor can see, not as
+            # numpy RuntimeWarnings spamming serving logs.
+            with np.errstate(invalid="ignore", over="ignore"):
+                for start in range(0, len(images), CHUNK_SIZE):
+                    rows = slice(start, start + CHUNK_SIZE)
+                    groups = group_by_class(predictions[rows])
+                    for position, validator in enumerate(validators):
+                        if position in skip or position in errors:
+                            continue
+                        name = validator.layer_name
+                        try:
+                            with obs.span("engine.layer_score", layer=name), obs.timed(
+                                seconds.labels(layer=name)
+                            ):
+                                per_layer[rows, position] = validator.discrepancy_batched(
+                                    representations[validator.layer_index][rows],
+                                    predictions[rows],
+                                    groups=groups,
+                                )
+                        except Exception as exc:  # noqa: BLE001 — isolation is the contract
+                            obs.counter(
+                                "engine_layer_failures_total",
+                                help="Layer scorers that raised during resilient scoring",
+                                labels=("layer",),
+                            ).labels(layer=name).inc()
+                            errors[position] = exc
+                            per_layer[:, position] = np.nan
         return predictions, per_layer, errors
 
     def __repr__(self) -> str:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,13 +64,36 @@ def _breaker_state_gauge():
     )
 
 
+#: Every live monitor. ``monitor_breaker_state`` has one series per layer
+#: name for the whole process, so it shows the worst state over the live
+#: monitors that validate that layer: building a candidate monitor must not
+#: hide the serving monitor's open breaker.
+_LIVE_MONITORS: weakref.WeakSet = weakref.WeakSet()
+_LIVE_LOCK = threading.Lock()
+
+
+def _publish_state(layer: str) -> None:
+    """Set ``layer``'s gauge to the worst breaker state over live monitors."""
+    with _LIVE_LOCK:
+        worst = max(
+            (
+                BREAKER_STATE_CODES[health.breaker.last_state]
+                for monitor in _LIVE_MONITORS
+                for health in monitor._layers
+                if health.name == layer
+            ),
+            default=BREAKER_STATE_CODES[CircuitBreaker.CLOSED],
+        )
+        _breaker_state_gauge().labels(layer=layer).set(worst)
+
+
 def _publish_transition(layer: str, old_state: str, new_state: str) -> None:
     obs.counter(
         "monitor_breaker_transitions_total",
         help="Circuit-breaker state transitions per layer",
         labels=("layer", "to"),
     ).labels(layer=layer, to=new_state).inc()
-    _breaker_state_gauge().labels(layer=layer).set(BREAKER_STATE_CODES[new_state])
+    _publish_state(layer)
 
 
 @dataclass
@@ -209,10 +233,10 @@ class RuntimeMonitor:
             )
             for layer in validator.validators
         ]
+        with _LIVE_LOCK:
+            _LIVE_MONITORS.add(self)
         for layer in self._layers:
-            _breaker_state_gauge().labels(layer=layer.name).set(
-                BREAKER_STATE_CODES[CircuitBreaker.CLOSED]
-            )
+            _publish_state(layer.name)
         self.stats = {
             "accepted": 0,
             "rejected": 0,

@@ -254,6 +254,15 @@ class CircuitBreaker:
         with self._lock:
             return self._current_state()
 
+    @property
+    def last_state(self) -> str:
+        """The state of the last transition, read without the lock.
+
+        No lazy open → half-open check runs, so this is safe to read from
+        inside another breaker's ``on_transition`` hook.
+        """
+        return self._state
+
     def allow(self) -> bool:
         """Whether the guarded call should be attempted right now."""
         return self.state != self.OPEN

@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.fitting import bottom_k, fit_deep_validator
 from repro.nn.sequential import ProbedSequential
 from repro.svm.oneclass import OneClassSVM
-from repro.svm.packed import PackedClassSVMs, pack_class_svms
+from repro.svm.packed import ClassGroups, PackedClassSVMs, pack_class_svms
 from repro.svm.scaler import StandardScaler
 from repro.utils.rng import RngLike, new_rng
 
@@ -197,14 +197,19 @@ class LayerValidator:
         representations: np.ndarray,
         predicted: np.ndarray,
         chunk_size: int | None = None,
+        groups: ClassGroups | None = None,
     ) -> np.ndarray:
         """Per-sample discrepancy via the packed per-class scorer.
 
         Numerically equivalent to :meth:`discrepancy` (the differential
         harness pins agreement at 1e-8): the same one kernel block per
         predicted-class group, with per-class standardisation folded into
-        the packed rows. ``chunk_size`` bounds the transient kernel block's
-        row count.
+        the packed rows. ``groups`` is
+        :func:`~repro.svm.packed.group_by_class` of ``predicted``, which
+        the engine builds once per chunk and shares across layers; the
+        rows are then scored as that one chunk. Without it, each chunk of
+        ``chunk_size`` rows is grouped here. A class-agnostic layer
+        (``per_class=False``) and the reference fallback ignore it.
         """
         pack = self.packed()
         if pack is None:
@@ -212,8 +217,11 @@ class LayerValidator:
         predicted = np.asarray(predicted)
         if not self.config.per_class:
             predicted = np.zeros(len(predicted), dtype=np.int64)
+            groups = None
         try:
-            return pack.discrepancy(representations, predicted, chunk_size=chunk_size)
+            if groups is None:
+                return pack.discrepancy(representations, predicted, chunk_size=chunk_size)
+            return pack.score_groups(np.asarray(representations), groups)
         except KeyError as exc:
             raise KeyError(
                 f"{exc.args[0]} in layer {self.layer_name!r}"

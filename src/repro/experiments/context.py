@@ -8,10 +8,13 @@ tests, benchmarks, and examples all reuse the same artifacts.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+import repro
 from repro import obs
 from repro.core.checkpoint import CheckpointStore
 from repro.core.validator import DeepValidator, ValidatorConfig
@@ -19,6 +22,23 @@ from repro.corner.suite import CornerCaseSuite, build_corner_case_suite
 from repro.utils.cache import ArtifactCache, default_cache
 from repro.utils.rng import new_rng
 from repro.zoo.recipes import TrainedClassifier, get_trained_classifier
+
+#: Sources, relative to the ``repro`` package, whose bytes decide what a
+#: fitted validator scores. Cached contexts and the results derived from
+#: them are keyed on their digest, so changing how validators are fitted or
+#: scored rebuilds them.
+VALIDATOR_SOURCES = ("core/fitting.py", "core/validator.py", "core/engine.py", "svm/*.py")
+
+
+def validator_source_key(root: Path = Path(repro.__file__).parent) -> str:
+    """Digest of the :data:`VALIDATOR_SOURCES` under ``root``."""
+    digest = hashlib.sha256()
+    for pattern in VALIDATOR_SOURCES:
+        for path in sorted(root.glob(pattern)):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
 
 #: Number of rear layers validated on the DenseNet (paper Section IV-C).
 DENSENET_REAR_LAYERS = 6
@@ -160,7 +180,10 @@ def get_context(
 ) -> ExperimentContext:
     """Load or build the cached experiment context."""
     cache = cache if cache is not None else default_cache()
-    config = {"dataset": dataset_name, "profile": profile, "seed": seed, "kind": "context", "v": 3}
+    config = {
+        "dataset": dataset_name, "profile": profile, "seed": seed, "kind": "context",
+        "sources": validator_source_key(),
+    }
     return cache.get_or_build(
         "context", config, lambda: _build_context(dataset_name, profile, seed, cache)
     )

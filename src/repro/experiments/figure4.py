@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.detect.feature_squeezing import FeatureSqueezing
-from repro.experiments.context import get_context
+from repro.experiments.context import get_context, validator_source_key
 from repro.transforms.compose import Scale
 from repro.utils.cache import default_cache
 from repro.utils.tables import format_table
@@ -87,7 +87,8 @@ def run_figure4(
     cache = default_cache()
     config = {
         "dataset": dataset_name, "profile": profile, "seed": seed,
-        "ratios": list(ratios), "fpr": fpr, "kind": "figure4", "v": 2,
+        "ratios": list(ratios), "fpr": fpr, "kind": "figure4",
+        "sources": validator_source_key(),
     }
     return cache.get_or_build(
         "figure4", config, lambda: _run(dataset_name, profile, seed, ratios, fpr)

@@ -18,7 +18,7 @@ from repro.attacks.carlini import CarliniL0, CarliniL2, CarliniLinf
 from repro.attacks.fgsm import FGSM
 from repro.attacks.jsma import JSMA
 from repro.detect.feature_squeezing import FeatureSqueezing
-from repro.experiments.context import ExperimentContext, get_context
+from repro.experiments.context import ExperimentContext, get_context, validator_source_key
 from repro.metrics.roc import roc_auc_score
 from repro.utils.cache import default_cache
 from repro.utils.rng import new_rng
@@ -127,7 +127,10 @@ def run_table8(
 ) -> Table8Result:
     """Run (or load) the Table VIII white-box attack battery."""
     cache = default_cache()
-    config = {"dataset": dataset_name, "profile": profile, "seed": seed, "kind": "table8", "v": 2}
+    config = {
+        "dataset": dataset_name, "profile": profile, "seed": seed, "kind": "table8",
+        "sources": validator_source_key(),
+    }
     return cache.get_or_build("table8", config, lambda: _run(dataset_name, profile, seed))
 
 

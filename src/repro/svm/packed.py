@@ -4,8 +4,9 @@ The paper's detector keeps one one-class SVM per (layer, predicted class)
 and scores each image only against the SVM of its predicted class. This
 module packs a layer's per-class SVMs, together with their per-class
 standardisation, into one contiguous row matrix. Scoring groups a batch by
-predicted class and runs one GEMM per class present, against that class's
-rows only — the same shape as the reference loop in
+predicted class once (:func:`group_by_class`, shared by every layer of a
+batch) and runs one GEMM per class present, against that class's rows
+only — the same shape as the reference loop in
 ``LayerValidator.discrepancy``, without its per-class scaler pass and with
 the kernel algebra folded into the rows.
 
@@ -27,21 +28,46 @@ this at 1e-8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from repro import obs
 from repro.svm.kernels import Kernel, LinearKernel, PolynomialKernel, RBFKernel
 from repro.svm.oneclass import OneClassSVM
 from repro.svm.scaler import StandardScaler
 
 
-def _gemm_seconds():
-    return obs.histogram(
-        "svm_packed_gemm_seconds",
-        help="Wall time of the per-class kernel GEMMs per chunk",
-    )
+class ClassGroups(NamedTuple):
+    """One chunk's rows grouped by predicted class.
+
+    Rows ``order[bounds[g]:bounds[g + 1]]`` predicted ``classes[g]``, in
+    input order. Every layer of a batch scores against the same grouping,
+    so the validation engine builds it once per chunk.
+    """
+
+    order: np.ndarray          # (n,) stable argsort of the predictions
+    classes: np.ndarray        # (k,) class ids present, ascending
+    bounds: tuple[int, ...]    # (k+1,) group bounds in sorted row order
+
+
+def group_by_class(predicted: np.ndarray) -> ClassGroups:
+    """The :class:`ClassGroups` of a chunk's predicted class ids."""
+    predicted = np.asarray(predicted)
+    order = np.argsort(predicted, kind="stable")
+    ordered = predicted[order]
+    starts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    bounds = (0, *starts, len(ordered)) if len(ordered) else (0,)
+    return ClassGroups(order, ordered[list(bounds[:-1])], bounds)
+
+
+class _ClassKernel(NamedTuple):
+    """One class's slices of a pack, bound once so scoring never re-slices."""
+
+    rows_t: np.ndarray         # (d+1, m_c) transposed coefficient rows
+    weight: np.ndarray         # (m_c,) -alpha / ||w||
+    count: int                 # m_c
+    metric: np.ndarray | None  # (d,) RBF diagonal metric, else None
 
 
 @dataclass
@@ -53,6 +79,14 @@ class PackedClassSVMs:
     and ``weight`` belong to class position ``c``. The discrepancy
     ``-(k . alpha - rho) / ||w||`` is stored pre-divided: ``weight`` holds
     ``-alpha / ||w||`` and ``offset`` holds ``rho / ||w||``.
+
+    Construction binds each class's transposed row block, weight slice,
+    support count and metric row as views of these arrays, so in-place
+    edits of ``coef_rows`` or ``weight`` reach the scorer. A chunk's class
+    group then costs one GEMM into a flat buffer shared by the chunk's
+    groups, a quadratic GEMV and subtract (RBF), and one GEMV; the kernel
+    map and the offset run once over the whole chunk
+    (:meth:`score_groups`).
     """
 
     classes: np.ndarray        # (C,) sorted class ids
@@ -65,63 +99,100 @@ class PackedClassSVMs:
     coef0: float               # poly bias (0.0 elsewhere)
     # RBF only: gamma-scaled diagonal metric gamma_c / s_c^2, shape (C, d).
     metric: np.ndarray | None
+    _kernels: list[_ClassKernel] = field(init=False, repr=False, compare=False)
+    _positions: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._positions = {klass: p for p, klass in enumerate(self.classes.tolist())}
+        bounds = np.asarray(self.bounds).tolist()
+        self._kernels = [
+            _ClassKernel(
+                self.coef_rows[start:stop].T,
+                self.weight[start:stop],
+                stop - start,
+                None if self.metric is None else self.metric[position],
+            )
+            for position, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+        ]
 
     @property
     def n_support(self) -> int:
         return len(self.weight)
 
-    def class_positions(self, predicted: np.ndarray) -> np.ndarray:
-        """Map predicted class ids to class positions, validating coverage."""
-        predicted = np.asarray(predicted)
-        positions = np.searchsorted(self.classes, predicted)
-        positions = np.minimum(positions, len(self.classes) - 1)
-        bad = self.classes[positions] != predicted
-        if bad.any():
-            missing = int(np.asarray(predicted)[bad][0])
-            raise KeyError(f"no reference SVM for predicted class {missing}")
-        return positions
-
     # -- scoring ---------------------------------------------------------------
 
-    def _class_discrepancy(self, position: int, augmented: np.ndarray) -> np.ndarray:
-        """Discrepancies of ``[x, 1]`` rows against one class's SVM.
+    def _sorted_discrepancy(
+        self, augmented: np.ndarray, positions: list[int], bounds: tuple[int, ...]
+    ) -> np.ndarray:
+        """Discrepancies of class-sorted ``[x, 1]`` rows, in sorted order.
 
-        One GEMM against the class's coefficient rows, an elementwise
-        kernel map applied in place, and a GEMV against its weights. All
-        affine terms — the ``-2 gamma x . (w * u)`` cross term, the class
-        constant, and the linear/poly inner-product offsets — are pre-folded
-        into the augmented ``[x, 1]`` GEMM.
+        Rows ``bounds[g]:bounds[g + 1]`` belong to class position
+        ``positions[g]``. Each group's GEMM against its class's
+        coefficient rows lands in one flat buffer shared by the chunk.
+        All affine terms are folded into the rows; for RBF, one GEMV per
+        group gives the per-sample quadratic ``gamma x.(w*x)``, and one
+        subtract over the buffer completes ``-gamma * sq_dist``. The clamp
+        and ``exp`` (or the poly power) run once over the buffer, each
+        group's GEMV against its weights lands in the output, and the
+        offsets are added once. ``np.dot`` with ``out=`` runs the same
+        BLAS calls as ``@`` at a lower per-call cost.
         """
-        rows = slice(self.bounds[position], self.bounds[position + 1])
-        block = augmented @ self.coef_rows[rows].T          # (b, m_c)
-        if self.kernel_name == "rbf":
-            # block now holds 2 gamma x.(w*u) - gamma u.(w*u); subtracting
-            # gamma x.(w*x) completes -gamma * sq_dist.
-            block -= (np.square(augmented[:, :-1]) @ self.metric[position])[:, None]
-            np.minimum(block, 0.0, out=block)               # sq_dist >= 0 clamp
-            np.exp(block, out=block)
+        kernels = [self._kernels[position] for position in positions]
+        spans = list(zip(kernels, bounds, bounds[1:]))
+        sizes = [stop - start for _, start, stop in spans]
+        flat = np.empty(sum(size * kernel.count for size, kernel in zip(sizes, kernels)))
+        rbf = self.kernel_name == "rbf"
+        if rbf:
+            # One group's squares at a time: a whole-chunk square would be
+            # a second chunk-sized temporary, out of cache at wide chunks.
+            squares = np.empty((max(sizes, default=0), augmented.shape[1] - 1))
+            quadratic = np.empty(len(augmented))
+            widths: list[int] = []  # each sorted row's support count
+        blocks = []
+        used = 0
+        for kernel, start, stop in spans:
+            end = used + (stop - start) * kernel.count
+            block = flat[used:end].reshape(stop - start, kernel.count)
+            blocks.append(np.dot(augmented[start:stop], kernel.rows_t, out=block))
+            used = end
+            if rbf:
+                square = np.square(augmented[start:stop, :-1], out=squares[: stop - start])
+                np.dot(square, kernel.metric, out=quadratic[start:stop])
+                widths += [kernel.count] * (stop - start)
+        if rbf:
+            flat -= quadratic.repeat(widths)
+            np.minimum(flat, 0.0, out=flat)                 # sq_dist >= 0 clamp
+            np.exp(flat, out=flat)
         elif self.kernel_name == "poly":
-            # block holds gamma_c * (x_hat . v); finish (g i + coef0)^degree.
-            block += self.coef0
-            block **= self.degree
-        return block @ self.weight[rows] + self.offset[position]
+            # flat holds gamma_c * (x_hat . v); finish (g i + coef0)^degree.
+            flat += self.coef0
+            flat **= self.degree
+        out = np.empty(len(augmented))
+        for block, (kernel, start, stop) in zip(blocks, spans):
+            np.dot(block, kernel.weight, out=out[start:stop])
+        out += self.offset[positions].repeat(sizes)
+        return out
 
-    def _chunk_discrepancy(self, features: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Discrepancies of one chunk, one GEMM per predicted class present."""
-        # A stable sort by class makes each class group a contiguous slice
-        # of the float64 [x, 1] matrix: one gathering copy, then views.
-        order = np.argsort(positions, kind="stable")
-        counts = np.bincount(positions, minlength=len(self.classes))
+    def score_groups(self, features: np.ndarray, groups: ClassGroups) -> np.ndarray:
+        """Per-sample discrepancies of one chunk grouped by ``groups``.
+
+        ``groups`` is :func:`group_by_class` of the chunk's predictions.
+        Every class present is checked before any group is scored, so an
+        unknown class raises ``KeyError`` and leaves no partial result.
+        """
+        if len(features) != len(groups.order):
+            raise ValueError("features and groups must cover the same rows")
+        try:
+            positions = [self._positions[klass] for klass in groups.classes.tolist()]
+        except KeyError as exc:
+            raise KeyError(f"no reference SVM for predicted class {exc.args[0]}") from None
+        # The sorted [x, 1] matrix, float64, in one gathering copy: each
+        # class group is then a contiguous slice of it.
         augmented = np.empty((len(features), features.shape[1] + 1))
-        augmented[:, :-1] = features[order]
+        augmented[:, :-1] = features[groups.order]
         augmented[:, -1] = 1.0
         out = np.empty(len(features))
-        stop = 0
-        for position in np.flatnonzero(counts):
-            start, stop = stop, stop + counts[position]
-            out[order[start:stop]] = self._class_discrepancy(
-                position, augmented[start:stop]
-            )
+        out[groups.order] = self._sorted_discrepancy(augmented, positions, groups.bounds)
         return out
 
     def discrepancy(
@@ -132,8 +203,9 @@ class PackedClassSVMs:
     ) -> np.ndarray:
         """Per-sample discrepancy ``-t^{y'}`` against the predicted class's SVM.
 
-        ``chunk_size`` bounds the (chunk, m_c) kernel block held in memory;
-        ``None`` scores the whole batch as one chunk.
+        Groups each chunk of ``chunk_size`` rows by class and scores it
+        with :meth:`score_groups`; ``None`` scores the whole batch as one
+        chunk. The chunk bounds the transient kernel buffer.
         """
         features = np.asarray(features)
         predicted = np.asarray(predicted)
@@ -143,17 +215,11 @@ class PackedClassSVMs:
             # Fully-quarantined serving windows score zero samples; skip
             # the GEMM machinery rather than stressing its edge cases.
             return np.empty(0)
-        # Every label is checked before any class group is scored, so an
-        # unknown class never leaves a partial result behind.
-        positions = self.class_positions(predicted)
         out = np.empty(len(features))
         step = len(features) if chunk_size is None else max(1, chunk_size)
         for start in range(0, len(features), step):
-            stop = start + step
-            with obs.timed(_gemm_seconds()):
-                out[start:stop] = self._chunk_discrepancy(
-                    features[start:stop], positions[start:stop]
-                )
+            rows = slice(start, start + step)
+            out[rows] = self.score_groups(features[rows], group_by_class(predicted[rows]))
         return out
 
 

@@ -213,7 +213,7 @@ def fail_packed_scorer(
     original = layer_validator.discrepancy_batched
     stats = {"calls": 0, "failures": 0}
 
-    def flaky(representations, predicted, chunk_size=None):
+    def flaky(representations, predicted, **kwargs):
         stats["calls"] += 1
         call = stats["calls"]
         if call >= nth and (count < 0 or call < nth + count):
@@ -226,7 +226,7 @@ def fail_packed_scorer(
                     f"(layer {layer_validator.layer_name!r})"
                 )
             )
-        return original(representations, predicted, chunk_size=chunk_size)
+        return original(representations, predicted, **kwargs)
 
     layer_validator.discrepancy_batched = flaky
     try:
@@ -271,10 +271,10 @@ def slow_layer(layer_validator, seconds: float, clock=None) -> Iterator[dict]:
 
             time.sleep(seconds)
 
-    def sluggish(representations, predicted, chunk_size=None):
+    def sluggish(representations, predicted, **kwargs):
         stats["calls"] += 1
         delay()
-        return original(representations, predicted, chunk_size=chunk_size)
+        return original(representations, predicted, **kwargs)
 
     layer_validator.discrepancy_batched = sluggish
     try:

@@ -20,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import CHUNK_SIZE
 from repro.core.validator import DeepValidator, LayerValidator, ValidatorConfig
+from repro.svm.kernels import Kernel
 
 TOLERANCE = 1e-8
 
@@ -209,7 +211,7 @@ class TestErrorParity:
             OneClassSVM, "signed_distance", lambda self, x: scored.append("reference")
         )
         monkeypatch.setattr(
-            PackedClassSVMs, "_class_discrepancy", lambda self, *a: scored.append("packed")
+            PackedClassSVMs, "_sorted_discrepancy", lambda self, *a: scored.append("packed")
         )
         message = "predicted class 9 in layer 'probe0'"
         with pytest.raises(KeyError, match=message):
@@ -345,3 +347,137 @@ class TestEngineEdgeBatches:
         # match the reference path (and therefore each other) at 1e-8.
         np.testing.assert_allclose(from64, reference, atol=TOLERANCE, rtol=0)
         np.testing.assert_allclose(from32, reference, atol=TOLERANCE, rtol=0)
+
+
+class _OpaqueLinear(Kernel):
+    """A linear kernel the packer does not recognise: the layer falls back."""
+
+    name = "opaque-linear"
+
+    def __call__(self, a, b):
+        return a @ b.T
+
+    def diag(self, a):
+        return np.einsum("ij,ij->i", a, a)
+
+
+#: The class the ``conv1-missing`` layer has no SVM for.
+MISSING_CLASS = 1
+
+
+@pytest.fixture(scope="module")
+def mixed_layer_validator(trained_tiny_model):
+    """A fitted validator whose layers cover every scoring path.
+
+    Besides the three per-class packed layers it validates conv2
+    class-agnostically (``per_class=False``), fc1 through an unpackable
+    custom kernel (the reference loop), and conv1 once more without an SVM
+    for :data:`MISSING_CLASS`. Returns the validator and an image pool.
+    """
+    model, train_x, train_y, test_x, _ = trained_tiny_model
+    validator = DeepValidator(model, ValidatorConfig(max_per_class=60))
+    validator.fit(train_x, train_y)
+    _, reps = model.hidden_representations(train_x)
+
+    def layer(index, name, **overrides):
+        config = ValidatorConfig(max_per_class=60, **overrides)
+        return LayerValidator(index, name, config).fit(reps[index], train_y, rng=index)
+
+    agnostic = layer(1, "conv2-agnostic", per_class=False)
+    opaque = layer(2, "fc1-opaque", kernel=_OpaqueLinear(), standardize=False)
+    missing = layer(0, "conv1-missing")
+    del missing._svms[MISSING_CLASS], missing._scalers[MISSING_CLASS]
+    assert agnostic.packed() is not None and opaque.packed() is None
+    validator.validators += [agnostic, opaque, missing]
+    return validator, np.concatenate([test_x, train_x])
+
+
+def ungrouped_columns(validator, images):
+    """Each layer's own ``discrepancy_batched`` call, error or column."""
+    probabilities, reps = validator.model.hidden_representations(
+        images, batch_size=CHUNK_SIZE
+    )
+    predictions = probabilities.argmax(axis=1)
+    columns = []
+    for layer in validator.validators:
+        try:
+            columns.append(
+                layer.discrepancy_batched(
+                    reps[layer.layer_index], predictions, chunk_size=CHUNK_SIZE
+                )
+            )
+        except KeyError as exc:
+            columns.append(exc)
+    return predictions, columns
+
+
+def _without_last(validator):
+    """A shallow copy of ``validator`` without its last layer."""
+    trimmed = DeepValidator(validator.model, validator.config)
+    trimmed.validators = validator.validators[:-1]
+    return trimmed
+
+
+class TestSharedGrouping:
+    """The engine groups each chunk once; every layer scores off it."""
+
+    @given(size=st.integers(1, 2 * CHUNK_SIZE + 40), seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_grouped_engine_equals_ungrouped_layer_calls(
+        self, mixed_layer_validator, size, seed
+    ):
+        validator, pool = mixed_layer_validator
+        rng = np.random.default_rng(seed)
+        images = pool[rng.integers(0, len(pool), size=size)]
+        images = images + rng.normal(scale=0.05, size=images.shape)
+        predictions, per_layer, errors = validator.engine().discrepancies_resilient(images)
+        expected_predictions, columns = ungrouped_columns(validator, images)
+        np.testing.assert_array_equal(predictions, expected_predictions)
+        for position, column in enumerate(columns):
+            if isinstance(column, KeyError):
+                assert np.isnan(per_layer[:, position]).all()
+                assert type(errors[position]) is KeyError
+                assert errors[position].args == column.args
+            else:
+                assert position not in errors
+                np.testing.assert_array_equal(per_layer[:, position], column)
+
+    def test_unknown_class_fails_only_its_layer(self, mixed_layer_validator):
+        validator, pool = mixed_layer_validator
+        images = np.concatenate([pool] * 3)[: CHUNK_SIZE + 60]
+        predictions, per_layer, errors = validator.engine().discrepancies_resilient(images)
+        assert MISSING_CLASS in predictions
+        missing = len(validator.validators) - 1
+        assert list(errors) == [missing]
+        assert type(errors[missing]) is KeyError
+        assert (
+            f"predicted class {MISSING_CLASS} in layer 'conv1-missing'"
+            in errors[missing].args[0]
+        )
+        assert np.isnan(per_layer[:, missing]).all()
+        _, columns = ungrouped_columns(validator, images)
+        for position, column in enumerate(columns[:missing]):
+            np.testing.assert_array_equal(per_layer[:, position], column)
+        # The surviving packed layers still match the per-class reference.
+        _, reference = DeepValidator.discrepancies(_without_last(validator), images)
+        np.testing.assert_allclose(per_layer[:, :missing], reference, atol=TOLERANCE, rtol=0)
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_one_stable_argsort_per_chunk(self, mixed_layer_validator, layers, monkeypatch):
+        # Over the per-class packed layers; a class-agnostic layer groups
+        # its single class itself.
+        full, pool = mixed_layer_validator
+        validator = DeepValidator(full.model, ValidatorConfig(max_per_class=60))
+        validator.validators = full.validators[:layers]
+        images = np.concatenate([pool] * 2)[: 2 * CHUNK_SIZE + 7]
+        sorts = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            if kwargs.get("kind") == "stable":
+                sorts.append(len(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        validator.engine().discrepancies(images)
+        assert sorts == [CHUNK_SIZE, CHUNK_SIZE, 7]

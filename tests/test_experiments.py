@@ -14,7 +14,11 @@ from repro.experiments import (
     run_table6,
     run_table7,
 )
-from repro.experiments.context import rear_layer_indices
+from repro.experiments.context import (
+    VALIDATOR_SOURCES,
+    rear_layer_indices,
+    validator_source_key,
+)
 from repro.experiments.run import EXPERIMENTS, run_experiment
 
 
@@ -31,6 +35,47 @@ class TestContextHelpers:
     def test_cifar_context_uses_rear_layers(self, cifar_context):
         probe_count = len(cifar_context.model.probe_names)
         assert cifar_context.validator.layer_indices == rear_layer_indices(probe_count)
+
+
+class TestValidatorSourceKey:
+    """Cached contexts are keyed on the bytes of the validator sources."""
+
+    @staticmethod
+    def _copy_sources(target):
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        copied = []
+        for pattern in VALIDATOR_SOURCES:
+            for path in sorted(root.glob(pattern)):
+                destination = target / path.relative_to(root)
+                destination.parent.mkdir(parents=True, exist_ok=True)
+                destination.write_bytes(path.read_bytes())
+                copied.append(destination)
+        return copied
+
+    def test_copy_keys_like_the_package(self, tmp_path):
+        copied = self._copy_sources(tmp_path)
+        assert {p.name for p in copied} >= {"fitting.py", "validator.py", "engine.py", "packed.py"}
+        assert validator_source_key(tmp_path) == validator_source_key()
+
+    def test_changing_any_listed_source_changes_the_key(self, tmp_path):
+        copied = self._copy_sources(tmp_path)
+        before = validator_source_key(tmp_path)
+        for path in copied:
+            original = path.read_bytes()
+            path.write_bytes(original + b"\n")
+            assert validator_source_key(tmp_path) != before, path.name
+            path.write_bytes(original)
+        assert validator_source_key(tmp_path) == before
+
+    def test_unlisted_sources_do_not_change_the_key(self, tmp_path):
+        self._copy_sources(tmp_path)
+        before = validator_source_key(tmp_path)
+        (tmp_path / "core" / "monitor.py").write_text("# serving code\n")
+        assert validator_source_key(tmp_path) == before
 
 
 class TestTables:

@@ -112,8 +112,8 @@ class TestGoldenTrace:
             (("layer", "conv2"),): 3,
             (("layer", "fc1"),): 3,
         }
-        # One packed GEMM per (layer, pass): 9 observations.
-        assert series("svm_packed_gemm_seconds") == {(): 9}
+        # The per-layer histogram above is the only timer of the kernels.
+        assert "svm_packed_gemm_seconds" not in snap
         # Statuses of the four monitored images, and a healthy breaker per
         # layer (0 = closed).
         assert series("monitor_verdicts_total") == {
@@ -364,6 +364,42 @@ class TestBreakerMetrics:
             ("conv1", "half-open"): 1.0,
             ("conv1", "closed"): 1.0,
         }
+
+
+    def test_second_monitor_keeps_the_open_breaker_on_the_gauge(
+        self, scoped, trained_tiny_model
+    ):
+        # A rollout builds a candidate monitor over the same layers while
+        # the serving monitor's conv1 breaker is open: the process-wide
+        # gauge must keep showing the worst live state, as health() does.
+        model, train_x, train_y, test_x, _ = trained_tiny_model
+        registry, clock = scoped[0], scoped[2]
+        validator = DeepValidator(model, ValidatorConfig(seed=0, nu=0.2, max_per_class=40))
+        validator.fit(train_x, train_y)
+        validator.calibrate_threshold(test_x[:16], test_x[16:32])
+        serving = RuntimeMonitor(
+            validator, clock=clock, breaker_threshold=1, breaker_cooldown=10.0
+        )
+        with fail_packed_scorer(validator.validators[0], nth=1, count=1):
+            with pytest.warns(Warning):
+                serving.classify(test_x[:2])
+
+        def gauge():
+            series = registry.snapshot()["monitor_breaker_state"]["series"]
+            return {s["labels"]["layer"]: s["value"] for s in series}
+
+        assert serving.health()["layers"]["conv1"]["state"] == "open"
+        assert gauge() == {"conv1": 2.0, "conv2": 0.0, "fc1": 0.0}
+        candidate = RuntimeMonitor(validator, clock=clock)
+        assert gauge() == {"conv1": 2.0, "conv2": 0.0, "fc1": 0.0}
+        assert serving.health()["layers"]["conv1"]["state"] == "open"
+        assert candidate.health()["layers"]["conv1"]["state"] == "closed"
+        # Once the serving breaker half-opens and closes, the gauge follows.
+        clock.advance(10.0)
+        assert serving.health()["layers"]["conv1"]["state"] == "half-open"
+        assert gauge()["conv1"] == 1.0
+        serving.classify(test_x[:2])
+        assert gauge() == {"conv1": 0.0, "conv2": 0.0, "fc1": 0.0}
 
 
 class TestFitCounters:

@@ -17,18 +17,20 @@ This module runs ``DeepValidator.fit`` in two stages:
    max_per_class``)-row buffers — never the full draw's activations.
 2. **Solving** — :func:`solve_tasks` runs the independent ``(layer, class)``
    solves (scaler stats, Gram matrix, SMO) in-process, in sorted key order.
-   Each is the same ``StandardScaler.fit`` and ``OneClassSVM.fit`` call
-   ``LayerValidator.fit`` makes, so the assembled validator is
-   bit-identical to the per-layer reference path fitted on the same rows.
+   Each goes through :func:`_solve_fit_task`, the one function that fits a
+   task's scaler and SVM; ``LayerValidator.fit`` calls it too, so the
+   assembled validator is bit-identical to the per-layer reference path
+   fitted on the same rows.
 
 Stage 2 is also the pipeline's recovery point. Given a ``journal``
-(:class:`~repro.core.checkpoint.TaskJournal`), every completed solution is
-flushed to disk as it lands; a rerun replays the journal and solves only
-the missing tasks, so a crash at task 97/100 costs three solves, not a
-hundred. Replayed and freshly-solved tasks are bit-identical — both ran
-the same :func:`_solve_fit_task` math. The journal's header frame
-fingerprints the solve config and task features, so a stale journal under
-a reused name is discarded, never merged.
+(:class:`~repro.core.checkpoint.TaskJournal`), every fitted ``(svm,
+scaler)`` pair is flushed to disk as it lands; a rerun replays the journal
+and solves only the missing tasks, so a crash at task 97/100 costs three
+solves, not a hundred. Replayed and freshly-solved tasks are bit-identical
+— both ran the same :func:`_solve_fit_task` math. The journal's header
+frame fingerprints the record format, the solve config and the task
+features, so a stale journal under a reused name, or one written in an
+older record format, is discarded, never merged.
 
 The determinism contract (pipeline ≡ per-layer ``LayerValidator.fit`` ≡
 interrupted + resumed) is pinned by the hypothesis suites in
@@ -38,12 +40,11 @@ interrupted + resumed) is pinned by the hypothesis suites in
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import obs
-from repro.obs.profile import profile_section
 from repro.svm.oneclass import OneClassSVM
 from repro.svm.scaler import StandardScaler
 from repro.utils.cache import hash_array
@@ -58,24 +59,24 @@ def _tasks_counter():
     )
 
 
-@dataclass
-class TaskSolution:
-    """What one ``(layer, class)`` solve keeps, and what the journal records.
+#: What a journal record holds, ``(key, TaskFit)``; part of the journal
+#: fingerprint, so a journal of another record format is cleared, never
+#: replayed.
+_RECORD_FORMAT = "TaskFit/1"
 
-    The full dual vector is dropped; only the support set, offsets, fitted
-    kernel, and scaler statistics are kept — exactly the pieces
-    :meth:`OneClassSVM.from_solution` needs.
-    """
 
-    support_vectors: np.ndarray
-    dual_coef: np.ndarray
-    rho: float
-    norm_w: float
-    kernel: object
-    iterations: int
-    converged: bool
-    scaler_mean: np.ndarray | None = None
-    scaler_scale: np.ndarray | None = None
+class TaskFit(NamedTuple):
+    """One ``(layer, class)`` task's fitted SVM and scaler (``None`` when
+    ``standardize`` is off): what :func:`solve_tasks` returns per key and
+    what the journal records."""
+
+    svm: OneClassSVM
+    scaler: StandardScaler | None
+
+    @property
+    def iterations(self) -> int:
+        """SMO iterations the solve took."""
+        return self.svm.result_.iterations
 
 
 # -- stage 1: filtering, sampling and gathering in one pass -------------------
@@ -226,44 +227,35 @@ def _solve_config(config) -> dict:
     }
 
 
-def _solve_fit_task(features: np.ndarray, cfg: dict) -> TaskSolution:
-    """Scaler stats, Gram, and SMO for one task.
+def _solve_fit_task(features: np.ndarray, cfg: dict) -> TaskFit:
+    """Fit one task's scaler and one-class SVM: scaler stats, Gram, SMO.
 
-    The same float64 conversion, ``StandardScaler.fit`` and
-    ``OneClassSVM.fit`` calls ``LayerValidator.fit`` makes, so solutions
-    are bit-identical to the per-layer reference path. Converting here,
-    one task at a time, keeps the gathered features in the probes' dtype.
+    The only code that fits a ``(layer, class)`` pair: :func:`solve_tasks`
+    and ``LayerValidator.fit`` both call it. Features arrive in the probes'
+    dtype and are converted to float64 (exactly) here, one task at a time.
     """
     features = np.asarray(features, dtype=np.float64)
-    scaler_mean = scaler_scale = None
+    scaler = None
     if cfg["standardize"]:
         scaler = StandardScaler().fit(features)
-        scaler_mean, scaler_scale = scaler.mean_, scaler.scale_
         features = scaler.transform(features)
-    svm = OneClassSVM(nu=cfg["nu"], kernel=cfg["kernel"], gamma=cfg["gamma"]).fit(features)
-    return TaskSolution(
-        support_vectors=svm.support_vectors_,
-        dual_coef=svm.dual_coef_,
-        rho=svm.rho_,
-        norm_w=svm.norm_w_,
-        kernel=svm.kernel_,
-        iterations=svm.result_.iterations,
-        converged=svm.result_.converged,
-        scaler_mean=scaler_mean,
-        scaler_scale=scaler_scale,
-    )
+    svm = OneClassSVM(nu=cfg["nu"], kernel=cfg["kernel"], gamma=cfg["gamma"])
+    return TaskFit(svm.fit(features), scaler)
 
 
 def _journal_fingerprint(task_features, cfg) -> str:
-    """Identity stamp of one solve: config plus a content hash per task.
+    """Identity stamp of one solve: record format, config, and a content
+    hash per task.
 
     Written as the journal's header so that a journal produced from
     different data or solver settings under the same name (journals are
-    keyed only by dataset/profile/seed) is discarded instead of silently
-    merged into the fitted validator — replaying foreign solutions would
-    break the bit-identity contract without any error.
+    keyed only by dataset/profile/seed), or holding records of another
+    format, is discarded instead of silently merged into the fitted
+    validator — replaying foreign solutions would break the bit-identity
+    contract without any error.
     """
     digest = hashlib.sha256()
+    digest.update(_RECORD_FORMAT.encode())
     digest.update(repr(sorted(cfg.items())).encode())
     for key in sorted(task_features):
         digest.update(repr(key).encode())
@@ -292,7 +284,7 @@ def _replay_journal(journal, task_features, cfg) -> dict:
 
 
 def _record_solution(key, solution, solutions, journal) -> None:
-    """Land one finished solution: merge it and flush it to the journal.
+    """Land one fitted task: merge it and flush it to the journal.
 
     Module-level on purpose — this is the crash seam
     :func:`repro.testing.faults.crash_at_task` patches to simulate a kill
@@ -307,21 +299,22 @@ def solve_tasks(
     task_features: dict[tuple[int, int], np.ndarray],
     config,
     journal=None,
-) -> dict[tuple[int, int], TaskSolution]:
-    """Solve every task in-process, in sorted key order.
+) -> dict[tuple[int, int], TaskFit]:
+    """Fit every task in-process, in sorted key order.
 
-    ``journal`` (a :class:`~repro.core.checkpoint.TaskJournal`) makes the
-    solve resumable: previously journaled solutions are replayed instead
-    of recomputed, and every new solution is flushed before the next task
-    starts. The journal carries a fingerprint header of the solve config
-    and task features; a journal written for different data or settings
-    is cleared rather than replayed.
+    Returns each key's :class:`TaskFit`. ``journal`` (a
+    :class:`~repro.core.checkpoint.TaskJournal`) makes the solve
+    resumable: previously journaled tasks are replayed instead of
+    recomputed, and every new one is flushed before the next task starts.
+    The journal carries a fingerprint header of the record format, the
+    solve config and the task features; a journal written for different
+    data or settings, or in another record format, is cleared rather than
+    replayed.
     """
     cfg = _solve_config(config)
     ordered = sorted(task_features)
     solutions: dict = {}
-    with obs.span("fit.solve_tasks", tasks=len(ordered)), \
-            profile_section("fit.solve"):
+    with obs.span("fit.solve_tasks", tasks=len(ordered)):
         if journal is not None:
             replayed = _replay_journal(journal, task_features, cfg)
             if replayed:
@@ -340,16 +333,16 @@ def solve_tasks(
 
 
 def build_layer_validators(
-    solutions: dict[tuple[int, int], TaskSolution],
+    solutions: dict[tuple[int, int], TaskFit],
     layer_positions,
     layer_names,
     config,
 ) -> list:
-    """Assemble fitted ``LayerValidator``s from task solutions.
+    """Assemble fitted ``LayerValidator``s from the tasks' fitted pairs.
 
-    Installs solutions in sorted ``(position, class)`` order, whatever
-    order they were solved or replayed in, so every downstream structure
-    is fixed by the task keys alone.
+    Installs them in sorted ``(position, class)`` order, whatever order
+    they were solved or replayed in, so every downstream structure is
+    fixed by the task keys alone.
     """
     from repro.core.validator import LayerValidator
 
@@ -357,22 +350,7 @@ def build_layer_validators(
         position: LayerValidator(layer_index, layer_names[layer_index], config)
         for position, layer_index in layer_positions
     }
-    for (position, klass), solution in sorted(solutions.items()):
-        scaler = None
-        if config.standardize:
-            scaler = StandardScaler.from_stats(
-                solution.scaler_mean, solution.scaler_scale
-            )
-        svm = OneClassSVM.from_solution(
-            kernel=solution.kernel,
-            support_vectors=solution.support_vectors,
-            dual_coef=solution.dual_coef,
-            rho=solution.rho,
-            norm_w=solution.norm_w,
-            nu=config.nu,
-            iterations=solution.iterations,
-            converged=solution.converged,
-        )
+    for (position, klass), (svm, scaler) in sorted(solutions.items()):
         validators[position].install(klass, svm, scaler)
     return [validators[position] for position, _ in layer_positions]
 
@@ -404,7 +382,7 @@ def fit_deep_validator(
     with obs.span(
         "fit.pipeline", layers=len(layer_indices), images=len(images)
     ):
-        with profile_section("fit.extract"):
+        with obs.span("fit.extract"):
             task_features, correct = extract_task_features(
                 model, images, labels, layer_positions, config,
                 chunk_size=chunk_size,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.fitting import bottom_k, fit_deep_validator
+from repro.core import fitting
 from repro.nn.sequential import ProbedSequential
 from repro.svm.oneclass import OneClassSVM
 from repro.svm.packed import ClassGroups, PackedClassSVMs, pack_class_svms
@@ -95,9 +95,11 @@ class LayerValidator:
 
         A class with more than ``max_per_class`` rows trains on the rows
         with the smallest keys of ``rng.random(len(labels))``, in ascending
-        row order (:func:`~repro.core.fitting.bottom_k`).
+        row order (:func:`~repro.core.fitting.bottom_k`). Each class is
+        fitted by the pipeline's own per-task solve, which converts only
+        the selected rows to float64.
         """
-        representations = np.asarray(representations, dtype=np.float64)
+        representations = np.asarray(representations)
         labels = np.asarray(labels)
         if len(representations) != len(labels):
             raise ValueError("representations and labels must have equal length")
@@ -110,6 +112,7 @@ class LayerValidator:
             # Ablation: one class-agnostic reference distribution per layer.
             labels = np.zeros(len(labels), dtype=np.int64)
         keys = new_rng(rng if rng is not None else self.config.seed).random(len(labels))
+        cfg = fitting._solve_config(self.config)
         for klass in np.unique(labels):
             rows = np.flatnonzero(labels == klass)
             if len(rows) < 2:
@@ -117,26 +120,19 @@ class LayerValidator:
                     f"class {klass} has only {len(rows)} correctly classified "
                     "training images; cannot fit its reference distribution"
                 )
-            rows = rows[bottom_k(keys[rows], self.config.max_per_class)]
-            features = representations[rows]
-            if self.config.standardize:
-                scaler = StandardScaler().fit(features)
-                self._scalers[int(klass)] = scaler
-                features = scaler.transform(features)
-            svm = OneClassSVM(
-                nu=self.config.nu, kernel=self.config.kernel, gamma=self.config.gamma
-            )
-            self._svms[int(klass)] = svm.fit(features)
+            rows = rows[fitting.bottom_k(keys[rows], self.config.max_per_class)]
+            svm, scaler = fitting._solve_fit_task(representations[rows], cfg)
+            self.install(klass, svm, scaler)
         return self
 
     def install(
         self, klass: int, svm: OneClassSVM, scaler: StandardScaler | None = None
     ) -> None:
-        """Install one class's fitted pieces (the fitting pipeline's entry).
+        """Install one class's fitted SVM and scaler.
 
-        :mod:`repro.core.fitting` solves (layer, class) tasks out of line
-        and assembles validators through this rather than :meth:`fit`;
-        installing invalidates any cached packed scorer.
+        Both :meth:`fit` and the :mod:`repro.core.fitting` pipeline
+        assemble validators through this; installing invalidates any
+        cached packed scorer.
         """
         self.__dict__.pop("_pack", None)
         self._svms[int(klass)] = svm
@@ -196,7 +192,6 @@ class LayerValidator:
         self,
         representations: np.ndarray,
         predicted: np.ndarray,
-        chunk_size: int | None = None,
         groups: ClassGroups | None = None,
     ) -> np.ndarray:
         """Per-sample discrepancy via the packed per-class scorer.
@@ -204,11 +199,10 @@ class LayerValidator:
         Numerically equivalent to :meth:`discrepancy` (the differential
         harness pins agreement at 1e-8): the same one kernel block per
         predicted-class group, with per-class standardisation folded into
-        the packed rows. ``groups`` is
+        the packed rows. The rows are scored as one chunk. ``groups`` is
         :func:`~repro.svm.packed.group_by_class` of ``predicted``, which
-        the engine builds once per chunk and shares across layers; the
-        rows are then scored as that one chunk. Without it, each chunk of
-        ``chunk_size`` rows is grouped here. A class-agnostic layer
+        the engine builds once per chunk and shares across layers; without
+        it the rows are grouped here. A class-agnostic layer
         (``per_class=False``) and the reference fallback ignore it.
         """
         pack = self.packed()
@@ -220,7 +214,7 @@ class LayerValidator:
             groups = None
         try:
             if groups is None:
-                return pack.discrepancy(representations, predicted, chunk_size=chunk_size)
+                return pack.discrepancy(representations, predicted)
             return pack.score_groups(np.asarray(representations), groups)
         except KeyError as exc:
             raise KeyError(
@@ -311,7 +305,7 @@ class DeepValidator:
         # A refit reports only its own run: stale layer lists and image
         # counts from a previous fit must not accumulate.
         self.fit_summary = _FitSummary(total_training_images=len(train_images))
-        self.validators, self.fit_summary.correctly_classified = fit_deep_validator(
+        self.validators, self.fit_summary.correctly_classified = fitting.fit_deep_validator(
             self.model,
             train_images,
             train_labels,

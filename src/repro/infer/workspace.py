@@ -8,11 +8,11 @@ dtype)``, so steady-state inference allocates nothing but the probe outputs
 it hands to the caller.
 
 Buffers are **per thread**: each thread that runs the shared plan (the
-serving worker, direct callers) gets its own buffer set (a
-``threading.local`` pool), so concurrent ``classify`` calls can never
-tear each other's scratch space. Reuse is
-observable via :meth:`WorkspacePool.stats` and the
-``infer_workspace_reuse_total{result=hit|miss}`` counter.
+serving worker, direct callers) gets its own buffer set, owned only by a
+``threading.local``, so concurrent ``classify`` calls can never tear each
+other's scratch space and a thread's buffers are freed when it exits.
+Reuse is observable via the ``infer_workspace_reuse_total{result=hit|miss}``
+counter.
 """
 
 from __future__ import annotations
@@ -51,22 +51,17 @@ class WorkspacePool:
     Distinct chunk widths (a stream's final short chunk, different callers'
     batch sizes) key distinct buffers, so a plan serving mixed batch shapes
     holds one buffer per (step, role, shape, dtype) it has actually seen.
-    Pools are process-lifetime small: buffer count is bounded by the plan's
-    step count times the number of distinct chunk shapes.
+    A live thread's buffer count is bounded by the plan's step count times
+    the number of distinct chunk shapes.
     """
 
     def __init__(self) -> None:
         self._local = threading.local()
-        self._lock = threading.Lock()
-        self._pools: list[_ThreadBuffers] = []
 
     def _pool(self) -> _ThreadBuffers:
         pool = getattr(self._local, "pool", None)
         if pool is None:
-            pool = _ThreadBuffers()
-            self._local.pool = pool
-            with self._lock:
-                self._pools.append(pool)
+            pool = self._local.pool = _ThreadBuffers()
         return pool
 
     # -- buffer checkout -------------------------------------------------------
@@ -108,19 +103,6 @@ class WorkspacePool:
         pool.hits += 1
         return buf, True
 
-    def index(self, key: tuple, size: int) -> np.ndarray:
-        """A cached ``np.arange(size)`` gather index (treat as read-only)."""
-        pool = self._pool()
-        full_key = (key, size, "index")
-        buf = pool.buffers.get(full_key)
-        if buf is None:
-            buf = np.arange(size)
-            pool.buffers[full_key] = buf
-            pool.misses += 1
-        else:
-            pool.hits += 1
-        return buf
-
     def flush_metrics(self) -> None:
         """Publish this thread's checkout counts since the last flush.
 
@@ -147,18 +129,3 @@ class WorkspacePool:
     def buffers(self) -> dict[tuple, np.ndarray]:
         """The calling thread's buffers, keyed ``(key, shape, dtype)``."""
         return dict(self._pool().buffers)
-
-    @property
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/buffer accounting aggregated across all threads."""
-        with self._lock:
-            pools = list(self._pools)
-        return {
-            "hits": sum(p.hits for p in pools),
-            "misses": sum(p.misses for p in pools),
-            "buffers": sum(len(p.buffers) for p in pools),
-            "threads": len(pools),
-        }
-
-    def __repr__(self) -> str:
-        return f"WorkspacePool({self.stats})"

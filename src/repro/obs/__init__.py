@@ -1,13 +1,15 @@
-"""Observability for the validation stack: metrics, tracing, profiling.
+"""Observability for the validation stack: metrics and tracing.
 
 This package is the single seam every instrumented hot path goes through:
 
 * :mod:`repro.obs.metrics` — thread-safe Counter/Gauge/Histogram families
   in a :class:`MetricsRegistry`, with Prometheus-text and JSON exporters;
 * :mod:`repro.obs.tracing` — :class:`Span`/:class:`Tracer` with an
-  injectable monotonic clock and a deterministic in-memory exporter;
-* :mod:`repro.obs.profile` — ``@profiled`` / ``profile_section`` wall-time
-  histograms per pipeline stage.
+  injectable monotonic clock and a deterministic in-memory exporter.
+
+Pipeline stages are timed by their spans (``fit.extract``,
+``fit.solve_tasks``, ...); a hot section that needs a histogram rather
+than a span wraps itself in :func:`timed`.
 
 Call sites use the module-level helpers, which bind to the *current*
 process-wide registry and tracer::
@@ -21,7 +23,7 @@ process-wide registry and tracer::
 
 **Kill switch.** Setting ``REPRO_OBS=0`` in the environment turns every
 helper into a no-op: ``counter``/``gauge``/``histogram`` hand back a shared
-null metric, ``span``/``profile_section`` a shared null context. Nothing is
+null metric, ``span``/``timed`` a shared null context. Nothing is
 recorded, no clock is read, and the instrumented code's numeric outputs are
 bit-identical to the instrumented run (pinned by the golden-trace suite in
 ``tests/test_obs_integration.py``). The flag is read once and cached;
@@ -55,7 +57,6 @@ from repro.obs.metrics import (
     MetricFamily,
     MetricsRegistry,
 )
-from repro.obs.profile import profile_section, profiled
 from repro.obs.tracing import InMemorySpanExporter, ManualClock, Span, Tracer
 
 __all__ = [
@@ -69,8 +70,6 @@ __all__ = [
     "Tracer",
     "InMemorySpanExporter",
     "ManualClock",
-    "profile_section",
-    "profiled",
     "enabled",
     "set_enabled",
     "get_registry",
@@ -83,7 +82,6 @@ __all__ = [
     "histogram",
     "span",
     "timed",
-    "clock",
     "ENV_SWITCH",
     "GLOBAL_SPAN_LIMIT",
 ]
@@ -285,15 +283,3 @@ def timed(series):
     if not enabled():
         return _NULL_SPAN_CONTEXT
     return _Timed(series)
-
-
-def clock() -> float:
-    """The current tracer's clock reading (0.0 when observability is off).
-
-    Instrumentation that times sections inline should prefer
-    :func:`profile_section`; this exists for call sites that need the raw
-    time source (e.g. to stamp a snapshot).
-    """
-    if not enabled():
-        return 0.0
-    return get_tracer().clock()

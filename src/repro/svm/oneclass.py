@@ -147,54 +147,6 @@ class OneClassSVM:
 
     # -- fitting ---------------------------------------------------------------
 
-    @classmethod
-    def from_solution(
-        cls,
-        *,
-        kernel: Kernel,
-        support_vectors: np.ndarray,
-        dual_coef: np.ndarray,
-        rho: float,
-        norm_w: float,
-        nu: float = 0.1,
-        iterations: int = 0,
-        converged: bool = True,
-    ) -> "OneClassSVM":
-        """Rebuild a fitted estimator from precomputed solution pieces.
-
-        The assembly step of the fitting pipeline (:mod:`repro.core.fitting`):
-        each in-process solve, or its replayed task-journal record, keeps
-        only the support set, offsets, and the fitted kernel; this
-        reconstructs an estimator that scores identically to one produced by
-        :meth:`fit` on the same data, so the pipeline stays bit-identical to
-        per-layer ``LayerValidator.fit``. ``result_.alpha`` holds only the
-        support-vector duals (the zero entries are dropped when the solve
-        finishes).
-        """
-        support_vectors = np.asarray(support_vectors, dtype=np.float64)
-        dual_coef = np.asarray(dual_coef, dtype=np.float64)
-        if support_vectors.ndim != 2:
-            raise ValueError(
-                f"expected (M, d) support vectors, got shape {support_vectors.shape}"
-            )
-        if dual_coef.shape != (len(support_vectors),):
-            raise ValueError(
-                f"dual_coef must have shape ({len(support_vectors)},), "
-                f"got {dual_coef.shape}"
-            )
-        if not isinstance(kernel, Kernel):
-            raise TypeError(f"kernel must be a fitted Kernel, got {type(kernel).__name__}")
-        svm = cls(nu=nu, kernel=kernel)
-        svm.kernel_ = kernel
-        svm.support_vectors_ = support_vectors
-        svm.dual_coef_ = dual_coef
-        svm.rho_ = float(rho)
-        svm.norm_w_ = float(norm_w)
-        svm.result_ = SMOResult(
-            alpha=dual_coef, rho=float(rho), iterations=iterations, converged=converged
-        )
-        return svm
-
     def fit(self, features: np.ndarray) -> "OneClassSVM":
         """Fit the one-class dual on ``features`` (N, d)."""
         features = np.asarray(features, dtype=np.float64)

@@ -195,17 +195,11 @@ class PackedClassSVMs:
         out[groups.order] = self._sorted_discrepancy(augmented, positions, groups.bounds)
         return out
 
-    def discrepancy(
-        self,
-        features: np.ndarray,
-        predicted: np.ndarray,
-        chunk_size: int | None = None,
-    ) -> np.ndarray:
+    def discrepancy(self, features: np.ndarray, predicted: np.ndarray) -> np.ndarray:
         """Per-sample discrepancy ``-t^{y'}`` against the predicted class's SVM.
 
-        Groups each chunk of ``chunk_size`` rows by class and scores it
-        with :meth:`score_groups`; ``None`` scores the whole batch as one
-        chunk. The chunk bounds the transient kernel buffer.
+        Groups the rows by class and scores them as one chunk with
+        :meth:`score_groups`.
         """
         features = np.asarray(features)
         predicted = np.asarray(predicted)
@@ -215,12 +209,7 @@ class PackedClassSVMs:
             # Fully-quarantined serving windows score zero samples; skip
             # the GEMM machinery rather than stressing its edge cases.
             return np.empty(0)
-        out = np.empty(len(features))
-        step = len(features) if chunk_size is None else max(1, chunk_size)
-        for start in range(0, len(features), step):
-            rows = slice(start, start + step)
-            out[rows] = self.score_groups(features[rows], group_by_class(predicted[rows]))
-        return out
+        return self.score_groups(features, group_by_class(predicted))
 
 
 def _kernel_params(kernel: Kernel) -> tuple[str, float, int, float]:

@@ -17,27 +17,6 @@ class StandardScaler:
         self.mean_: np.ndarray | None = None
         self.scale_: np.ndarray | None = None
 
-    @classmethod
-    def from_stats(cls, mean: np.ndarray, scale: np.ndarray) -> "StandardScaler":
-        """Build a fitted scaler from precomputed statistics.
-
-        Fitting's ``build_layer_validators`` uses this to rebuild each
-        per-class scaler from the mean and scale a task solution carries,
-        without re-reading the training representations.
-        """
-        scaler = cls()
-        mean = np.asarray(mean, dtype=np.float64)
-        scale = np.asarray(scale, dtype=np.float64).copy()
-        if mean.shape != scale.shape or mean.ndim != 1:
-            raise ValueError(
-                f"mean and scale must be matching 1-d arrays, got "
-                f"{mean.shape} and {scale.shape}"
-            )
-        scale[scale == 0.0] = 1.0
-        scaler.mean_ = mean
-        scaler.scale_ = scale
-        return scaler
-
     def fit(self, features: np.ndarray) -> "StandardScaler":
         """Estimate per-feature mean and scale from (N, d) features.
 

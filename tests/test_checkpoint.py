@@ -421,10 +421,13 @@ def _task_features(tasks=6, rows=18, dims=4, seed=0):
 def _assert_solutions_equal(a, b):
     assert sorted(a) == sorted(b)
     for key in a:
-        assert a[key].support_vectors.tobytes() == b[key].support_vectors.tobytes()
-        assert a[key].dual_coef.tobytes() == b[key].dual_coef.tobytes()
-        assert a[key].rho == b[key].rho
-        assert a[key].norm_w == b[key].norm_w
+        (svm_a, scaler_a), (svm_b, scaler_b) = a[key], b[key]
+        assert svm_a.support_vectors_.tobytes() == svm_b.support_vectors_.tobytes()
+        assert svm_a.dual_coef_.tobytes() == svm_b.dual_coef_.tobytes()
+        assert svm_a.rho_ == svm_b.rho_
+        assert svm_a.norm_w_ == svm_b.norm_w_
+        assert scaler_a.mean_.tobytes() == scaler_b.mean_.tobytes()
+        assert scaler_a.scale_.tobytes() == scaler_b.scale_.tobytes()
 
 
 @pytest.mark.faults
@@ -494,6 +497,32 @@ class TestSolveTasksRecovery:
         solved = self._count_resolves(monkeypatch)
         solve_tasks(features, ValidatorConfig(nu=0.5), journal=journal)
         assert sorted(solved) == sorted(features)
+
+    def test_journal_of_older_record_format_discarded(self, tmp_path, monkeypatch):
+        # A journal stamped with the fingerprint formula that predates the
+        # record-format tag, for the same features and config, holds
+        # records of another shape: it is cleared and every task re-solved.
+        import hashlib
+
+        from repro.core.fitting import _solve_config
+        from repro.utils.cache import hash_array
+
+        features = _task_features()
+        config = ValidatorConfig(nu=0.2)
+        digest = hashlib.sha256()
+        digest.update(repr(sorted(_solve_config(config).items())).encode())
+        for key in sorted(features):
+            digest.update(repr(key).encode())
+            digest.update(hash_array(features[key]).encode())
+        journal = TaskJournal(tmp_path / "fit.journal")
+        journal.write_header(digest.hexdigest())
+        for key in sorted(features):
+            journal.append((key, "older-format record"))
+        solved = self._count_resolves(monkeypatch)
+        solutions = solve_tasks(features, config, journal=journal)
+        assert sorted(solved) == sorted(features)
+        _assert_solutions_equal(solutions, solve_tasks(features, config))
+        assert len(journal.replay()) == len(features)
 
     def test_journal_for_different_features_discarded(self, tmp_path, monkeypatch):
         config = ValidatorConfig(nu=0.2)

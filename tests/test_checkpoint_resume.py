@@ -98,12 +98,12 @@ def _features(n_tasks, rows, seed):
 def _solution_bytes(solutions):
     return {
         key: (
-            sol.support_vectors.tobytes(),
-            sol.dual_coef.tobytes(),
-            sol.rho,
-            sol.norm_w,
+            svm.support_vectors_.tobytes(),
+            svm.dual_coef_.tobytes(),
+            svm.rho_,
+            svm.norm_w_,
         )
-        for key, sol in solutions.items()
+        for key, (svm, _) in solutions.items()
     }
 
 

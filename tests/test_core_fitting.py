@@ -362,56 +362,53 @@ class TestKnobs:
             ValidatorConfig(n_jobs=1)
 
 
-class TestFromSolution:
-    def test_round_trip_scores_identically(self):
-        reps, labels = gaussian_classes()
-        rows = labels == 0
-        svm = OneClassSVM(nu=0.2).fit(reps[rows])
-        rebuilt = OneClassSVM.from_solution(
-            kernel=svm.kernel_,
-            support_vectors=svm.support_vectors_,
-            dual_coef=svm.dual_coef_,
-            rho=svm.rho_,
-            norm_w=svm.norm_w_,
-            nu=0.2,
-        )
-        np.testing.assert_array_equal(
-            rebuilt.signed_distance(reps[:10]), svm.signed_distance(reps[:10])
-        )
+class TestSharedSolve:
+    """One function fits every (layer, class) pair, on both fit paths."""
 
-    def test_shape_and_type_validation(self):
-        from repro.svm.kernels import LinearKernel
+    def _count_solves(self, monkeypatch):
+        calls: list = []
+        original = fitting._solve_fit_task
 
-        with pytest.raises(ValueError, match="support vectors"):
-            OneClassSVM.from_solution(
-                kernel=LinearKernel(), support_vectors=np.zeros(3),
-                dual_coef=np.zeros(3), rho=0.0, norm_w=1.0,
-            )
-        with pytest.raises(ValueError, match="dual_coef"):
-            OneClassSVM.from_solution(
-                kernel=LinearKernel(), support_vectors=np.zeros((3, 2)),
-                dual_coef=np.zeros(2), rho=0.0, norm_w=1.0,
-            )
-        with pytest.raises(TypeError, match="Kernel"):
-            OneClassSVM.from_solution(
-                kernel="rbf", support_vectors=np.zeros((3, 2)),
-                dual_coef=np.zeros(3), rho=0.0, norm_w=1.0,
-            )
+        def counting(features, cfg):
+            calls.append(len(features))
+            return original(features, cfg)
 
+        monkeypatch.setattr(fitting, "_solve_fit_task", counting)
+        return calls
+
+    def test_layer_validator_fit_and_solve_tasks_share_the_solve(self, monkeypatch):
+        reps, labels = gaussian_classes(classes=3)
+        config = ValidatorConfig(max_per_class=25)
+        calls = self._count_solves(monkeypatch)
+        LayerValidator(0, "layer0", config).fit(reps, labels)
+        assert calls == [25, 25, 25]
+        calls.clear()
+        fitted = fit_validators_from_arrays([reps, reps[:, :4]], labels, [0, 1], config)
+        assert calls == [25] * 6  # one solve per (layer, class) task
+        assert [layer.classes for layer in fitted] == [[0, 1, 2], [0, 1, 2]]
+
+    def test_solve_tasks_returns_the_fitted_estimators(self):
+        reps, labels = gaussian_classes(classes=2)
+        features = {(0, klass): reps[labels == klass] for klass in (0, 1)}
+        solutions = solve_tasks(features, ValidatorConfig(nu=0.2))
+        for key, (svm, scaler) in solutions.items():
+            assert isinstance(svm, OneClassSVM)
+            np.testing.assert_allclose(scaler.mean_, features[key].mean(axis=0))
+            assert solutions[key].iterations == svm.result_.iterations > 0
+            # The full dual vector stays with the fitted estimator.
+            assert len(svm.result_.alpha) == len(features[key])
+        unscaled = solve_tasks(features, ValidatorConfig(nu=0.2, standardize=False))
+        assert all(scaler is None for _, scaler in unscaled.values())
+
+
+class TestInstall:
     def test_install_invalidates_pack(self):
         reps, labels = gaussian_classes()
         validator = LayerValidator(0, "layer0", ValidatorConfig())
         validator.fit(reps, labels)
         pack = validator.packed()
         assert pack is not None
-        donor = validator._svms[0]
-        validator.install(
-            5,
-            OneClassSVM.from_solution(
-                kernel=donor.kernel_, support_vectors=donor.support_vectors_,
-                dual_coef=donor.dual_coef_, rho=donor.rho_, norm_w=donor.norm_w_,
-            ),
-            validator._scalers[0],
-        )
+        donor = LayerValidator(0, "donor", ValidatorConfig()).fit(reps, labels)
+        validator.install(5, donor._svms[0], donor._scalers[0])
         assert validator.classes == [0, 1, 2, 5]
         assert validator.packed() is not pack  # rebuilt with the new class

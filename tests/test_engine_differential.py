@@ -170,7 +170,10 @@ class TestBatchedEqualsPerSample:
         present = rng.choice(n_classes, size=rng.integers(1, n_classes + 1), replace=False)
         predicted = rng.choice(present, size=len(queries))
         whole = validator.discrepancy_batched(queries, predicted)
-        chunked = validator.discrepancy_batched(queries, predicted, chunk_size=chunk)
+        chunked = np.concatenate([
+            validator.discrepancy_batched(queries[rows], predicted[rows])
+            for rows in (slice(start, start + chunk) for start in range(0, len(queries), chunk))
+        ])
         reference = per_sample_reference(validator, queries, predicted)
         np.testing.assert_allclose(whole, reference, atol=TOLERANCE, rtol=0)
         np.testing.assert_allclose(chunked, whole, atol=1e-12, rtol=0)
@@ -393,7 +396,8 @@ def mixed_layer_validator(trained_tiny_model):
 
 
 def ungrouped_columns(validator, images):
-    """Each layer's own ``discrepancy_batched`` call, error or column."""
+    """Each layer's own ``discrepancy_batched`` calls, one per engine chunk:
+    an error or the column."""
     probabilities, reps = validator.model.hidden_representations(
         images, batch_size=CHUNK_SIZE
     )
@@ -401,11 +405,13 @@ def ungrouped_columns(validator, images):
     columns = []
     for layer in validator.validators:
         try:
-            columns.append(
+            columns.append(np.concatenate([
                 layer.discrepancy_batched(
-                    reps[layer.layer_index], predictions, chunk_size=CHUNK_SIZE
+                    reps[layer.layer_index][start:start + CHUNK_SIZE],
+                    predictions[start:start + CHUNK_SIZE],
                 )
-            )
+                for start in range(0, len(images), CHUNK_SIZE)
+            ]))
         except KeyError as exc:
             columns.append(exc)
     return predictions, columns

@@ -15,6 +15,9 @@ Run with ``pytest -q -m infer`` (tier-2 entry point; also exercised under
 
 from __future__ import annotations
 
+import gc
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -432,6 +435,22 @@ class TestConcurrentWorkspaces:
                 np.testing.assert_array_equal(probs, want_probs)
                 for rep, want in zip(reps, want_reps):
                     np.testing.assert_array_equal(rep, want)
+
+
+    def test_exited_thread_frees_its_buffers(self):
+        # A serve worker restart or stall replacement runs the shared plan
+        # on a new thread; the old thread's scratch must not outlive it.
+        pool = infer.WorkspacePool()
+        held = []
+
+        def checkout():
+            held.append(weakref.ref(pool.scratch(("step", "out"), (64, 64), np.float32)))
+
+        thread = threading.Thread(target=checkout)
+        thread.start()
+        thread.join()
+        gc.collect()
+        assert held[0]() is None
 
 
 class TestEndToEndScoring:

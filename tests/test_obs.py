@@ -2,10 +2,9 @@
 
 Covers the metrics data model (counters, gauges, fixed-bucket histograms,
 families, registry, exporters), deterministic tracing under a
-:class:`ManualClock`, the profiling hooks, the ``REPRO_OBS`` kill switch,
-and thread-safety under concurrent mutation. Histogram invariants —
-cumulative monotonicity, sum/count consistency, exact merges — are pinned
-as hypothesis properties.
+:class:`ManualClock`, the ``REPRO_OBS`` kill switch, and thread-safety
+under concurrent mutation. Histogram invariants — cumulative monotonicity,
+sum/count consistency, exact merges — are pinned as hypothesis properties.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import STAGE_HISTOGRAM, profile_section, profiled
 from repro.obs.tracing import InMemorySpanExporter, ManualClock, Tracer
 
 pytestmark = pytest.mark.obs
@@ -454,56 +452,6 @@ class TestTracer:
         assert len(exporter.find("y")) == 1
 
 
-# -- profiling hooks -----------------------------------------------------------
-
-
-class TestProfiling:
-    def test_profile_section_records_stage_duration(self, scoped):
-        registry, _, clock, _ = scoped
-        with profile_section("fit.solve"):
-            clock.advance(0.5)
-        series = registry.snapshot()[STAGE_HISTOGRAM]["series"]
-        assert series[0]["labels"] == {"stage": "fit.solve"}
-        assert series[0]["count"] == 1
-        assert series[0]["sum"] == pytest.approx(0.5)
-
-    def test_profiled_decorator_defaults_to_qualname(self, scoped):
-        registry, _, clock, _ = scoped
-
-        @profiled
-        def work():
-            clock.advance(0.1)
-            return 42
-
-        assert work() == 42
-        (series,) = registry.snapshot()[STAGE_HISTOGRAM]["series"]
-        assert series["labels"]["stage"].endswith("work")
-
-    def test_profiled_decorator_explicit_stage(self, scoped):
-        registry, _, clock, _ = scoped
-
-        @profiled("my.stage")
-        def work():
-            clock.advance(0.2)
-
-        work()
-        work()
-        (series,) = registry.snapshot()[STAGE_HISTOGRAM]["series"]
-        assert series["labels"] == {"stage": "my.stage"}
-        assert series["count"] == 2
-        assert series["sum"] == pytest.approx(0.4)
-
-    def test_profiled_disabled_is_a_plain_call(self):
-        with obs.use(registry=MetricsRegistry(), enabled=False):
-
-            @profiled("off.stage")
-            def work():
-                return "ok"
-
-            assert work() == "ok"
-        assert True  # no registry traffic to assert on; see kill-switch tests
-
-
 # -- package root: helpers, kill switch, scoping -------------------------------
 
 
@@ -536,7 +484,6 @@ class TestKillSwitch:
             with obs.timed(obs.histogram("h2")):
                 pass
             assert counter.value == 0.0
-            assert obs.clock() == 0.0
         assert registry.snapshot() == {}
 
     def test_use_restores_previous_state(self):
@@ -567,7 +514,6 @@ class TestKillSwitch:
         assert registry.snapshot()["h_seconds"]["series"][0]["sum"] == pytest.approx(
             0.5
         )
-        assert obs.clock() == clock()
 
 
 # -- thread safety -------------------------------------------------------------

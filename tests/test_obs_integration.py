@@ -52,8 +52,9 @@ def _fit_calibrate_monitor(model, train_x, train_y, test_x):
 #: The exact span tree (attributes included) the pipeline must produce.
 GOLDEN_TREE = """\
 fit.pipeline [images=300, layers=3]
-  infer.forward [batch=256]
-  infer.forward [batch=44]
+  fit.extract
+    infer.forward [batch=256]
+    infer.forward [batch=44]
   fit.solve_tasks [tasks=9]
     fit.solve_task [klass=0, layer=0]
     fit.solve_task [klass=1, layer=0]
@@ -128,11 +129,8 @@ class TestGoldenTrace:
             (("layer", "conv2"),): 0.0,
             (("layer", "fc1"),): 0.0,
         }
-        # The two fit stages each profiled exactly once.
-        assert series("profile_stage_seconds") == {
-            (("stage", "fit.extract"),): 1,
-            (("stage", "fit.solve"),): 1,
-        }
+        # The fit stages are timed by their spans (the golden tree) only.
+        assert "profile_stage_seconds" not in snap
 
     def test_trace_is_reproducible_run_to_run(self, trained_tiny_model):
         model, train_x, train_y, test_x, _ = trained_tiny_model
@@ -442,7 +440,7 @@ class TestFitCounters:
         }
         for key in features:
             assert np.array_equal(
-                first[key].support_vectors, second[key].support_vectors
+                first[key].svm.support_vectors_, second[key].svm.support_vectors_
             )
 
 

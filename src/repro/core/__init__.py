@@ -10,12 +10,6 @@ error-inducing corner cases.
 """
 
 from repro.core.engine import ValidationEngine
-from repro.core.checkpoint import (
-    CheckpointIntegrityError,
-    CheckpointStore,
-    TaskJournal,
-    default_checkpoint_store,
-)
 from repro.core.fitting import fit_validators_from_arrays
 from repro.core.validator import DeepValidator, LayerValidator, ValidatorConfig
 from repro.core.thresholds import centroid_threshold, fpr_calibrated_threshold
@@ -48,10 +42,6 @@ from repro.core.calibration import (
 
 __all__ = [
     "ValidationEngine",
-    "CheckpointIntegrityError",
-    "CheckpointStore",
-    "TaskJournal",
-    "default_checkpoint_store",
     "fit_validators_from_arrays",
     "DeepValidator",
     "LayerValidator",

@@ -48,9 +48,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.checkpoint import _check_name
 from repro.utils.cache import (
     FrameError,
+    _check_name,
     frame_header,
     quarantine_file,
     read_frame_file,

@@ -23,7 +23,7 @@ This module runs ``DeepValidator.fit`` in two stages:
    fitted on the same rows.
 
 Stage 2 is also the pipeline's recovery point. Given a ``journal``
-(:class:`~repro.core.checkpoint.TaskJournal`), every fitted ``(svm,
+(:class:`~repro.utils.cache.TaskJournal`), every fitted ``(svm,
 scaler)`` pair is flushed to disk as it lands; a rerun replays the journal
 and solves only the missing tasks, so a crash at task 97/100 costs three
 solves, not a hundred. Replayed and freshly-solved tasks are bit-identical
@@ -303,7 +303,7 @@ def solve_tasks(
     """Fit every task in-process, in sorted key order.
 
     Returns each key's :class:`TaskFit`. ``journal`` (a
-    :class:`~repro.core.checkpoint.TaskJournal`) makes the solve
+    :class:`~repro.utils.cache.TaskJournal`) makes the solve
     resumable: previously journaled tasks are replayed instead of
     recomputed, and every new one is flushed before the next task starts.
     The journal carries a fingerprint header of the record format, the
@@ -371,7 +371,7 @@ def fit_deep_validator(
 
     ``images`` is the whole training draw: the one forward pass of
     :func:`extract_task_features` filters it as well as gathering it.
-    ``journal`` (a :class:`~repro.core.checkpoint.TaskJournal`) makes the
+    ``journal`` (a :class:`~repro.utils.cache.TaskJournal`) makes the
     solve stage resumable across process deaths; the sampled rows are a
     pure function of the draw, the model and the seed, so a journal
     written by an interrupted fit of the same data/config replays into

@@ -297,7 +297,7 @@ class DeepValidator:
         fitted validator is bit-identical to per-layer
         ``LayerValidator.fit`` on the same kept rows of the same forward.
         ``journal`` (a
-        :class:`~repro.core.checkpoint.TaskJournal`) makes the solve stage
+        :class:`~repro.utils.cache.TaskJournal`) makes the solve stage
         crash-safe: completed (layer, class) solutions are flushed as they
         land and replayed on a rerun of the same data and config.
         """

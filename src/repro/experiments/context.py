@@ -16,10 +16,9 @@ import numpy as np
 
 import repro
 from repro import obs
-from repro.core.checkpoint import CheckpointStore
 from repro.core.validator import DeepValidator, ValidatorConfig
 from repro.corner.suite import CornerCaseSuite, build_corner_case_suite
-from repro.utils.cache import ArtifactCache, default_cache
+from repro.utils.cache import CheckpointStore, default_cache
 from repro.utils.rng import new_rng
 from repro.zoo.recipes import TrainedClassifier, get_trained_classifier
 
@@ -116,7 +115,7 @@ class ExperimentContext:
 
 
 def _build_context(
-    dataset_name: str, profile: str, seed: int, cache: ArtifactCache
+    dataset_name: str, profile: str, seed: int, cache: CheckpointStore
 ) -> ExperimentContext:
     """Build the context crash-safely.
 
@@ -176,7 +175,7 @@ def get_context(
     dataset_name: str,
     profile: str = "tiny",
     seed: int = 0,
-    cache: ArtifactCache | None = None,
+    cache: CheckpointStore | None = None,
 ) -> ExperimentContext:
     """Load or build the cached experiment context."""
     cache = cache if cache is not None else default_cache()

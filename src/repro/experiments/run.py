@@ -31,6 +31,7 @@ from repro.experiments import (
     run_table7,
     run_table8,
 )
+from repro.utils.cache import CheckpointStore, default_checkpoint_store
 
 _PER_DATASET = {
     "table5": run_table5,
@@ -88,8 +89,6 @@ def run_experiment(name: str, dataset: str | None, profile: str, seed: int) -> s
 
 def _run_journal(checkpoint_dir: str | None, dataset: str | None, profile: str, seed: int):
     """The per-run journal of completed experiment reports."""
-    from repro.core.checkpoint import CheckpointStore, default_checkpoint_store
-
     store = (
         CheckpointStore(checkpoint_dir)
         if checkpoint_dir is not None

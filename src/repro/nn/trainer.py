@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from repro.nn.losses import cross_entropy
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer
 from repro.nn.sequential import ProbedSequential
+from repro.utils.cache import CheckpointStore
 from repro.utils.rng import RngLike, get_rng_state, new_rng, set_rng_state
 
 
@@ -29,9 +29,6 @@ def _epoch_seconds():
     return obs.histogram(
         "trainer_epoch_seconds", help="Wall-clock time per training epoch"
     )
-
-if TYPE_CHECKING:  # layering: nn never imports core at module load
-    from repro.core.checkpoint import CheckpointStore
 
 
 @dataclass
@@ -48,18 +45,10 @@ class TrainingReport:
         return self.epoch_accuracies[-1]
 
 
-def _as_store(checkpoint: "CheckpointStore | str | Path | None"):
-    """Normalise the ``checkpoint`` argument to a store object (or None).
-
-    Paths are resolved lazily through :mod:`repro.core.checkpoint` so the
-    ``nn`` layer carries no import-time dependency on ``core``; anything
-    with ``save``/``load_or_none`` duck-types as a store.
-    """
-    if checkpoint is None:
-        return None
+def _as_store(checkpoint: CheckpointStore | str | Path | None):
+    """Normalise the ``checkpoint`` argument to a store object (or None);
+    anything with ``save``/``load_or_none`` duck-types as a store."""
     if isinstance(checkpoint, (str, Path)):
-        from repro.core.checkpoint import CheckpointStore
-
         return CheckpointStore(checkpoint)
     return checkpoint
 
@@ -128,13 +117,13 @@ class Trainer:
         labels: np.ndarray,
         epochs: int,
         verbose: bool = False,
-        checkpoint: "CheckpointStore | str | Path | None" = None,
+        checkpoint: CheckpointStore | str | Path | None = None,
         checkpoint_name: str = "trainer",
         resume: bool = False,
     ) -> TrainingReport:
         """Train for ``epochs`` passes over ``(images, labels)``.
 
-        With ``checkpoint`` (a :class:`~repro.core.checkpoint.CheckpointStore`
+        With ``checkpoint`` (a :class:`~repro.utils.cache.CheckpointStore`
         or a directory path), every completed epoch is snapshotted
         atomically under ``checkpoint_name``. With ``resume=True``, a
         snapshot found in the store restores the model, optimizer buffers,

@@ -55,7 +55,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from repro.utils.cache import FRAME_HEADER, frame_header
+from repro.utils.cache import FRAME_HEADER, cache_key, frame_header
 
 
 # -- activation faults ---------------------------------------------------------
@@ -106,7 +106,8 @@ def corrupt_artifact(
     seed: int = 0,
     refresh_checksum: bool = False,
 ) -> Iterator[None]:
-    """Corrupt a cached artifact on disk, restoring the original on exit.
+    """Corrupt the entry for ``(name, config)`` in ``cache`` (a
+    :class:`~repro.utils.cache.CheckpointStore`), restoring it on exit.
 
     The entry is one frame (40-byte header, then the pickle), and the
     corruption lands in the pickle. ``mode="bitflip"`` flips one bit at a
@@ -119,7 +120,7 @@ def corrupt_artifact(
     """
     if mode not in {"bitflip", "truncate"}:
         raise ValueError(f"mode must be 'bitflip' or 'truncate', got {mode!r}")
-    path = cache.path_for(name, config)
+    path = cache.path_for(cache_key(name, config))
     original = path.read_bytes()
     header = original[: FRAME_HEADER.size]
     body = bytearray(original[FRAME_HEADER.size :])

@@ -1,9 +1,12 @@
-"""Shared utilities: seeded RNG plumbing, artifact caching, table rendering."""
+"""Shared utilities: seeded RNG plumbing, the artifact cache and checkpoint
+store, table rendering."""
 
 from repro.utils.cache import (
-    ArtifactCache,
-    ArtifactIntegrityError,
+    CheckpointIntegrityError,
+    CheckpointStore,
+    TaskJournal,
     default_cache,
+    default_checkpoint_store,
     hash_array,
 )
 from repro.utils.rng import new_rng, spawn_rngs
@@ -12,8 +15,10 @@ from repro.utils.validation import check_positive, check_probability, check_shap
 from repro.utils.warnings_ import emit_warning, strict_mode
 
 __all__ = [
-    "ArtifactCache",
-    "ArtifactIntegrityError",
+    "CheckpointIntegrityError",
+    "CheckpointStore",
+    "TaskJournal",
+    "default_checkpoint_store",
     "emit_warning",
     "strict_mode",
     "default_cache",

@@ -1,18 +1,35 @@
-"""Caching utilities: the on-disk artifact cache, content hashing, and the
-self-verifying file frame every on-disk artifact is written in.
+"""Caching utilities: the one store for framed pickles, content hashing,
+and the self-verifying file frame every on-disk artifact is written in.
 
 Training even a small CNN in pure numpy takes tens of seconds, so every
 expensive artifact (trained models, fitted validators, searched corner-case
-suites) is cached on disk keyed by a stable hash of its configuration.
-Entries are pickled; the cache directory defaults to ``.artifacts/`` at the
-repository root and can be relocated with the ``REPRO_CACHE_DIR``
-environment variable.
+suites) is cached on disk keyed by a stable hash of its configuration, and
+the long pipelines that build them checkpoint as they go: a crash at epoch
+39/40 must cost one epoch, and a resumed run must be **bit-identical** to
+an uninterrupted one.
 
 Cache entries, checkpoint snapshots, journal records and validator
 bundles are all written in one frame (body length, body sha256, body) by
 the helpers below, which stage and rename files into place, verify them
-before anything is unpickled, and quarantine them when corrupt. This
-module imports nothing from ``repro.core``, which imports it at load time.
+before anything is unpickled, and quarantine them when corrupt. On top of
+them sit two primitives:
+
+* :class:`CheckpointStore` — a directory of framed pickles under flat
+  names, ``<name>.pkl``. It holds checkpoint snapshots by name and cache
+  entries by :func:`cache_key` (``<name>-<config hash>``) through
+  :meth:`CheckpointStore.get_or_build`; an unreadable entry is quarantined
+  and treated as missing. :func:`default_cache` (``.artifacts/`` or
+  ``$REPRO_CACHE_DIR``) and :func:`default_checkpoint_store` are stores.
+* :class:`TaskJournal` — an append-only, per-record-checksummed journal
+  for pipelines made of many small independent results (the ``(layer,
+  class)`` solves of Algorithm 1, the per-experiment reports of the CLI).
+  :meth:`TaskJournal.replay` returns every intact record and drops a torn
+  tail — exactly the record that was mid-write when the process died.
+
+Checkpoints capture RNG bit-state via :func:`repro.utils.rng.get_rng_state`
+/ :func:`~repro.utils.rng.set_rng_state`, which is what makes resume
+bit-identical rather than merely approximate. This module imports nothing
+from ``repro.core`` or ``repro.nn``, which import it at load time.
 """
 
 from __future__ import annotations
@@ -21,11 +38,12 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import struct
 import time
 import uuid
 from pathlib import Path
-from typing import Any, BinaryIO, Callable
+from typing import Any, BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -195,22 +213,65 @@ def quarantine_file(path: Path, root: Path) -> Path | None:
     return destination
 
 
-class ArtifactIntegrityError(RuntimeError):
-    """A cached artifact failed its content-checksum verification."""
+def cache_key(name: str, config: Any) -> str:
+    """The store key of the cache entry for ``(name, config)``."""
+    return f"{name}-{_stable_hash(config)}"
 
 
-class ArtifactCache:
-    """A content-addressed pickle cache with integrity verification.
+def _unlink(path: Path) -> bool:
+    """Delete ``path``; whether it was there to delete."""
+    try:
+        path.unlink()
+    except FileNotFoundError:
+        return False
+    return True
 
-    Keys are ``(name, config)`` pairs; ``config`` must be JSON-serialisable
-    (anything else is stringified, which is fine as long as the string is
-    stable across runs).
 
-    Each entry is one file holding one frame around the pickle, so the
-    digest lands in the same ``os.replace`` as the bytes it covers.
-    :meth:`load` verifies it before unpickling, and an entry that fails
-    is *quarantined* — moved into a ``.quarantine/`` subdirectory for
-    post-mortem inspection — rather than half-loaded or silently deleted.
+def _loads_counter():
+    return obs.counter(
+        "checkpoint_loads_total",
+        help="Cache entry and checkpoint snapshot reads by outcome",
+        labels=("result",),
+    )
+
+
+class CheckpointError(RuntimeError):
+    """Base class for checkpoint-store failures."""
+
+
+class CheckpointIntegrityError(CheckpointError):
+    """A store entry or journal record failed its checksum verification."""
+
+
+_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+
+#: First element of the frame a journal header is wrapped in; see
+#: :meth:`TaskJournal.write_header`.
+_HEADER_SENTINEL = "__task-journal-header__"
+
+#: What :meth:`CheckpointStore._load_or` returns for a missing or
+#: unreadable entry when a cached value may itself be ``None``.
+_MISSING = object()
+
+
+def _check_name(name: str) -> str:
+    if not _NAME_RE.match(name):
+        raise ValueError(
+            f"checkpoint name must match {_NAME_RE.pattern}, got {name!r}"
+        )
+    return name
+
+
+class CheckpointStore:
+    """Atomic, integrity-checked framed pickles under flat names.
+
+    Each entry is one file, ``<name>.pkl``, holding one frame around the
+    pickle. Writes are atomic (temp + ``os.replace``), and because the
+    digest travels inside the same file there is no crash window in which
+    an entry's payload and integrity record diverge: the store holds
+    either the previous complete entry or the new one. Reads verify the
+    digest before unpickling; a corrupt entry is quarantined — moved into
+    ``.quarantine/`` for post-mortem — rather than half-loaded.
     """
 
     QUARANTINE_DIR = QUARANTINE_DIR
@@ -219,82 +280,219 @@ class ArtifactCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def path_for(self, name: str, config: Any) -> Path:
-        """Deterministic cache path for a (name, config) pair."""
-        return self.root / f"{name}-{_stable_hash(config)}.pkl"
+    def path_for(self, name: str) -> Path:
+        """On-disk path of the entry called ``name``."""
+        return self.root / f"{_check_name(name)}.pkl"
 
-    def contains(self, name: str, config: Any) -> bool:
-        """Whether a cached entry exists for (name, config)."""
-        return self.path_for(name, config).exists()
+    def exists(self, name: str) -> bool:
+        """Whether an entry called ``name`` is present."""
+        return self.path_for(name).exists()
 
-    def load(self, name: str, config: Any) -> Any:
-        """Verify and unpickle the cached value for (name, config).
+    def save(self, name: str, state: Any) -> None:
+        """Atomically pickle ``state`` under ``name`` as one frame."""
+        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        write_atomic(self.path_for(name), frame_header(payload), payload)
+        obs.counter(
+            "checkpoint_saves_total", help="Cache entries and checkpoint snapshots written"
+        ).inc()
 
-        A truncated, bit-flipped or overlong entry is quarantined and
-        raises :class:`ArtifactIntegrityError` — it is never half-loaded.
+    def load(self, name: str) -> Any:
+        """Verify and unpickle the entry called ``name``.
+
+        Raises :class:`FileNotFoundError` if absent, and
+        :class:`CheckpointIntegrityError` (after quarantining the entry)
+        if the frame is truncated, overlong or fails verification.
         """
-        path = self.path_for(name, config)
+        path = self.path_for(name)
         try:
-            [(body, _)] = read_frame_file(path)
+            [(payload, _)] = read_frame_file(path)
         except FrameError as exc:
-            self.quarantine(name, config)
-            raise ArtifactIntegrityError(
+            self.quarantine(name)
+            _loads_counter().labels(result="corrupt").inc()
+            raise CheckpointIntegrityError(
                 f"{path.name}: {exc}; entry quarantined"
             ) from None
-        return pickle.loads(body)
+        state = pickle.loads(payload)
+        _loads_counter().labels(result="ok").inc()
+        return state
 
-    def store(self, name: str, config: Any, value: Any) -> None:
-        """Pickle ``value`` under (name, config) as one frame, atomically."""
-        body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        write_atomic(self.path_for(name, config), frame_header(body), body)
+    def _load_or(self, name: str, missing: Any) -> Any:
+        """The entry, or ``missing`` if it is absent or unusable.
 
-    def discard(self, name: str, config: Any) -> bool:
-        """Remove the entry for (name, config); returns whether one existed."""
-        path = self.path_for(name, config)
-        if path.exists():
-            path.unlink()
-            return True
-        return False
+        A corrupt or unpicklable entry (a foreign file, a pickle of a class
+        that has since changed) is quarantined. There is no existence
+        pre-check: an entry another process removes before the read is
+        simply absent.
+        """
+        try:
+            return self.load(name)
+        except (FileNotFoundError, CheckpointIntegrityError):
+            return missing
+        except UNPICKLE_ERRORS:
+            self.quarantine(name)
+            return missing
 
-    def quarantine(self, name: str, config: Any) -> Path | None:
-        """Move the entry for (name, config) into ``.quarantine/``."""
-        return quarantine_file(self.path_for(name, config), self.root)
+    def load_or_none(self, name: str) -> Any:
+        """The resume entry point: the snapshot, or ``None`` if unusable.
+
+        Resuming from damaged state would break the bit-identity
+        contract, so the caller restarts the stage instead.
+        """
+        return self._load_or(name, None)
 
     def get_or_build(self, name: str, config: Any, build: Callable[[], Any]) -> Any:
-        """Return the cached value for ``(name, config)``, building it once.
+        """The cache entry for ``(name, config)``, built and saved on a miss.
 
-        A cache entry that fails integrity verification (bit-flipped,
-        truncated or overlong bytes) or that cannot be unpickled (a foreign
-        file, an artifact pickled against a class that has since changed)
-        is treated as a miss: the entry is quarantined and rebuilt rather
-        than poisoning every future run.
+        ``config`` must be JSON-serialisable (other values are keyed by
+        type and ``repr``). An entry that is missing, corrupt or
+        unpicklable is a miss, so a damaged cache rebuilds rather than
+        poisoning every future run.
         """
-        if self.contains(name, config):
-            try:
-                return self.load(name, config)
-            except ArtifactIntegrityError:
-                pass  # load already quarantined the entry
-            except UNPICKLE_ERRORS:
-                self.quarantine(name, config)
-        value = build()
-        self.store(name, config, value)
+        key = cache_key(name, config)
+        value = self._load_or(key, _MISSING)
+        if value is _MISSING:
+            value = build()
+            self.save(key, value)
         return value
 
+    def discard(self, name: str) -> bool:
+        """Remove the entry called ``name``; returns whether one existed."""
+        return _unlink(self.path_for(name))
+
     def clear(self) -> int:
-        """Delete every cache entry; returns the number removed.
+        """Delete every entry; returns the number removed.
 
-        Quarantined evidence under ``.quarantine/`` is left untouched.
+        Journals and quarantined evidence under ``.quarantine/`` are left.
         """
-        removed = 0
-        for path in self.root.glob("*.pkl"):
-            path.unlink()
-            removed += 1
-        return removed
+        return sum(_unlink(path) for path in self.root.glob("*.pkl"))
+
+    def quarantine(self, name: str) -> Path | None:
+        """Move a corrupt entry into ``.quarantine/`` for post-mortem."""
+        return quarantine_file(self.path_for(name), self.root)
+
+    def journal(self, name: str) -> "TaskJournal":
+        """The append-only journal called ``name`` inside this store."""
+        return TaskJournal(self.root / f"{_check_name(name)}.journal")
 
 
-def default_cache() -> ArtifactCache:
+class TaskJournal:
+    """An append-only journal of picklable records, safe against torn tails.
+
+    Each :meth:`append` writes one self-verifying frame — payload length,
+    sha256 digest, pickled payload — and fsyncs it, so a record either
+    lands completely or not at all from the reader's point of view.
+    :meth:`replay` yields every intact record in append order and stops at
+    a torn tail (the frame that was mid-write when the process died); a
+    *complete* frame whose digest fails is storage rot, not a crash, and
+    raises :class:`CheckpointIntegrityError` instead of silently dropping
+    every record after it.
+
+    A journal may additionally carry a *header* — an identity stamp
+    (:meth:`write_header` / :meth:`header`) written as frame 0 of a fresh
+    journal and excluded from :meth:`replay`. Resumable pipelines store a
+    fingerprint of the config/data their records were computed from, so a
+    stale journal under a reused name is detected and discarded instead
+    of silently replayed into a run it does not belong to.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+
+    def exists(self) -> bool:
+        """Whether any journal file is present on disk."""
+        return self.path.exists()
+
+    def append(self, record: Any) -> None:
+        """Durably append one record (length + digest + pickle, fsynced)."""
+        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(self.path, "ab") as fh:
+            fh.write(frame_header(payload))
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        obs.counter(
+            "journal_appends_total", help="Journal records durably appended"
+        ).inc()
+
+    def write_header(self, header: Any) -> None:
+        """Stamp ``header`` as frame 0 of a *fresh* journal.
+
+        The header identifies what the journal's records were computed
+        from (callers typically store a config/data fingerprint) and is
+        skipped by :meth:`replay`. Stamping an existing journal would
+        misattribute its records, so that raises :class:`CheckpointError`
+        — :meth:`clear` first.
+        """
+        if self.path.exists():
+            raise CheckpointError(
+                f"{self.path.name}: cannot stamp a header onto an existing "
+                "journal; clear() it first"
+            )
+        self.append((_HEADER_SENTINEL, header))
+
+    def header(self) -> Any:
+        """Frame 0's header value, or ``None`` if the journal has none."""
+        first = next(self._iter_frames(), None)
+        return first[1] if self._is_header(first) else None
+
+    @staticmethod
+    def _is_header(record: Any) -> bool:
+        return (
+            isinstance(record, tuple)
+            and len(record) == 2
+            and record[0] == _HEADER_SENTINEL
+        )
+
+    def replay(self) -> list[Any]:
+        """Every intact record, in append order; a torn tail is dropped.
+
+        The header frame, if any, is not a record and is skipped.
+        """
+        records = list(self._iter_frames())
+        if records and self._is_header(records[0]):
+            del records[0]
+        obs.counter(
+            "journal_replayed_records_total",
+            help="Intact journal records yielded by replay",
+        ).inc(len(records))
+        return records
+
+    def _iter_frames(self) -> Iterator[Any]:
+        """Yield every intact frame (header included); see :meth:`replay`."""
+        if not self.path.exists():
+            return
+        with open(self.path, "rb") as fh:
+            while True:
+                try:
+                    frame = read_frame(fh)
+                except FrameError:
+                    raise CheckpointIntegrityError(
+                        f"{self.path.name}: journal record failed its checksum "
+                        "(storage corruption, not a torn write)"
+                    ) from None
+                if frame is None:
+                    return  # clean end, or a torn tail that was mid-write
+                yield pickle.loads(frame[0])
+
+    def clear(self) -> bool:
+        """Delete the journal file; returns whether one existed."""
+        return _unlink(self.path)
+
+
+def default_cache() -> CheckpointStore:
     """The repository-wide cache (``.artifacts/`` or ``$REPRO_CACHE_DIR``)."""
     root = os.environ.get("REPRO_CACHE_DIR")
     if root is None:
         root = Path(__file__).resolve().parents[3] / ".artifacts"
-    return ArtifactCache(root)
+    return CheckpointStore(root)
+
+
+def default_checkpoint_store() -> CheckpointStore:
+    """The repository-wide checkpoint store: ``$REPRO_CHECKPOINT_DIR`` or
+    ``.checkpoints/`` under the cache root (so relocating the cache with
+    ``REPRO_CACHE_DIR`` relocates the checkpoints with it)."""
+    root = os.environ.get("REPRO_CHECKPOINT_DIR")
+    if root is None:
+        return CheckpointStore(default_cache().root / ".checkpoints")
+    return CheckpointStore(root)

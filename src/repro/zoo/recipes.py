@@ -17,7 +17,7 @@ from repro.data.datasets import Dataset, load_dataset
 from repro.nn.optim import Adadelta
 from repro.nn.sequential import ProbedSequential
 from repro.nn.trainer import Trainer, TrainingReport
-from repro.utils.cache import ArtifactCache, default_cache
+from repro.utils.cache import CheckpointStore, default_cache
 from repro.zoo.architectures import densenet, mnist_cnn, svhn_cnn
 
 #: Named training profiles, per dataset. ``tiny`` keeps unit tests fast;
@@ -98,7 +98,7 @@ def train_classifier(
 ) -> TrainedClassifier:
     """Train the paper architecture for ``dataset_name`` from scratch.
 
-    ``checkpoints`` (a :class:`~repro.core.checkpoint.CheckpointStore`)
+    ``checkpoints`` (a :class:`~repro.utils.cache.CheckpointStore`)
     makes the run crash-safe: every epoch is snapshotted, a rerun resumes
     from the last completed epoch bit-identically, and the snapshot is
     discarded once training finishes (the artifact cache owns the result
@@ -152,7 +152,7 @@ def get_trained_classifier(
     dataset_name: str,
     profile_name: str = "tiny",
     seed: int = 0,
-    cache: ArtifactCache | None = None,
+    cache: CheckpointStore | None = None,
     checkpoints=None,
 ) -> TrainedClassifier:
     """Return a trained classifier, building and caching it on first use.

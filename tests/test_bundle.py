@@ -16,7 +16,6 @@ import pytest
 from repro import obs
 from repro.core import (
     BundleError,
-    CheckpointStore,
     BundleIntegrityError,
     BundleStore,
     BundleValidationError,
@@ -289,7 +288,8 @@ class TestStore:
         # It is refused before anything in it is unpickled.
         store = BundleStore(tmp_path)
         state = {"manifest": dataclasses.asdict(bundle.manifest), "payload": bundle.payload}
-        CheckpointStore(tmp_path).save(store.key_for("tiny", 1), state)
+        body = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        store.path_for("tiny", 1).write_bytes(frame_header(body) + body)
         assert store.versions("tiny") == [1]
         with pytest.raises(BundleIntegrityError):
             store.load("tiny", 1)

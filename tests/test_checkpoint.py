@@ -7,19 +7,14 @@ Bit-identity *properties* live in
 ``test_checkpoint_resume.py``.
 """
 
+import hashlib
 import os
 import pickle
+import struct
 
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import (
-    CheckpointError,
-    CheckpointIntegrityError,
-    CheckpointStore,
-    TaskJournal,
-    default_checkpoint_store,
-)
 from repro.core.fitting import solve_tasks
 from repro.core.validator import ValidatorConfig
 from repro.nn import Adadelta, Adam, SGD, Trainer, load_state_dict, save_state_dict
@@ -29,10 +24,26 @@ from repro.testing import (
     crash_at_epoch,
     crash_at_task,
 )
+from repro.utils.cache import (
+    CheckpointError,
+    CheckpointIntegrityError,
+    CheckpointStore,
+    TaskJournal,
+    _stable_hash,
+    default_checkpoint_store,
+)
 from repro.utils.rng import get_rng_state, new_rng, set_rng_state
 from tests.helpers import easy_image_task, make_tiny_model
 
 
+def frame(value):
+    """One frame around ``value``'s pickle, built by hand: 8-byte big-endian
+    length, sha256, body — the bytes every store wrote since frames began."""
+    body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    return struct.pack(">Q32s", len(body), hashlib.sha256(body).digest()) + body
+
+
+@pytest.mark.checkpoint
 class TestCheckpointStore:
     def test_save_load_roundtrip(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -47,9 +58,9 @@ class TestCheckpointStore:
         store.save("a", list(range(100)))
         store.save("a", list(range(200)))  # overwrite stages + replaces
         assert not list(tmp_path.glob("*.tmp"))
-        # The digest travels inside the .ckpt file itself — one file per
+        # The digest travels inside the .pkl file itself — one file per
         # snapshot, so no crash window can tear payload from integrity.
-        assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+        assert [p.name for p in tmp_path.iterdir()] == ["a.pkl"]
         assert store.load("a") == list(range(200))
 
     def test_corrupt_checkpoint_quarantined(self, tmp_path):
@@ -62,7 +73,7 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointIntegrityError):
             store.load("a")
         assert not store.exists("a")
-        assert list((tmp_path / CheckpointStore.QUARANTINE_DIR).glob("a.ckpt.*"))
+        assert list((tmp_path / CheckpointStore.QUARANTINE_DIR).glob("a.pkl.*"))
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -84,12 +95,12 @@ class TestCheckpointStore:
         # inside save() must leave the previous snapshot loadable.
         store = CheckpointStore(tmp_path)
         store.save("a", "good")
-        import repro.core.checkpoint as checkpoint_mod
+        import repro.utils.cache as cache_mod
 
         def exploding_replace(src, dst):
             raise OSError("injected crash during rename")
 
-        monkeypatch.setattr(checkpoint_mod.os, "replace", exploding_replace)
+        monkeypatch.setattr(cache_mod.os, "replace", exploding_replace)
         with pytest.raises(OSError):
             store.save("a", "newer")
         monkeypatch.undo()
@@ -101,6 +112,46 @@ class TestCheckpointStore:
         store.save("a", 1)
         store.path_for("a").write_bytes(b"not a pickle at all")
         assert store.load_or_none("a") is None  # corrupt -> start fresh
+
+    def test_load_or_none_treats_a_vanished_file_as_absent(self, tmp_path, monkeypatch):
+        # Another process may quarantine or discard the entry between any
+        # check and the read; the read's FileNotFoundError means "absent".
+        import repro.utils.cache as cache_mod
+
+        store = CheckpointStore(tmp_path)
+        store.save("a", 1)
+        store.save(cache_mod.cache_key("thing", {}), "old")
+        real = cache_mod.read_frame_file
+        vanishing = {"a.pkl", store.path_for(cache_mod.cache_key("thing", {})).name}
+
+        def vanishes_once(path, frames=1):
+            if path.name in vanishing:
+                vanishing.remove(path.name)
+                raise FileNotFoundError(path)
+            return real(path, frames)
+
+        monkeypatch.setattr(cache_mod, "read_frame_file", vanishes_once)
+        assert store.load_or_none("a") is None
+        assert store.get_or_build("thing", {}, lambda: "rebuilt") == "rebuilt"
+        assert store.load_or_none("a") == 1
+
+    def test_get_or_build_caches_none(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        calls = []
+        assert store.get_or_build("nothing", {}, lambda: calls.append(1)) is None
+        assert store.get_or_build("nothing", {}, lambda: calls.append(1)) is None
+        assert calls == [1]
+
+    def test_existing_cache_files_hit_without_a_rebuild(self, tmp_path):
+        # Cache entries written before the stores merged are named
+        # <name>-<config hash>.pkl and hold one frame: they must still hit.
+        config = {"dataset": "synth-mnist", "profile": "tiny", "seed": 0, "v": 1}
+        (tmp_path / f"classifier-{_stable_hash(config)}.pkl").write_bytes(frame({"w": 3}))
+
+        def build():
+            raise AssertionError("an existing cache entry was rebuilt")
+
+        assert CheckpointStore(tmp_path).get_or_build("classifier", config, build) == {"w": 3}
 
     def test_discard(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -117,16 +168,8 @@ class TestCheckpointStore:
             store.journal("a/b")
 
     def test_frame_bytes_are_unchanged(self, tmp_path):
-        # Snapshots and journals written before the frame helpers moved
-        # into repro.utils.cache must still load: pin the byte layout,
-        # 8-byte big-endian length + sha256 + pickle, built by hand here.
-        import hashlib
-        import struct
-
-        def frame(value):
-            body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            return struct.pack(">Q32s", len(body), hashlib.sha256(body).digest()) + body
-
+        # Snapshots and journals written by earlier code must still load:
+        # pin the byte layout, built by hand in ``frame``.
         store = CheckpointStore(tmp_path)
         store.path_for("old").write_bytes(frame({"epoch": 7}))
         assert store.load("old") == {"epoch": 7}
@@ -146,6 +189,7 @@ class TestCheckpointStore:
         assert store.root == tmp_path / "ck"
 
 
+@pytest.mark.checkpoint
 class TestTaskJournal:
     def test_append_replay_roundtrip(self, tmp_path):
         journal = TaskJournal(tmp_path / "j.journal")
@@ -382,7 +426,7 @@ class TestTrainerEdgeCases:
         model = make_tiny_model()
         trainer = Trainer(model, Adam(model.parameters()), batch_size=8, rng=0)
         trainer.fit(x, y, epochs=2, checkpoint=tmp_path / "ck", checkpoint_name="t")
-        assert (tmp_path / "ck" / "t.ckpt").exists()
+        assert (tmp_path / "ck" / "t.pkl").exists()
 
     def test_epochs_zero_resume_returns_restored_history(self, tmp_path):
         # "Nothing left to train" must answer consistently: with a

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.checkpoint import CheckpointStore
 from repro.core.fitting import solve_tasks
 from repro.core.validator import ValidatorConfig
 from repro.nn import Adam, Trainer
 from repro.testing import InjectedCrashError, crash_at_epoch, crash_at_task
+from repro.utils.cache import CheckpointStore
 from tests.helpers import easy_image_task, make_tiny_model
 
 pytestmark = pytest.mark.checkpoint

@@ -9,7 +9,7 @@ from repro.attacks.base import Attack, AttackResult
 from repro.corner.suite import _search_combined
 from repro.detect.base import Detector
 from repro.nn import Module
-from repro.utils.cache import ArtifactCache, default_cache
+from repro.utils.cache import default_cache
 
 
 class TestAbstractInterfaces:

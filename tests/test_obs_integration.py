@@ -418,7 +418,7 @@ class TestFitCounters:
         assert "fit_serial_fallback_total" not in snap
 
     def test_journal_replay_counts_replayed_tasks(self, scoped, tmp_path):
-        from repro.core.checkpoint import CheckpointStore
+        from repro.utils.cache import CheckpointStore
 
         registry = scoped[0]
         rng = np.random.default_rng(1)
@@ -446,7 +446,7 @@ class TestFitCounters:
 
 class TestCheckpointCounters:
     def test_save_load_and_corruption_counters(self, scoped, tmp_path):
-        from repro.core.checkpoint import CheckpointStore
+        from repro.utils.cache import CheckpointStore
 
         registry = scoped[0]
         store = CheckpointStore(tmp_path)
@@ -464,20 +464,24 @@ class TestCheckpointCounters:
         assert snap["checkpoint_quarantines_total"]["series"][0]["value"] == 1.0
 
     def test_corrupt_cache_entry_counts_one_quarantine(self, scoped, tmp_path):
-        from repro.utils.cache import ArtifactCache
+        from repro.utils.cache import CheckpointStore, cache_key
 
         registry = scoped[0]
-        cache = ArtifactCache(tmp_path)
-        cache.store("entry", {"k": 1}, [1, 2, 3])
-        cache.path_for("entry", {"k": 1}).write_bytes(b"garbage")
+        cache = CheckpointStore(tmp_path)
+        cache.save(cache_key("entry", {"k": 1}), [1, 2, 3])
+        cache.path_for(cache_key("entry", {"k": 1})).write_bytes(b"garbage")
         assert cache.get_or_build("entry", {"k": 1}, lambda: [4]) == [4]
         # A quarantine of a file that is already gone moves nothing.
-        assert cache.quarantine("absent", {}) is None
+        assert cache.quarantine("absent") is None
         snap = registry.snapshot()
         assert snap["checkpoint_quarantines_total"]["series"][0]["value"] == 1.0
+        # Cache reads count in the same load counter as snapshot reads.
+        assert snap["checkpoint_loads_total"]["series"] == [
+            {"labels": {"result": "corrupt"}, "value": 1.0}
+        ]
 
     def test_journal_append_and_replay_counters(self, scoped, tmp_path):
-        from repro.core.checkpoint import TaskJournal
+        from repro.utils.cache import TaskJournal
 
         registry = scoped[0]
         journal = TaskJournal(tmp_path / "j.journal")

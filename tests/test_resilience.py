@@ -34,7 +34,7 @@ from repro.testing import (
     fail_packed_scorer,
     nan_activations,
 )
-from repro.utils.cache import ArtifactCache, ArtifactIntegrityError
+from repro.utils.cache import CheckpointIntegrityError, CheckpointStore, cache_key
 
 
 @pytest.fixture(scope="module")
@@ -351,8 +351,8 @@ class TestScorerFault:
 @pytest.mark.faults
 class TestArtifactFault:
     def setup_cache(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store("model", {"v": 1}, {"weights": list(range(50))})
+        cache = CheckpointStore(tmp_path)
+        cache.save(cache_key("model", {"v": 1}), {"weights": list(range(50))})
         return cache
 
     def test_bitflip_detected_and_rebuilt(self, tmp_path):
@@ -371,9 +371,9 @@ class TestArtifactFault:
     def test_load_raises_integrity_error_not_half_load(self, tmp_path):
         cache = self.setup_cache(tmp_path)
         with corrupt_artifact(cache, "model", {"v": 1}, mode="bitflip", seed=9):
-            with pytest.raises(ArtifactIntegrityError, match="checksum mismatch"):
-                cache.load("model", {"v": 1})
-            assert not cache.contains("model", {"v": 1})  # quarantined away
+            with pytest.raises(CheckpointIntegrityError, match="checksum mismatch"):
+                cache.load(cache_key("model", {"v": 1}))
+            assert not cache.exists(cache_key("model", {"v": 1}))  # quarantined away
 
     def test_corruption_with_refreshed_checksum_hits_unpickle_path(self, tmp_path):
         cache = self.setup_cache(tmp_path)
@@ -388,7 +388,7 @@ class TestArtifactFault:
         cache = self.setup_cache(tmp_path)
         with corrupt_artifact(cache, "model", {"v": 1}, mode="bitflip"):
             pass
-        assert cache.load("model", {"v": 1}) == {"weights": list(range(50))}
+        assert cache.load(cache_key("model", {"v": 1})) == {"weights": list(range(50))}
 
     def test_invalid_mode_rejected(self, tmp_path):
         cache = self.setup_cache(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils import (
-    ArtifactCache,
+    CheckpointStore,
     check_positive,
     check_probability,
     check_shape,
@@ -13,6 +13,7 @@ from repro.utils import (
     new_rng,
     spawn_rngs,
 )
+from repro.utils.cache import cache_key
 
 
 class TestRng:
@@ -46,9 +47,12 @@ class TestRng:
         assert a == b
 
 
+@pytest.mark.checkpoint
 class TestCache:
+    """The cache side of the one store: ``get_or_build`` and config keys."""
+
     def test_get_or_build_builds_once(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
+        cache = CheckpointStore(tmp_path)
         calls = []
 
         def build():
@@ -61,38 +65,44 @@ class TestCache:
         assert len(calls) == 1
 
     def test_different_configs_different_entries(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store("thing", {"a": 1}, "one")
-        cache.store("thing", {"a": 2}, "two")
-        assert cache.load("thing", {"a": 1}) == "one"
-        assert cache.load("thing", {"a": 2}) == "two"
+        cache = CheckpointStore(tmp_path)
+        assert cache.get_or_build("thing", {"a": 1}, lambda: "one") == "one"
+        assert cache.get_or_build("thing", {"a": 2}, lambda: "two") == "two"
+        assert cache.load(cache_key("thing", {"a": 1})) == "one"
+        assert cache.load(cache_key("thing", {"a": 2})) == "two"
 
     def test_contains(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        assert not cache.contains("x", {})
-        cache.store("x", {}, 1)
-        assert cache.contains("x", {})
+        # get_or_build saves its entry under the key function's name.
+        cache = CheckpointStore(tmp_path)
+        assert not cache.exists(cache_key("x", {}))
+        cache.get_or_build("x", {}, lambda: 1)
+        assert cache.exists(cache_key("x", {}))
 
     def test_clear(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store("x", {}, 1)
-        cache.store("y", {}, 2)
+        cache = CheckpointStore(tmp_path)
+        cache.get_or_build("x", {}, lambda: 1)
+        cache.save("y", 2)
+        cache.journal("j").append(3)
         assert cache.clear() == 2
-        assert not cache.contains("x", {})
+        assert not cache.exists(cache_key("x", {}))
+        assert cache.journal("j").replay() == [3]  # journals are not entries
+        assert cache.clear() == 0
 
     def test_numpy_values_roundtrip(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
+        cache = CheckpointStore(tmp_path)
         value = np.arange(10.0)
-        cache.store("arr", {"k": 1}, value)
-        np.testing.assert_allclose(cache.load("arr", {"k": 1}), value)
+        cache.get_or_build("arr", {"k": 1}, lambda: value)
+        np.testing.assert_allclose(cache.load(cache_key("arr", {"k": 1})), value)
 
     def test_config_key_order_irrelevant(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        assert cache.path_for("n", {"a": 1, "b": 2}) == cache.path_for("n", {"b": 2, "a": 1})
+        assert cache_key("n", {"a": 1, "b": 2}) == cache_key("n", {"b": 2, "a": 1})
+        cache = CheckpointStore(tmp_path)
+        cache.get_or_build("n", {"a": 1, "b": 2}, lambda: "first")
+        assert cache.get_or_build("n", {"b": 2, "a": 1}, lambda: "second") == "first"
 
     def test_corrupt_entry_rebuilt(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.path_for("thing", {"a": 1}).write_bytes(b"\x05not a pickle")
+        cache = CheckpointStore(tmp_path)
+        cache.path_for(cache_key("thing", {"a": 1})).write_bytes(b"\x05not a pickle")
         calls = []
 
         def build():
@@ -106,18 +116,20 @@ class TestCache:
         assert calls == [1]
 
     def test_truncated_entry_rebuilt(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store("thing", {}, list(range(100)))
-        path = cache.path_for("thing", {})
+        cache = CheckpointStore(tmp_path)
+        cache.get_or_build("thing", {}, lambda: list(range(100)))
+        path = cache.path_for(cache_key("thing", {}))
         path.write_bytes(path.read_bytes()[:10])
         assert cache.get_or_build("thing", {}, lambda: "fresh") == "fresh"
 
     def test_discard(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        assert not cache.discard("x", {})
-        cache.store("x", {}, 1)
-        assert cache.discard("x", {})
-        assert not cache.contains("x", {})
+        # A discarded cache entry is rebuilt by the next get_or_build.
+        cache = CheckpointStore(tmp_path)
+        assert not cache.discard(cache_key("x", {}))
+        cache.get_or_build("x", {}, lambda: 1)
+        assert cache.discard(cache_key("x", {}))
+        assert not cache.exists(cache_key("x", {}))
+        assert cache.get_or_build("x", {}, lambda: 2) == 2
 
     def test_interleaved_stores_both_land_intact(self, tmp_path):
         # Two writers racing on the same artifact: writer A starts pickling,
@@ -127,7 +139,8 @@ class TestCache:
         # keep both writes intact (last replace wins).
         import threading
 
-        cache = ArtifactCache(tmp_path)
+        cache = CheckpointStore(tmp_path)
+        key = cache_key("thing", {"k": 1})
         a_started = threading.Event()
         b_done = threading.Event()
         errors: list[Exception] = []
@@ -143,34 +156,34 @@ class TestCache:
 
         def writer_a_body():
             try:
-                cache.store("thing", {"k": 1}, StallsMidPickle("A"))
+                cache.save(key, StallsMidPickle("A"))
             except Exception as exc:  # with a shared tmp, A's replace dies
                 errors.append(exc)
 
         writer_a = threading.Thread(target=writer_a_body)
         writer_a.start()
         assert a_started.wait(timeout=10)
-        cache.store("thing", {"k": 1}, "B")  # completes while A is mid-write
-        assert cache.load("thing", {"k": 1}) == "B"
+        cache.save(key, "B")  # completes while A is mid-write
+        assert cache.load(key) == "B"
         b_done.set()
         writer_a.join(timeout=10)
         assert not errors  # both stores completed
         # A's replace ran last; its value must load cleanly — not a
         # truncated or interleaved pickle.
-        assert cache.load("thing", {"k": 1}) == "A"
+        assert cache.get_or_build("thing", {"k": 1}, lambda: "rebuilt") == "A"
         assert not list(tmp_path.glob("*.tmp"))  # staging files consumed
 
     def test_failed_store_cleans_up_staging_file(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
+        cache = CheckpointStore(tmp_path)
 
         class Unpicklable:
             def __reduce__(self):
                 raise RuntimeError("nope")
 
         with pytest.raises(RuntimeError):
-            cache.store("bad", {}, Unpicklable())
+            cache.get_or_build("bad", {}, Unpicklable)
         assert not list(tmp_path.glob("*.tmp"))
-        assert not cache.contains("bad", {})
+        assert not cache.exists(cache_key("bad", {}))
 
 
 class TestStableHash:
@@ -211,18 +224,19 @@ class TestStableHash:
 
 
 @pytest.mark.faults
+@pytest.mark.checkpoint
 class TestArtifactIntegrity:
     def test_store_writes_one_frame_file(self, tmp_path):
         import pickle
 
-        from repro.utils.cache import FRAME_HEADER, frame_header
+        from repro.utils.cache import FRAME_HEADER, _stable_hash, frame_header
 
-        cache = ArtifactCache(tmp_path)
-        cache.store("thing", {"a": 1}, [1, 2, 3])
-        path = cache.path_for("thing", {"a": 1})
-        # The digest travels inside the entry's own file: no sidecar.
+        cache = CheckpointStore(tmp_path)
+        cache.get_or_build("thing", {"a": 1}, lambda: [1, 2, 3])
+        # The entry keeps the name earlier caches gave it, and the digest
+        # travels inside the entry's own file: no sidecar.
+        path = tmp_path / f"thing-{_stable_hash({'a': 1})}.pkl"
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
-        assert not list(tmp_path.glob("*.sha256"))
         blob = path.read_bytes()
         body = blob[FRAME_HEADER.size :]
         assert blob[: FRAME_HEADER.size] == frame_header(body)
@@ -232,39 +246,39 @@ class TestArtifactIntegrity:
         # Regression for the blind spot where only unpickling errors
         # triggered a rebuild: a single flipped bit usually still
         # unpickles — into silently wrong data.
-        cache = ArtifactCache(tmp_path)
-        cache.store("thing", {"a": 1}, {"weights": list(range(64))})
-        path = cache.path_for("thing", {"a": 1})
+        cache = CheckpointStore(tmp_path)
+        cache.get_or_build("thing", {"a": 1}, lambda: {"weights": list(range(64))})
+        path = cache.path_for(cache_key("thing", {"a": 1}))
         payload = bytearray(path.read_bytes())
         payload[len(payload) // 2] ^= 0x01
         path.write_bytes(bytes(payload))
         assert cache.get_or_build("thing", {"a": 1}, lambda: "rebuilt") == "rebuilt"
-        quarantined = list((tmp_path / ArtifactCache.QUARANTINE_DIR).iterdir())
+        quarantined = list((tmp_path / CheckpointStore.QUARANTINE_DIR).iterdir())
         assert any(p.name.startswith("thing-") and ".pkl." in p.name for p in quarantined)
         # The rebuilt entry carries a fresh, matching frame.
-        assert cache.load("thing", {"a": 1}) == "rebuilt"
+        assert cache.load(cache_key("thing", {"a": 1})) == "rebuilt"
 
     def test_appended_byte_is_a_miss_and_rebuilt(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store("thing", {}, "old")
-        path = cache.path_for("thing", {})
+        cache = CheckpointStore(tmp_path)
+        cache.get_or_build("thing", {}, lambda: "old")
+        path = cache.path_for(cache_key("thing", {}))
         path.write_bytes(path.read_bytes() + b" ")
         assert cache.get_or_build("thing", {}, lambda: "rebuilt") == "rebuilt"
-        assert list((tmp_path / ArtifactCache.QUARANTINE_DIR).iterdir())
+        assert list((tmp_path / CheckpointStore.QUARANTINE_DIR).iterdir())
 
     def test_clear_keeps_quarantine(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store("a", {}, 1)
-        cache.store("b", {}, 2)
-        cache.path_for("a", {}).write_bytes(b"\x05junk")
+        cache = CheckpointStore(tmp_path)
+        cache.save("a", 1)
+        cache.save("b", 2)
+        cache.path_for("a").write_bytes(b"\x05junk")
         with pytest.raises(Exception):
-            cache.load("a", {})
+            cache.load("a")
         assert cache.clear() == 1  # only b's entry remained
-        assert list((tmp_path / ArtifactCache.QUARANTINE_DIR).iterdir())
+        assert list((tmp_path / CheckpointStore.QUARANTINE_DIR).iterdir())
 
     def test_quarantine_missing_entry_returns_none(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        assert cache.quarantine("ghost", {}) is None
+        cache = CheckpointStore(tmp_path)
+        assert cache.quarantine("ghost") is None
 
     def test_quarantine_keeps_only_the_newest_files(self, tmp_path):
         from repro import obs
@@ -272,7 +286,7 @@ class TestArtifactIntegrity:
         from repro.utils.cache import QUARANTINE_KEEP, quarantine_file
 
         registry = MetricsRegistry()
-        hole = tmp_path / ArtifactCache.QUARANTINE_DIR
+        hole = tmp_path / CheckpointStore.QUARANTINE_DIR
         moved = []
         with obs.use(registry=registry, enabled=True):
             for index in range(QUARANTINE_KEEP + 3):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.cache import ArtifactCache
+from repro.utils.cache import CheckpointStore, cache_key
 from repro.zoo import (
     DenseLayer,
     TRAINING_PROFILES,
@@ -89,10 +89,11 @@ class TestRecipes:
     def test_cached_classifier_roundtrip(self, tmp_path, mnist_context):
         # Use a private cache to check the build-once behaviour without
         # retraining: store the already trained classifier.
-        cache = ArtifactCache(tmp_path)
-        cache.store(
-            "classifier",
-            {"dataset": "synth-mnist", "profile": "tiny", "seed": 0, "v": 1},
+        cache = CheckpointStore(tmp_path)
+        cache.save(
+            cache_key(
+                "classifier", {"dataset": "synth-mnist", "profile": "tiny", "seed": 0, "v": 1}
+            ),
             mnist_context.classifier,
         )
         loaded = get_trained_classifier("synth-mnist", "tiny", seed=0, cache=cache)

@@ -205,10 +205,11 @@ class ValidatorBundle:
         """Integrity: payload ↔ fingerprint ↔ manifest must all agree.
 
         Raises :class:`BundleIntegrityError` when the payload no longer
-        hashes to the manifest's fit fingerprint, or the unpickled
-        validator disagrees with the manifest's threshold or layer list —
-        either way the bundle is not the artifact its manifest claims.
-        The payload is hashed at most once per bundle object.
+        hashes to the manifest's fit fingerprint, does not unpickle into a
+        validator, or the unpickled validator disagrees with the
+        manifest's threshold or layer list — either way the bundle is not
+        the artifact its manifest claims. The payload is hashed at most
+        once per bundle object.
         """
         if self._digest is None:
             self._digest = _fingerprint(self._payload)
@@ -218,15 +219,22 @@ class ValidatorBundle:
                 f"does not match the manifest's fit fingerprint "
                 f"{self.manifest.fingerprint[:12]}…"
             )
-        validator = self.validator
-        if float(validator.epsilon) != self.manifest.epsilon and not (
-            np.isnan(validator.epsilon) and np.isnan(self.manifest.epsilon)
+        try:
+            validator = self.validator
+            epsilon = float(validator.epsilon)
+            names = tuple(v.layer_name for v in validator.validators)
+        except Exception as exc:  # a payload that does not unpickle to a validator
+            raise BundleIntegrityError(
+                f"bundle {self.manifest.key}: payload failed to unpickle "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
+        if epsilon != self.manifest.epsilon and not (
+            np.isnan(epsilon) and np.isnan(self.manifest.epsilon)
         ):
             raise BundleIntegrityError(
                 f"bundle {self.manifest.key}: manifest epsilon "
-                f"{self.manifest.epsilon} != validator epsilon {validator.epsilon}"
+                f"{self.manifest.epsilon} != validator epsilon {epsilon}"
             )
-        names = tuple(v.layer_name for v in validator.validators)
         if names != self.manifest.layer_names:
             raise BundleIntegrityError(
                 f"bundle {self.manifest.key}: manifest layers "
@@ -357,17 +365,7 @@ class BundleStore:
             )
         bundle = ValidatorBundle(manifest, payload)
         bundle._digest = digest.hex()  # read_frame_file just hashed it
-        try:
-            bundle.verify()
-        except BundleIntegrityError:
-            raise
-        except Exception as exc:  # a payload that will not unpickle
-            raise BundleIntegrityError(
-                f"bundle {name}@v{version}: payload failed to unpickle "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
-        bundle.validate()
-        return bundle
+        return bundle.verify().validate()
 
     def versions(self, name: str) -> list[int]:
         """All saved versions of ``name``, ascending."""

@@ -8,11 +8,10 @@ monitors the stream of joint discrepancies with an exponentially weighted
 moving average and raises an alarm when the level leaves the band
 calibrated on clean traffic.
 
-The monitor is thread-safe: shadow rollouts
-(:class:`~repro.serve.rollout.RolloutController`) feed it from every serve
-worker concurrently, so the EWMA recurrence runs under a lock —
-interleaved ``observe``/``observe_batch`` calls from any number of threads
-produce the same stream some serial ordering of those calls would.
+The monitor is thread-safe, so any number of feeding threads can share
+one: the EWMA recurrence runs under a lock, and interleaved
+``observe``/``observe_batch`` calls from any number of threads produce
+the same stream some serial ordering of those calls would.
 ``observe_batch`` evaluates the recurrence as one vectorized linear filter
 rather than a per-sample Python loop, bit-identical to repeated
 ``observe`` calls.

@@ -10,7 +10,7 @@ fails fast when restarts stop helping. See ``docs/serving.md``.
 
 Deployments update in place: ``RolloutController`` hot-swaps the serving
 monitor between batches from versioned validator bundles, with shadow
-canary scoring and drift-triggered automatic rollback. See
+canary scoring and automatic rollback. See
 ``docs/rollout.md``.
 """
 

@@ -18,7 +18,8 @@ the queue:
 * **PROMOTED** — :meth:`~RolloutController.promote` atomically swaps the
   server's monitor via :meth:`~ValidationServer.swap_monitor`; the
   worker picks up the new generation at the next group boundary (no drain, no
-  dropped tickets). Guardrails keep watching the candidate's live stream.
+  dropped tickets). The candidate-failure budget keeps watching the
+  candidate's live stream.
 * **ROLLED_BACK** — any guardrail trip reverts the server to the
   incumbent (if the candidate was serving) and **latches** the bundle
   version against re-promotion; :meth:`~RolloutController.begin_shadow`
@@ -31,15 +32,17 @@ Guardrails (rollback ``reason`` vocabulary in parentheses):
   ``validation``);
 * shadow-vs-incumbent flag-rate divergence beyond
   ``max_flag_rate_divergence`` (``divergence``);
-* :class:`~repro.core.drift.DiscrepancyDriftMonitor` alarms on the
-  candidate's joint-discrepancy stream — calibrated on the incumbent's
-  live stream during shadow, then fed by the candidate through shadow and
-  promotion (``drift``);
 * candidate scoring failures — degraded/quarantined candidate verdicts
-  (or raises) on inputs the incumbent scored cleanly, beyond
-  ``max_candidate_failures`` (``candidate_failure``);
+  (or raises) on inputs the incumbent scored cleanly in shadow, and
+  degraded verdicts after promotion, beyond ``max_candidate_failures``
+  (``candidate_failure``);
 * operator-initiated :meth:`~RolloutController.rollback` (``operator``)
   and defensive trips on observer bugs (``observer_error``).
+
+One guardrail per kind of failure. Candidates are compared with the
+incumbent by flag rate, never by raw joint discrepancy: each validator
+flags against its *own* calibrated ``epsilon``, so two fits' raw scores
+live on different scales and only their decisions are comparable.
 
 The worker hook :meth:`observe_group` is contractually non-raising and
 never blocks ticket resolution (the server calls it after futures
@@ -57,8 +60,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro import obs
 from repro.core import resilience
 from repro.core.bundle import (
@@ -67,7 +68,6 @@ from repro.core.bundle import (
     BundleStore,
     ValidatorBundle,
 )
-from repro.core.drift import DiscrepancyDriftMonitor
 
 #: Rollout lifecycle states.
 IDLE = "IDLE"
@@ -78,14 +78,7 @@ ROLLED_BACK = "ROLLED_BACK"
 #: Gauge encoding of the lifecycle (``rollout_state``).
 ROLLOUT_STATE_CODES = {IDLE: 0, SHADOW: 1, PROMOTED: 2, ROLLED_BACK: 3}
 
-#: Tuning of the :class:`DiscrepancyDriftMonitor` that watches a candidate's
-#: joint-discrepancy stream: EWMA smoothing, alarm band width in standard
-#: errors, and observations before the alarm can fire.
-DRIFT_ALPHA = 0.1
-DRIFT_SIGMAS = 6.0
-DRIFT_WARMUP = 10
-
-#: Monitor statuses that carry a real (comparable) joint discrepancy.
+#: Monitor statuses that carry a real joint discrepancy (a scored verdict).
 _SCORED = (resilience.VALIDATED, resilience.FLAGGED)
 
 
@@ -140,14 +133,9 @@ class RolloutConfig:
     before :meth:`~RolloutController.promote` is allowed;
     ``max_flag_rate_divergence`` bounds the absolute difference between
     incumbent and candidate flag rates over the shadow window;
-    ``max_candidate_failures`` bounds candidate scoring failures (strict
-    default: the first failure trips). The
-    :class:`DiscrepancyDriftMonitor` watching the candidate's joint
-    stream (tuned by :data:`DRIFT_ALPHA`, :data:`DRIFT_SIGMAS` and
-    :data:`DRIFT_WARMUP`) calibrates itself from the first
-    ``drift_calibration_samples`` cleanly-scored incumbent joints of the
-    shadow window, so the alarm band reflects *current* traffic. A
-    rolled-back bundle version stays latched until an operator calls
+    ``max_candidate_failures`` bounds candidate scoring failures in
+    shadow and after promotion (strict default: the first failure trips).
+    A rolled-back bundle version stays latched until an operator calls
     :meth:`~RolloutController.unlatch`.
     """
 
@@ -155,7 +143,6 @@ class RolloutConfig:
     min_shadow_batches: int = 8
     max_flag_rate_divergence: float = 0.25
     max_candidate_failures: int = 0
-    drift_calibration_samples: int = 32
 
     def __post_init__(self) -> None:
         if self.shadow_sample_every < 1:
@@ -174,11 +161,6 @@ class RolloutConfig:
         if self.max_candidate_failures < 0:
             raise ValueError(
                 f"max_candidate_failures must be >= 0, got {self.max_candidate_failures}"
-            )
-        if self.drift_calibration_samples < 2:
-            raise ValueError(
-                "drift_calibration_samples must be >= 2, got "
-                f"{self.drift_calibration_samples}"
             )
 
 
@@ -199,7 +181,6 @@ class RolloutController:
         store: BundleStore | None = None,
         config: RolloutConfig | None = None,
         monitor_factory: Callable[[ValidatorBundle], object] | None = None,
-        drift_monitor: DiscrepancyDriftMonitor | None = None,
     ) -> None:
         self.server = server
         self.store = store
@@ -207,7 +188,6 @@ class RolloutController:
         self._monitor_factory = (
             monitor_factory if monitor_factory is not None else self._default_factory
         )
-        self._drift_override = drift_monitor
         self._lock = threading.RLock()
         self.state = IDLE
         self.incumbent = server.monitor
@@ -215,7 +195,6 @@ class RolloutController:
         self.candidate = None
         self.bundle: ValidatorBundle | None = None
         self._candidate_key: str | None = None
-        self.drift: DiscrepancyDriftMonitor | None = None
         #: Bundle keys latched against re-promotion after a rollback.
         self._latched: set[str] = set()
         self.last_rollback: dict | None = None
@@ -239,8 +218,6 @@ class RolloutController:
         self._candidate_flags = 0
         self._candidate_failures = 0
         self._divergence: float | None = None
-        self._drift_calibration: list[float] = []
-        self._pending_candidate_joints: list[float] = []
 
     # -- latches ---------------------------------------------------------------
 
@@ -281,33 +258,28 @@ class RolloutController:
         :class:`RolloutError`) when a rollout is already in progress or
         the bundle version is latched from a previous rollback.
         """
-        if bundle is None:
-            if self.store is None or name is None or version is None:
-                raise RolloutError(
-                    "begin_shadow needs a ValidatorBundle, or a (name, version) "
-                    "reference and a BundleStore"
-                )
-            key = f"{name}@v{version}"
-            try:
-                bundle = self.store.load(name, version)
-            except BundleIntegrityError:
-                self._refuse(key, "integrity", "bundle failed integrity checks at load")
-                raise
-            except BundleValidationError:
-                self._refuse(key, "validation", "bundle failed semantic validation")
-                raise
-        else:
+        if bundle is not None:
             key = bundle.manifest.key
-            try:
-                bundle.verify()
-            except BundleIntegrityError:
-                self._refuse(key, "integrity", "bundle failed integrity checks")
-                raise
-            try:
-                bundle.validate()
-            except BundleValidationError:
-                self._refuse(key, "validation", "bundle failed semantic validation")
-                raise
+        elif self.store is None or name is None or version is None:
+            raise RolloutError(
+                "begin_shadow needs a ValidatorBundle, or a (name, version) "
+                "reference and a BundleStore"
+            )
+        else:
+            key = f"{name}@v{version}"
+        try:
+            if bundle is None:
+                bundle = self.store.load(name, version)
+            else:
+                bundle.verify().validate()
+        except BundleIntegrityError as exc:
+            self._refuse(key, "integrity", f"bundle failed integrity checks: {exc}")
+            raise
+        except BundleValidationError as exc:
+            self._refuse(
+                key, "validation", f"bundle failed semantic validation: {exc}"
+            )
+            raise
         with self._lock:
             if self.state in (SHADOW, PROMOTED):
                 raise RolloutError(
@@ -326,14 +298,6 @@ class RolloutController:
             self.bundle = bundle
             self._candidate_key = key
             self._reset_window()
-            if self._drift_override is not None:
-                self.drift = self._drift_override
-                if self.drift.calibrated:
-                    self.drift.reset_stream()
-            else:
-                self.drift = DiscrepancyDriftMonitor(
-                    alpha=DRIFT_ALPHA, sigmas=DRIFT_SIGMAS, warmup=DRIFT_WARMUP
-                )
             self._epoch += 1
             self._transition(SHADOW)
 
@@ -341,9 +305,9 @@ class RolloutController:
         """Swap the candidate in as the serving monitor (SHADOW → PROMOTED).
 
         Requires ``min_shadow_batches`` of shadow evidence unless
-        ``force=True``. The swap is atomic and between batches; guardrails
-        (drift, candidate failures) keep running on the candidate's live
-        stream until :meth:`finalize`.
+        ``force=True``, which also skips the divergence evidence. The swap
+        is atomic and between batches; the candidate-failure budget keeps
+        watching the candidate's live stream until :meth:`finalize`.
         """
         with self._lock:
             if self.state != SHADOW:
@@ -373,14 +337,14 @@ class RolloutController:
             self._epoch += 1
             self._transition(IDLE)
 
-    def rollback(self, reason: str = "operator") -> None:
+    def rollback(self) -> None:
         """Operator-initiated rollback (SHADOW or PROMOTED → ROLLED_BACK)."""
         with self._lock:
             if self.state not in (SHADOW, PROMOTED):
                 raise RolloutError(
                     f"rollback requires SHADOW or PROMOTED state, not {self.state}"
                 )
-            self._trip("operator-initiated rollback", reason)
+            self._trip("operator-initiated rollback", "operator")
 
     def reset(self) -> None:
         """Acknowledge a rollback (ROLLED_BACK → IDLE); latches persist."""
@@ -407,20 +371,31 @@ class RolloutController:
 
     # -- guardrail machinery ---------------------------------------------------
 
+    def _latch_locked(
+        self, key: str | None, reason: str, message: str, evidence: bool
+    ) -> None:
+        """Latch ``key``, count the trip and record it as ``last_rollback``.
+
+        ``evidence`` says whether the current shadow window belongs to
+        ``key``; a bundle refused before it became candidate has none.
+        """
+        if key is not None:
+            self._latched.add(key)
+        _rollbacks_counter().labels(reason=reason).inc()
+        self.last_rollback = {
+            "reason": reason,
+            "message": message,
+            "bundle": key,
+            "state_at_trip": self.state,
+            "shadow_batches": self._shadow_batches if evidence else 0,
+            "candidate_failures": self._candidate_failures if evidence else 0,
+            "divergence": self._divergence if evidence else None,
+        }
+
     def _refuse(self, key: str, reason: str, message: str) -> None:
         """Latch + count a bundle that failed before ever becoming candidate."""
         with self._lock:
-            self._latched.add(key)
-            _rollbacks_counter().labels(reason=reason).inc()
-            self.last_rollback = {
-                "reason": reason,
-                "message": message,
-                "bundle": key,
-                "state_at_trip": self.state,
-                "shadow_batches": 0,
-                "candidate_failures": 0,
-                "divergence": None,
-            }
+            self._latch_locked(key, reason, message, evidence=False)
 
     def _trip(self, message: str, reason: str) -> None:
         """Revert to the incumbent and latch the candidate (lock held).
@@ -435,18 +410,7 @@ class RolloutController:
                 self.incumbent, bundle_version=self._incumbent_version
             )
             _swaps_counter().labels(direction="rollback").inc()
-        if self._candidate_key is not None:
-            self._latched.add(self._candidate_key)
-        _rollbacks_counter().labels(reason=reason).inc()
-        self.last_rollback = {
-            "reason": reason,
-            "message": message,
-            "bundle": self._candidate_key,
-            "state_at_trip": self.state,
-            "shadow_batches": self._shadow_batches,
-            "candidate_failures": self._candidate_failures,
-            "divergence": self._divergence,
-        }
+        self._latch_locked(self._candidate_key, reason, message, evidence=True)
         self.candidate = None
         self._epoch += 1
         self._transition(ROLLED_BACK)
@@ -504,8 +468,6 @@ class RolloutController:
     def _record_shadow_locked(self, incumbent_verdicts, candidate_verdicts) -> None:
         self._shadow_batches += 1
         _shadow_batches_counter().inc()
-        candidate_joints: list[float] = []
-        incumbent_joints: list[float] = []
         for reference, shadow in zip(incumbent_verdicts, candidate_verdicts):
             ref_scored = reference.status in _SCORED and math.isfinite(
                 reference.joint_discrepancy
@@ -516,11 +478,9 @@ class RolloutController:
             if ref_scored:
                 self._incumbent_samples += 1
                 self._incumbent_flags += reference.status == resilience.FLAGGED
-                incumbent_joints.append(reference.joint_discrepancy)
             if cand_scored:
                 self._candidate_samples += 1
                 self._candidate_flags += shadow.status == resilience.FLAGGED
-                candidate_joints.append(shadow.joint_discrepancy)
             elif ref_scored:
                 # The incumbent scored this input cleanly and the candidate
                 # could not: that is a candidate failure, not bad input.
@@ -531,8 +491,6 @@ class RolloutController:
                 f"the budget of {self.config.max_candidate_failures}",
                 "candidate_failure",
             )
-            return
-        if self._feed_drift_locked(incumbent_joints, candidate_joints):
             return
         if self._incumbent_samples and self._candidate_samples:
             incumbent_rate = self._incumbent_flags / self._incumbent_samples
@@ -549,56 +507,16 @@ class RolloutController:
                     f"(> {self.config.max_flag_rate_divergence:g})",
                     "divergence",
                 )
-                return
-
-    def _feed_drift_locked(
-        self, incumbent_joints: list[float], candidate_joints: list[float]
-    ) -> bool:
-        """Feed the drift guardrail; returns True when it tripped.
-
-        Until the drift monitor is calibrated, incumbent joints accumulate
-        toward the calibration set and candidate joints are buffered;
-        calibration replays the buffer so no shadow evidence is lost.
-        """
-        drift = self.drift
-        if drift is None:
-            return False
-        if not drift.calibrated:
-            self._drift_calibration.extend(incumbent_joints)
-            self._pending_candidate_joints.extend(candidate_joints)
-            if len(self._drift_calibration) < self.config.drift_calibration_samples:
-                return False
-            drift.calibrate(
-                np.asarray(
-                    self._drift_calibration[: self.config.drift_calibration_samples]
-                )
-            )
-            candidate_joints = self._pending_candidate_joints
-            self._pending_candidate_joints = []
-        if not candidate_joints:
-            return False
-        states = drift.observe_batch(np.asarray(candidate_joints))
-        alarm = next((s for s in states if s.alarming), None)
-        if alarm is not None:
-            self._trip(
-                f"drift alarm on the candidate's joint-discrepancy stream "
-                f"(level {alarm.level:.4f} > threshold {alarm.threshold:.4f} "
-                f"after {alarm.observations} observations)",
-                "drift",
-            )
-            return True
-        return False
 
     def _watch_live_locked(self, verdicts) -> None:
-        """Guardrails over the promoted candidate's live stream (lock held)."""
-        joints: list[float] = []
-        for verdict in verdicts:
-            if verdict.status in _SCORED and math.isfinite(verdict.joint_discrepancy):
-                joints.append(verdict.joint_discrepancy)
-            elif verdict.status == resilience.DEGRADED:
-                # Live quarantines can be genuinely bad inputs; a degraded
-                # score is the candidate's own machinery failing.
-                self._candidate_failures += 1
+        """Guardrails over the promoted candidate's live stream (lock held).
+
+        Live quarantines can be genuinely bad inputs; a degraded score is
+        the candidate's own machinery failing.
+        """
+        self._candidate_failures += sum(
+            verdict.status == resilience.DEGRADED for verdict in verdicts
+        )
         if self._candidate_failures > self.config.max_candidate_failures:
             self._trip(
                 f"{self._candidate_failures} candidate scoring failure(s) after "
@@ -606,15 +524,12 @@ class RolloutController:
                 f"{self.config.max_candidate_failures}",
                 "candidate_failure",
             )
-            return
-        self._feed_drift_locked([], joints)
 
     # -- observability ---------------------------------------------------------
 
     def snapshot(self) -> dict:
         """Operator snapshot (embedded in ``ValidationServer.health()``)."""
         with self._lock:
-            drift = self.drift
             return {
                 "state": self.state,
                 "candidate": self._candidate_key,
@@ -624,7 +539,6 @@ class RolloutController:
                 "candidate_samples": self._candidate_samples,
                 "candidate_failures": self._candidate_failures,
                 "divergence": self._divergence,
-                "drift_calibrated": bool(drift is not None and drift.calibrated),
                 "latched": sorted(self._latched),
                 "last_rollback": self.last_rollback,
             }

@@ -3,8 +3,9 @@
 Every setting is a promise: it has to be documented, validated and
 tested, and a setting nobody sets is code that only looks alive. This
 test pins the field names of the serving configs and the parameters of
-the monitor and its input guard, so adding a setting (or bringing a
-removed one back) shows up as a deliberate edit to the pins below.
+the monitor, its input guard and the rollout controller, so adding a
+setting (or bringing a removed one back) shows up as a deliberate edit
+to the pins below.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.monitor import RuntimeMonitor
 from repro.core.resilience import InputGuard
-from repro.serve.rollout import RolloutConfig
+from repro.serve.rollout import RolloutConfig, RolloutController
 from repro.serve.server import ServeConfig
 from repro.serve.supervisor import SupervisorConfig
 
@@ -40,7 +41,6 @@ CONFIG_FIELDS = {
         "min_shadow_batches",
         "max_flag_rate_divergence",
         "max_candidate_failures",
-        "drift_calibration_samples",
     ),
 }
 
@@ -55,6 +55,7 @@ INIT_PARAMETERS = {
         "clock",
     ),
     InputGuard: ("expected_shape", "value_range"),
+    RolloutController: ("server", "store", "config", "monitor_factory"),
 }
 
 

@@ -9,6 +9,8 @@ bundle version is latched against re-promotion.
 """
 
 import copy
+import dataclasses
+import hashlib
 import pickle
 import time
 
@@ -16,9 +18,9 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    BundleIntegrityError,
     BundleStore,
     DeepValidator,
-    DiscrepancyDriftMonitor,
     RuntimeMonitor,
     ValidatorBundle,
     ValidatorConfig,
@@ -97,8 +99,6 @@ class TestConfig:
             RolloutConfig(max_flag_rate_divergence=0.0)
         with pytest.raises(ValueError):
             RolloutConfig(max_candidate_failures=-1)
-        with pytest.raises(ValueError):
-            RolloutConfig(drift_calibration_samples=1)
 
 
 class TestStateMachine:
@@ -152,7 +152,7 @@ class TestStateMachine:
         incumbent = server.monitor
         controller = RolloutController(
             server,
-            config=RolloutConfig(min_shadow_batches=3, drift_calibration_samples=4),
+            config=RolloutConfig(min_shadow_batches=3),
         )
         controller.begin_shadow(bundle)
         assert controller.state == SHADOW
@@ -165,7 +165,6 @@ class TestStateMachine:
         assert snapshot["candidate_failures"] == 0
         # Identical fitted artifact: zero flag-rate divergence, no alarm.
         assert snapshot["divergence"] == 0.0
-        assert snapshot["drift_calibrated"]
         assert controller.ready
         # Serving untouched during shadow; candidate verdicts never served.
         assert server.monitor is incumbent
@@ -216,11 +215,7 @@ class TestGuardrails:
         incumbent = server.monitor
         controller = RolloutController(
             server,
-            config=RolloutConfig(
-                min_shadow_batches=2,
-                max_flag_rate_divergence=0.5,
-                drift_calibration_samples=32,
-            ),
+            config=RolloutConfig(min_shadow_batches=2, max_flag_rate_divergence=0.5),
         )
         controller.begin_shadow(bundle)
         for lo in range(0, 12, 4):
@@ -233,22 +228,34 @@ class TestGuardrails:
         assert server.monitor is incumbent
         assert controller.latched("tiny@v2")
 
-    def test_drift_alarm_on_candidate_stream_trips(self, fitted_validator, bundle):
-        images, _ = easy_image_task(8, seed=5)
+    def test_rescaled_twin_with_identical_verdicts_is_promoted(
+        self, fitted_validator
+    ):
+        # Every layer weighted x2 with epsilon and contributions x2: the
+        # candidate scores every image exactly twice as high and reaches
+        # every decision the incumbent reaches, so no guardrail may trip.
+        twin = pickle.loads(pickle.dumps(fitted_validator))
+        twin.config.weights = [2.0] * len(twin.validators)
+        twin.epsilon *= 2
+        twin.layer_contributions = twin.layer_contributions * 2
+        bundle = ValidatorBundle.pack(twin, version=2, name="tiny")
+        clean, _ = easy_image_task(128, seed=5)
+        corner = np.random.default_rng(0).random((40, 1, 12, 12))[:16]
+        images = np.concatenate([clean, corner])
         server = _server(fitted_validator)
-        # Pre-calibrated watchdog whose band sits far below any real joint
-        # discrepancy: the candidate's very first observations alarm.
-        watchdog = DiscrepancyDriftMonitor(alpha=1.0, sigmas=4.0, warmup=1)
-        watchdog.calibrate(np.array([-1e6, -1e6 + 1e-3]))
-        controller = RolloutController(
-            server,
-            config=RolloutConfig(min_shadow_batches=8),
-            drift_monitor=watchdog,
-        )
+        incumbent = server.monitor
+        controller = RolloutController(server)
         controller.begin_shadow(bundle)
-        _feed(controller, server, images)
-        assert controller.state == ROLLED_BACK
-        assert controller.last_rollback["reason"] == "drift"
+        candidate = controller.candidate
+        expected = [v.status for v in incumbent.classify(images)]
+        assert [v.status for v in candidate.classify(images)] == expected
+        assert "FLAGGED" in expected and "VALIDATED" in expected
+        for lo in range(0, len(images), 4):
+            _feed(controller, server, images[lo : lo + 4])
+            if controller.ready:
+                controller.promote()
+        assert controller.state == PROMOTED, controller.last_rollback
+        assert server.monitor is candidate
 
     def test_candidate_failure_budget(self, fitted_validator, bundle, monkeypatch):
         from repro.testing.faults import fail_packed_scorer
@@ -280,6 +287,26 @@ class TestGuardrails:
                 _feed(controller, server, images[4:])
         assert controller.state == ROLLED_BACK
         assert controller.last_rollback["reason"] == "candidate_failure"
+
+    def test_direct_bundle_that_will_not_unpickle_is_latched(
+        self, fitted_validator, bundle
+    ):
+        # Manifest and fingerprint agree, but the payload is not a pickle:
+        # a bundle handed over directly is refused and latched exactly like
+        # the same bytes loaded from a store.
+        payload = b"not a pickle"
+        manifest = dataclasses.replace(
+            bundle.manifest,
+            version=3,
+            fingerprint=hashlib.sha256(payload).hexdigest(),
+        )
+        controller = RolloutController(_server(fitted_validator))
+        with pytest.raises(BundleIntegrityError, match="failed to unpickle"):
+            controller.begin_shadow(ValidatorBundle(manifest, payload))
+        assert controller.state == IDLE
+        assert controller.last_rollback["reason"] == "integrity"
+        assert controller.last_rollback["bundle"] == "tiny@v3"
+        assert controller.latched("tiny@v3")
 
     def test_observer_bug_fails_toward_the_incumbent(
         self, fitted_validator, bundle
@@ -339,7 +366,7 @@ class TestServeIntegration:
         controller = RolloutController(
             server,
             store=store,
-            config=RolloutConfig(min_shadow_batches=2, drift_calibration_samples=4),
+            config=RolloutConfig(min_shadow_batches=2),
         )
         with server:
             controller.begin_shadow(name="tiny", version=1)

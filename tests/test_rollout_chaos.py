@@ -215,7 +215,7 @@ class TestHealthyRolloutUnderSoak:
         controller = RolloutController(
             server,
             store=store,
-            config=RolloutConfig(min_shadow_batches=1, drift_calibration_samples=64),
+            config=RolloutConfig(min_shadow_batches=1),
         )
 
         plan = (

@@ -62,7 +62,7 @@ def _tasks_counter():
 #: What a journal record holds, ``(key, TaskFit)``; part of the journal
 #: fingerprint, so a journal of another record format is cleared, never
 #: replayed.
-_RECORD_FORMAT = "TaskFit/1"
+_RECORD_FORMAT = "TaskFit/2"
 
 
 class TaskFit(NamedTuple):
@@ -233,12 +233,15 @@ def _solve_fit_task(features: np.ndarray, cfg: dict) -> TaskFit:
     The only code that fits a ``(layer, class)`` pair: :func:`solve_tasks`
     and ``LayerValidator.fit`` both call it. Features arrive in the probes'
     dtype and are converted to float64 (exactly) here, one task at a time.
+    ``StandardScaler.fit_transform`` fits and standardises one private
+    float64 copy, so the caller's array is never written.
     """
-    features = np.asarray(features, dtype=np.float64)
     scaler = None
     if cfg["standardize"]:
-        scaler = StandardScaler().fit(features)
-        features = scaler.transform(features)
+        scaler = StandardScaler()
+        features = scaler.fit_transform(features)
+    else:
+        features = np.asarray(features, dtype=np.float64)
     svm = OneClassSVM(nu=cfg["nu"], kernel=cfg["kernel"], gamma=cfg["gamma"])
     return TaskFit(svm.fit(features), scaler)
 
@@ -322,7 +325,10 @@ def solve_tasks(
             solutions.update(replayed)
         for key in ordered:
             if key not in solutions:
-                with obs.span("fit.solve_task", layer=key[0], klass=key[1]):
+                rows, dim = task_features[key].shape
+                with obs.span(
+                    "fit.solve_task", layer=key[0], klass=key[1], rows=rows, dim=dim
+                ):
                     solution = _solve_fit_task(task_features[key], cfg)
                 _tasks_counter().labels(mode="inprocess").inc()
                 _record_solution(key, solution, solutions, journal)

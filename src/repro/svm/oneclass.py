@@ -40,12 +40,18 @@ def solve_oneclass_smo(
     tol: float = 1e-4,
     max_iter: int = 20000,
 ) -> SMOResult:
-    """Solve the one-class dual on a precomputed Gram matrix.
+    """Solve the one-class dual on a precomputed, symmetric Gram matrix.
 
     Follows LIBSVM: initialise the first ``floor(ν n)`` coefficients at the
     upper bound ``C = 1/(ν n)`` (plus a fractional remainder), then repeatedly
     optimise the maximal-violating pair until the KKT gap falls below
     ``tol``.
+
+    ``gram`` must be exactly symmetric (``gram == gram.T``), as the
+    built-in kernels' ``kernel(x, x)`` is: each step reads the moved pair's
+    contiguous *rows* for their columns. The bound masks are kept as
+    ``0`` / ``±inf`` penalty vectors, and only the two coefficients a step
+    moves are re-classified.
     """
     n = gram.shape[0]
     if gram.shape != (n, n):
@@ -62,20 +68,25 @@ def solve_oneclass_smo(
         if budget <= 0:
             break
 
+    eps = 1e-12
     gradient = gram @ alpha
+    # gradient + up_penalty is inf where alpha cannot increase, and
+    # gradient + down_penalty is -inf where it cannot decrease; the
+    # gradient is finite, so an infinite extreme means an empty set.
+    up_penalty = np.where(alpha < upper - eps, 0.0, np.inf)
+    down_penalty = np.where(alpha > eps, 0.0, -np.inf)
+    scratch = np.empty(n)
     iterations = 0
     converged = False
-    eps = 1e-12
     for iterations in range(1, max_iter + 1):
-        can_increase = alpha < upper - eps
-        can_decrease = alpha > eps
-        if not can_increase.any() or not can_decrease.any():
+        i = int(np.add(gradient, up_penalty, out=scratch).argmin())
+        if scratch[i] == np.inf:
             converged = True
             break
-        masked_up = np.where(can_increase, gradient, np.inf)
-        masked_down = np.where(can_decrease, gradient, -np.inf)
-        i = int(masked_up.argmin())
-        j = int(masked_down.argmax())
+        j = int(np.add(gradient, down_penalty, out=scratch).argmax())
+        if scratch[j] == -np.inf:
+            converged = True
+            break
         gap = gradient[j] - gradient[i]
         if gap <= tol:
             converged = True
@@ -91,7 +102,12 @@ def solve_oneclass_smo(
             break
         alpha[i] += step
         alpha[j] -= step
-        gradient += step * (gram[:, i] - gram[:, j])
+        np.subtract(gram[i], gram[j], out=scratch)
+        scratch *= step
+        gradient += scratch
+        for k in (i, j):
+            up_penalty[k] = 0.0 if alpha[k] < upper - eps else np.inf
+            down_penalty[k] = 0.0 if alpha[k] > eps else -np.inf
 
     free = (alpha > eps) & (alpha < upper - eps)
     if free.any():

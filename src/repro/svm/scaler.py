@@ -40,11 +40,20 @@ class StandardScaler:
         return self
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        """Standardise features with the fitted statistics."""
+        """Standardise features with the fitted statistics, into a fresh
+        float64 array (``features`` is never written)."""
         if self.mean_ is None:
             raise RuntimeError("scaler is not fitted")
-        return (np.asarray(features, dtype=np.float64) - self.mean_) / self.scale_
+        return self._standardise(np.array(features, dtype=np.float64))
 
     def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        """Fit then transform in one call."""
-        return self.fit(features).transform(features)
+        """Fit, then standardise the float64 copy that was fitted, in place:
+        one copy of ``features`` in all (``features`` is never written)."""
+        copy = np.array(features, dtype=np.float64)
+        return self.fit(copy)._standardise(copy)
+
+    def _standardise(self, copy: np.ndarray) -> np.ndarray:
+        """``(x - mean) / scale``, in place on a private float64 ``copy``."""
+        copy -= self.mean_
+        copy /= self.scale_
+        return copy

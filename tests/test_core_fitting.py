@@ -401,6 +401,31 @@ class TestSharedSolve:
         assert all(scaler is None for _, scaler in unscaled.values())
 
 
+class TestCallerArraysUntouched:
+    """A task is standardised in place, on its own float64 copy:
+    ``np.asarray`` would alias float64 input, so without the copy these
+    callers' arrays would come back standardised."""
+
+    def test_fit_paths_leave_float64_representations_bit_unchanged(self):
+        reps, labels = gaussian_classes(classes=3)
+        wide = np.repeat(reps, 3, axis=1) * 2.0 + 1.0
+        assert reps.dtype == wide.dtype == np.float64
+        before = [reps.copy(), wide.copy()]
+        config = ValidatorConfig(max_per_class=1000)  # every row, no gather
+        LayerValidator(0, "layer0", config).fit(reps, labels)
+        fit_validators_from_arrays([reps, wide], labels, [0, 1], config)
+        for array, copy in zip([reps, wide], before):
+            assert np.array_equal(array, copy)
+
+    def test_solve_tasks_leaves_float64_task_features_bit_unchanged(self):
+        reps, labels = gaussian_classes(classes=2)
+        features = {(0, klass): reps[labels == klass] for klass in (0, 1)}
+        before = {key: rows.copy() for key, rows in features.items()}
+        solve_tasks(features, ValidatorConfig(nu=0.2))
+        for key, rows in features.items():
+            assert np.array_equal(rows, before[key])
+
+
 class TestInstall:
     def test_install_invalidates_pack(self):
         reps, labels = gaussian_classes()

@@ -56,15 +56,15 @@ fit.pipeline [images=300, layers=3]
     infer.forward [batch=256]
     infer.forward [batch=44]
   fit.solve_tasks [tasks=9]
-    fit.solve_task [klass=0, layer=0]
-    fit.solve_task [klass=1, layer=0]
-    fit.solve_task [klass=2, layer=0]
-    fit.solve_task [klass=0, layer=1]
-    fit.solve_task [klass=1, layer=1]
-    fit.solve_task [klass=2, layer=1]
-    fit.solve_task [klass=0, layer=2]
-    fit.solve_task [klass=1, layer=2]
-    fit.solve_task [klass=2, layer=2]
+    fit.solve_task [dim=400, klass=0, layer=0, rows=40]
+    fit.solve_task [dim=400, klass=1, layer=0, rows=40]
+    fit.solve_task [dim=400, klass=2, layer=0, rows=40]
+    fit.solve_task [dim=64, klass=0, layer=1, rows=40]
+    fit.solve_task [dim=64, klass=1, layer=1, rows=40]
+    fit.solve_task [dim=64, klass=2, layer=1, rows=40]
+    fit.solve_task [dim=16, klass=0, layer=2, rows=40]
+    fit.solve_task [dim=16, klass=1, layer=2, rows=40]
+    fit.solve_task [dim=16, klass=2, layer=2, rows=40]
 engine.discrepancies [batch=16, skipped=0]
   infer.forward [batch=16]
   engine.layer_score [layer='conv1']

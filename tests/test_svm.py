@@ -88,6 +88,16 @@ class TestScaler:
         z = StandardScaler().fit_transform(x)
         assert np.isfinite(z).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_transforms_are_the_formula_and_leave_input_unchanged(self, dtype):
+        x = np.random.default_rng(6).normal(3.0, 2.0, size=(50, 6)).astype(dtype)
+        before = x.copy()
+        scaler = StandardScaler().fit(x)
+        expected = (x.astype(np.float64) - scaler.mean_) / scaler.scale_
+        assert np.array_equal(scaler.transform(x), expected)
+        assert np.array_equal(StandardScaler().fit_transform(x), expected)
+        assert np.array_equal(x, before)
+
     def test_unfitted_transform_raises(self):
         with pytest.raises(RuntimeError):
             StandardScaler().transform(np.zeros((2, 2)))

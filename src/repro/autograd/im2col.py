@@ -46,12 +46,18 @@ def conv_block_rows(
 ) -> int:
     """Output rows per im2col block of a convolution forward.
 
-    As many rows as fit :data:`COLUMN_BLOCK_BYTES` of columns
-    (``channels * kernel**2`` by ``rows * out_w * batch``), at least one and
-    at most ``out_h`` — so when the whole column matrix fits, the forward is
-    one block, a single GEMM. BLAS results depend on the operand widths it
-    is given, so every conv forward must block by this rule.
+    A single-input-channel conv with a kernel wider than 1 runs one output
+    row per block: the compiled plan reads each row's columns in place from
+    a slab of K-fold input rows (see :func:`repro.infer.kernels.conv_slab`),
+    which holds every row's columns at once. Any other conv takes as many
+    rows as fit :data:`COLUMN_BLOCK_BYTES` of columns (``channels *
+    kernel**2`` by ``rows * out_w * batch``), at least one and at most
+    ``out_h`` — so when the whole column matrix fits, the forward is one
+    block, a single GEMM. BLAS results depend on the operand widths it is
+    given, so every conv forward must block by this rule.
     """
+    if channels == 1 and kernel > 1:
+        return 1
     row_bytes = channels * kernel * kernel * out_w * batch * itemsize
     return max(1, min(out_h, COLUMN_BLOCK_BYTES // max(row_bytes, 1)))
 

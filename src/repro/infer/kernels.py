@@ -28,6 +28,7 @@ __all__ = [
     "write_nchw",
     "conv_source",
     "im2col_rows",
+    "conv_slab",
     "pool_cols_pooled",
     "max_pool_fold",
     "batchnorm_eval",
@@ -60,15 +61,22 @@ def _as_channel_major(
     return staged
 
 
-def write_nchw(out: np.ndarray, x: np.ndarray, tile_n: int = 128, tile_f: int = 512) -> np.ndarray:
+#: Elements per :func:`write_nchw` tile (32 KiB of float32).
+WRITE_TILE_ELEMENTS = 8192
+
+
+def write_nchw(out: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Copy ``x`` into the C-contiguous NCHW buffer ``out``, tiled when possible.
 
     Mid-network activations live as NCHW transpose views over channel-major
     bases; materialising them (the probe write) is a big strided transpose,
     where a plain ``out[...] = x`` reads 4 useful bytes per cache line. When
-    ``x`` carries a contiguous channel-major base, this copies in (features
-    × images) tiles that stay cache-resident — ~3× faster at probe sizes.
-    Values are a pure copy either way, so bit-identity is unaffected.
+    ``x`` carries a contiguous channel-major base, this copies in tiles of
+    ``min(N, 256)`` images by about :data:`WRITE_TILE_ELEMENTS` ``//`` that
+    many features, so a tile stays cache-resident at every batch width (a
+    16-image batch reads 512-feature strips, a 256-image one 32-feature
+    strips). Values are a pure copy either way, so bit-identity is
+    unaffected.
     """
     if x.ndim == 4 and out.flags.c_contiguous and out.dtype == x.dtype:
         flipped = x.transpose(1, 2, 3, 0)
@@ -78,6 +86,8 @@ def write_nchw(out: np.ndarray, x: np.ndarray, tile_n: int = 128, tile_f: int = 
             if features:
                 src = flipped.reshape(features, images)
                 dst = out.reshape(images, features)
+                tile_n = min(images, 256)
+                tile_f = max(1, WRITE_TILE_ELEMENTS // tile_n)
                 for j0 in range(0, features, tile_f):
                     sj = src[j0 : j0 + tile_f]
                     for i0 in range(0, images, tile_n):
@@ -140,6 +150,33 @@ def im2col_rows(
             x_cols = slice(kx, kx + stride * out_w, stride)
             cols[:, ky, kx] = source[:, y_rows, x_cols, :]
     return cols.reshape(channels * kernel * kernel, -1)
+
+
+def conv_slab(
+    source: np.ndarray,
+    kernel: int,
+    stride: int,
+    out_w: int,
+    out_h: int,
+    ws: WorkspacePool,
+    key: tuple,
+) -> np.ndarray:
+    """The columns of a single-channel :func:`conv_source` as a K-row slab.
+
+    ``slab[r, kx] = source[0, r, kx : kx + stride*out_w : stride]``, shape
+    ``(rows, K, out_w, N)`` over the ``stride*(out_h - 1) + K`` input rows
+    the conv reads, returned flat as ``(rows*K, out_w*N)``. Output row
+    ``y``'s K² column rows (ky, kx) are then slab rows ``(stride*y + ky)*K
+    + kx``: the contiguous ``K*K`` rows from ``stride*K*y``, equal in value
+    and layout to ``im2col_rows(source, K, stride, out_w, y, 1, ...)``. The
+    slab copies each input row K times, where the columns copy it K² times.
+    """
+    _, _, _, batch = source.shape
+    rows = stride * (out_h - 1) + kernel
+    slab = ws.scratch((*key, "slab"), (rows, kernel, out_w, batch), source.dtype)
+    for kx in range(kernel):
+        slab[:, kx] = source[0, :rows, kx : kx + stride * out_w : stride, :]
+    return slab.reshape(rows * kernel, out_w * batch)
 
 
 def pool_cols_pooled(

@@ -32,6 +32,7 @@ from repro.autograd.im2col import conv_block_rows
 from repro.infer.kernels import (
     batchnorm_eval,
     conv_output_size,
+    conv_slab,
     conv_source,
     im2col_rows,
     max_pool_fold,
@@ -118,11 +119,17 @@ class Step:
 
 
 class ConvStep(Step):
-    """``Conv2d`` lowered to im2col + one GEMM, mirroring ``ops.conv2d``."""
+    """``Conv2d`` lowered to im2col + one GEMM per row block, mirroring ``ops.conv2d``.
+
+    The epilogue adds the bias and, when :attr:`relu` is set (a ``ReLU``
+    folded in by :func:`compile_plan`), clamps at zero, in place over the
+    whole GEMM buffer.
+    """
 
     def __init__(self, key: str, module) -> None:
         self.key = key
         self.module = module
+        self.relu = False
 
     def _geometry(self, x):
         m = self.module
@@ -139,6 +146,7 @@ class ConvStep(Step):
 
     def run(self, x, ws: WorkspacePool, out=None):
         m = self.module
+        kernel = m.kernel
         batch, out_h, out_w = self._geometry(x)
         weight = m.weight.data
         filters = weight.shape[0]
@@ -152,21 +160,27 @@ class ConvStep(Step):
         # One GEMM per row block of columns, by the rule ``ops.conv2d``
         # uses: the block widths reach BLAS unchanged, so results match.
         channels = x.shape[1]
-        rows = conv_block_rows(channels, m.kernel, out_w, batch, x.itemsize, out_h)
+        rows = conv_block_rows(channels, kernel, out_w, batch, x.itemsize, out_h)
         span = out_w * batch
-        pointwise = m.kernel == 1 and m.stride == 1
-        if not pointwise:
-            buf = ws.scratch(
-                (self.key, "cols"), (weight_mat.shape[1] * rows * span,), x.dtype
-            )
+        pointwise = kernel == 1 and m.stride == 1
+        slab = None
+        if channels == 1 and kernel > 1:
+            # One row per block: output row y's columns are the K*K
+            # contiguous slab rows from stride*K*y, read in place.
+            slab = conv_slab(source, kernel, m.stride, out_w, out_h, ws, (self.key,))
+            slab_step = m.stride * kernel
+        elif not pointwise:
+            buf = ws.scratch((self.key, "cols"), (weight_mat.shape[1] * rows * span,), x.dtype)
         for y0 in range(0, out_h, rows):
             y1 = min(y0 + rows, out_h)
             block = slice(y0 * span, y1 * span)
-            if pointwise:
+            if slab is not None:
+                cols = slab[slab_step * y0 : slab_step * y0 + kernel * kernel]
+            elif pointwise:
                 # The channel-major source *is* the column matrix.
                 cols = source.reshape(channels, -1)[:, block]
             else:
-                cols = im2col_rows(source, m.kernel, m.stride, out_w, y0, y1 - y0, buf)
+                cols = im2col_rows(source, kernel, m.stride, out_w, y0, y1 - y0, buf)
             np.matmul(weight_mat, cols, out=gemm[:, block])
         if m.bias is not None:
             # Bias added in GEMM coordinates (channel-major, before the
@@ -174,6 +188,8 @@ class ConvStep(Step):
             # operands as the Tensor path's post-transpose broadcast add,
             # so results are bit-identical — but the loop runs contiguous.
             np.add(gemm, m.bias.data.reshape(filters, 1), out=gemm)
+        if self.relu:
+            np.maximum(gemm, 0.0, out=gemm)
         view = gemm.reshape(filters, out_h, out_w, batch).transpose(3, 0, 1, 2)
         if out is not None:
             write_nchw(out, view)
@@ -181,11 +197,12 @@ class ConvStep(Step):
 
 
 class DenseStep(Step):
-    """``Dense``: one GEMM plus a broadcast bias add."""
+    """``Dense``: one GEMM plus a broadcast bias add (and a folded ReLU)."""
 
     def __init__(self, key: str, module) -> None:
         self.key = key
         self.module = module
+        self.relu = False
 
     def out_spec(self, x):
         m = self.module
@@ -203,11 +220,17 @@ class DenseStep(Step):
             )
         np.matmul(x, weight, out=out)
         np.add(out, bias, out=out)
+        if self.relu:
+            np.maximum(out, 0.0, out=out)
         return out
 
 
 class ReluStep(Step):
-    """``relu`` computed on the contiguous base of layout-carrying views."""
+    """``relu`` computed on the contiguous base of layout-carrying views.
+
+    Only for a ``ReLU`` that no conv or dense step of its stage directly
+    precedes; :func:`compile_plan` folds the others into that step.
+    """
 
     def __init__(self, key: str) -> None:
         self.key = key
@@ -474,7 +497,13 @@ def _lower(module, key: str, steps: list) -> None:
     elif isinstance(module, Dense):
         steps.append(DenseStep(key, module))
     elif isinstance(module, ReLU):
-        steps.append(ReluStep(key))
+        previous = steps[-1] if steps else None
+        if isinstance(previous, (ConvStep, DenseStep)) and not previous.relu:
+            # Fold into the GEMM step's epilogue: ``max`` is exact, so the
+            # values are the Tensor path's, without a pass and a buffer.
+            previous.relu = True
+        else:
+            steps.append(ReluStep(key))
     elif isinstance(module, Tanh):
         steps.append(TanhStep(key))
     elif isinstance(module, Softmax):

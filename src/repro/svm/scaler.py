@@ -24,6 +24,12 @@ class StandardScaler:
         with a non-negativity clamp) rather than separate ``mean``/``std``
         traversals — on the wide flattened conv representations the
         validators see, the second pass over memory is the dominant cost.
+
+        A constant column gets scale 1.0. Its fused variance need not be
+        exactly 0 (``E[x^2]`` and ``E[x]^2`` of a nonzero constant round
+        apart), so the few columns whose variance lies within rounding of
+        ``E[x]^2`` are checked for constancy exactly; the others keep the
+        fused value.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
@@ -33,6 +39,12 @@ class StandardScaler:
         total_sq = np.einsum("ij,ij->j", features, features)
         mean = total / n
         variance = np.maximum(total_sq / n - mean**2, 0.0)
+        rounding = 4 * n * np.finfo(np.float64).eps * mean**2
+        suspect = np.flatnonzero((variance > 0.0) & (variance <= rounding))
+        if suspect.size:
+            column = features[:, suspect]
+            constant = (column == column[0]).all(axis=0)
+            variance[suspect[constant]] = 0.0
         scale = np.sqrt(variance)
         scale[scale == 0.0] = 1.0
         self.mean_ = mean

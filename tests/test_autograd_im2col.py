@@ -33,6 +33,15 @@ class TestConvBlockRows:
     def test_empty_batch_is_one_block(self):
         assert conv_block_rows(2, 3, 10, 0, 4, 10) == 10
 
+    @pytest.mark.parametrize("batch", [0, 1, 16, 256])
+    def test_one_input_channel_is_one_row_per_block(self, batch):
+        # The slab holds every row's columns; each row is its own GEMM.
+        assert conv_block_rows(1, 5, 24, batch, 4, 24) == 1
+        assert conv_block_rows(1, 2, 10, batch, 8, 10) == 1
+
+    def test_one_input_channel_pointwise_keeps_the_budget(self):
+        assert conv_block_rows(1, 1, 10, 4, 4, 10) == 10
+
 
 class TestIm2col:
     def test_shape(self):

@@ -30,8 +30,10 @@ from repro import infer
 from repro.autograd import im2col as im2col_module
 from repro.autograd.im2col import conv_block_rows
 from repro.autograd.tensor import Tensor
-from repro.infer.plan import ConvStep
+from repro.infer.kernels import write_nchw
+from repro.infer.plan import ConvStep, DenseStep, ReluStep, compile_plan
 from repro.nn import (
+    BatchNorm2d,
     Conv2d,
     Dense,
     Flatten,
@@ -93,6 +95,13 @@ class TestZooIdentity:
         # exercising per-shape workspace buffers within one stream.
         model, images = zoo[name]
         assert_paths_identical(model, images.astype(np.float32), batch_size=4)
+
+    @pytest.mark.parametrize("width", [1, 8, 16, 256])
+    @pytest.mark.parametrize("name", ["mnist", "svhn", "densenet"])
+    def test_identical_at_serving_widths(self, zoo, name, width):
+        model, images = zoo[name]
+        batch = np.random.default_rng(width).standard_normal((width, *images.shape[1:]))
+        assert_paths_identical(model, batch.astype(np.float32), batch_size=width)
 
     @pytest.mark.parametrize("name", ["mnist", "svhn", "densenet"])
     def test_single_image(self, zoo, name):
@@ -239,13 +248,14 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("batch", [1, 8])
     def test_narrow_batches(self, batch):
-        # Every conv is one block, except conv2 at batch 8: its 557 KB of
-        # columns split into a 20-row and a short 2-row block.
+        # conv1 (one input channel) is one block per output row at every
+        # width; every other conv is one block, except conv2 at batch 8:
+        # its 557 KB of columns split into a 20-row and a short 2-row block.
         blocks = {
             name: -(-out_h // conv_block_rows(channels, kernel, out_w, batch, 4, out_h))
             for name, (channels, kernel, out_h, out_w) in self.TINY_CONVS.items()
         }
-        assert blocks == {"conv1": 1, "conv2": 1 if batch == 1 else 2, "conv3": 1, "conv4": 1}
+        assert blocks == {"conv1": 24, "conv2": 1 if batch == 1 else 2, "conv3": 1, "conv4": 1}
         model = mnist_cnn(width=4)
         images = np.random.default_rng(batch).standard_normal((batch, 1, 28, 28))
         assert_paths_identical(model, images.astype(np.float32))
@@ -303,9 +313,126 @@ class TestRowBlocks:
             rows = conv_block_rows(channels, kernel, out_w, 256, 4, out_h)
             assert rows < out_h, name
             cols = [buf for (key, _, _), buf in buffers.items() if key == (step.key, "cols")]
-            assert max(buf.nbytes for buf in cols) <= rows * channels * kernel**2 * out_w * 256 * 4
+            slabs = [buf for (key, _, _), buf in buffers.items() if key == (step.key, "slab")]
+            if name == "conv1":
+                # One input channel: a (rows, K, out_w, N) slab of the 28
+                # input rows K times over, and no column block.
+                assert not cols
+                assert [buf.shape for buf in slabs] == [(28, kernel, out_w, 256)]
+            else:
+                assert not slabs
+                assert max(buf.nbytes for buf in cols) <= rows * channels * kernel**2 * out_w * 256 * 4
         staged = {key[0] for key, _, _ in buffers if key[-1] == "chwn"}
         assert staged == {convs["conv1"].key}
+
+
+#: Batch widths for the lowering tests: one image, narrow and serve-sized
+#: batches, one past a multiple of 16, a full chunk, and a full chunk plus
+#: a short one.
+LOWERING_WIDTHS = (1, 8, 16, 17, 256, 300)
+
+
+class TestSingleChannelSlab:
+    """Single-input-channel convs read their columns from a K-row slab."""
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    def test_slab_conv_matches_tensor_path(self, kernel, stride, pad):
+        # The conv is a stage of its own, so its probe is the slab GEMM
+        # plus bias; the next stage starts with an unfolded ReLU.
+        size = 11
+        out = (size + 2 * pad - kernel) // stride + 1
+        model = ProbedSequential(
+            [
+                ("conv", Sequential(Conv2d(1, 4, kernel=kernel, stride=stride, pad=pad, rng=0))),
+                ("relu", Sequential(ReLU())),
+                ("head", Sequential(Flatten(), Dense(4 * out * out, 3, rng=1), Softmax())),
+            ]
+        )
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + pad)
+        for width in LOWERING_WIDTHS:
+            images = rng.standard_normal((width, 1, size, size)).astype(np.float32)
+            assert_paths_identical(model, images)
+
+    def test_slab_holds_the_rows_the_conv_reads(self):
+        # A 3x3 stride-2 conv over 12 rows reads rows 0..10 (out_h = 5).
+        model = conv_model(1, 4, 3, 2, 0, 12)
+        images = np.random.default_rng(0).standard_normal((6, 1, 12, 12))
+        model.hidden_representations(images.astype(np.float32), compiled=True)
+        plan = infer.plan_for(model, require=True)
+        slabs = [buf for (key, _, _), buf in plan.workspace.buffers().items() if key[-1] == "slab"]
+        assert [buf.shape for buf in slabs] == [(11, 3, 5, 6)]
+
+
+class TestFusedEpilogue:
+    """A ReLU right after a conv or dense step runs in that step's epilogue."""
+
+    @staticmethod
+    def _tails_model():
+        # Conv+ReLU and Dense+ReLU as stage tails, so both write probes.
+        return ProbedSequential(
+            [
+                ("conv", Sequential(Conv2d(3, 4, kernel=3, pad=1, rng=0), ReLU())),
+                ("fc1", Sequential(Flatten(), Dense(4 * 8 * 8, 16, rng=1), ReLU())),
+                ("fc2", Sequential(Dense(16, 16, rng=2), ReLU())),
+                ("head", Sequential(Dense(16, 3, rng=3), Softmax())),
+            ]
+        )
+
+    def test_relu_tails_write_identical_probes(self):
+        model = self._tails_model()
+        rng = np.random.default_rng(21)
+        for width in LOWERING_WIDTHS:
+            images = rng.standard_normal((width, 3, 8, 8)).astype(np.float32)
+            images[::5, :, 2] = np.nan
+            images[1::7] = 0.0
+            assert_paths_identical(model, images)
+
+    def test_relu_after_gemm_steps_lowers_to_no_relu_step(self):
+        plan = compile_plan(self._tails_model())
+        kinds = {name: [type(step) for step in steps] for name, steps in plan.stages}
+        assert kinds["conv"] == [ConvStep]
+        assert kinds["fc2"] == [DenseStep]
+        assert all(step.relu for _, steps in plan.stages[:3] for step in steps[-1:])
+        assert not plan.stages[3][1][0].relu
+
+    def test_relu_after_pool_or_batch_norm_keeps_its_step(self):
+        model = ProbedSequential(
+            [
+                ("pool", Sequential(Conv2d(3, 4, kernel=3, rng=0), MaxPool2d(2), ReLU())),
+                ("bn", Sequential(Conv2d(4, 4, kernel=1, rng=1), BatchNorm2d(4), ReLU())),
+                ("lead", Sequential(ReLU())),
+                ("head", Sequential(Flatten(), Dense(4 * 3 * 3, 3, rng=2), Softmax())),
+            ]
+        )
+        plan = compile_plan(model)
+        relus = {name: sum(isinstance(step, ReluStep) for step in steps) for name, steps in plan.stages}
+        assert relus == {"pool": 1, "bn": 1, "lead": 1, "head": 0}
+        assert not any(
+            step.relu for _, steps in plan.stages for step in steps if isinstance(step, ConvStep)
+        )
+        images = np.random.default_rng(3).standard_normal((17, 3, 8, 8)).astype(np.float32)
+        assert_paths_identical(model, images)
+
+
+class TestWriteNchw:
+    """The tiled probe write is a plain copy at every width and feature count."""
+
+    #: Feature counts as (C, H, W): 1, 63, 484, 2304 and 2305 features.
+    SHAPES = [(1, 1, 1), (7, 3, 3), (4, 11, 11), (4, 24, 24), (5, 461, 1)]
+
+    @pytest.mark.parametrize("images", [1, 8, 15, 16, 17, 255, 256, 257])
+    def test_tiled_copy_equals_plain_copy(self, images):
+        rng = np.random.default_rng(images)
+        for shape in self.SHAPES:
+            base = rng.standard_normal((*shape, images)).astype(np.float32)
+            view = base.transpose(3, 0, 1, 2)
+            expected = np.empty(view.shape, np.float32)
+            expected[...] = view
+            out = np.full(view.shape, np.nan, np.float32)
+            assert write_nchw(out, view) is out
+            assert out.tobytes() == expected.tobytes(), shape
 
 
 class UnlowerableModule(Module):

@@ -88,6 +88,42 @@ class TestScaler:
         z = StandardScaler().fit_transform(x)
         assert np.isfinite(z).all()
 
+    @staticmethod
+    def _fused_scale(x):
+        """The fused-moment scale, with no constancy check."""
+        x = x.astype(np.float64)
+        mean = x.sum(axis=0) / len(x)
+        variance = np.maximum(np.einsum("ij,ij->j", x, x) / len(x) - mean**2, 0.0)
+        scale = np.sqrt(variance)
+        scale[scale == 0.0] = 1.0
+        return scale
+
+    def test_float32_constants_get_unit_scale(self):
+        # E[x^2] - E[x]^2 of a widened float32 constant rounds to a tiny
+        # positive variance for some constants; each must still scale by 1.
+        constants = np.random.default_rng(8).standard_normal(200).astype(np.float32)
+        x = np.tile(constants, (400, 1))
+        assert (self._fused_scale(x) < 1e-6).sum() > 0
+        assert np.array_equal(StandardScaler().fit(x).scale_, np.ones(200))
+
+    def test_nonconstant_columns_keep_the_fused_scale(self):
+        # Beside the constants: ordinary columns, and near-constant ones
+        # (every other row four ulps up) whose variance is as small as the
+        # constants' rounding, so the exact constancy check must spare them.
+        rng = np.random.default_rng(9)
+        constants = rng.standard_normal(50).astype(np.float32)
+        near = np.tile(rng.standard_normal(50).astype(np.float32), (400, 1))
+        for _ in range(4):
+            near[::2] = np.nextafter(near[::2], np.float32(np.inf))
+        x = np.hstack(
+            [np.tile(constants, (400, 1)), near, rng.normal(3.0, 2.0, (400, 50)).astype(np.float32)]
+        )
+        scale = StandardScaler().fit(x).scale_
+        assert np.array_equal(scale[:50], np.ones(50))
+        assert np.array_equal(scale[50:], self._fused_scale(x)[50:])
+        rounding = 4 * 400 * np.finfo(np.float64).eps * near.astype(np.float64).mean(axis=0) ** 2
+        assert ((scale[50:100] < 1.0) & (scale[50:100] ** 2 <= rounding)).all()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_transforms_are_the_formula_and_leave_input_unchanged(self, dtype):
         x = np.random.default_rng(6).normal(3.0, 2.0, size=(50, 6)).astype(dtype)

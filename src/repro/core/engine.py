@@ -31,7 +31,7 @@ this engine.
 
 Usage::
 
-    engine = validator.engine()            # kept on the validator
+    engine = validator.engine()            # or ValidationEngine(validator)
     predictions, D = engine.discrepancies(images)
     d = validator.combine(D)               # Eq. 3
     predictions, D, errors = engine.discrepancies_resilient(images, skip={1})
@@ -61,9 +61,10 @@ def _layer_seconds():
 class ValidationEngine:
     """Vectorised scoring facade over a fitted ``DeepValidator``.
 
-    The engine shares the validator's model and per-layer validators —
-    it adds speed, not policy; the combiner and ``epsilon`` stay on the
-    validator.
+    The engine holds only the validator and its model, and reads the
+    fitted per-layer validators on every call, so it never goes stale
+    across a refit and costs nothing to build. It adds speed, not policy;
+    the combiner and ``epsilon`` stay on the validator.
     """
 
     def __init__(self, validator) -> None:

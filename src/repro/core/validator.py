@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import fitting
+from repro.core.engine import ValidationEngine
 from repro.nn.sequential import ProbedSequential
 from repro.svm.oneclass import OneClassSVM
-from repro.svm.packed import ClassGroups, PackedClassSVMs, pack_class_svms
+from repro.svm.packed import ClassGroups, PackedClassSVMs, group_by_class, pack_class_svms
 from repro.svm.scaler import StandardScaler
 from repro.utils.rng import RngLike, new_rng
-
-#: Sentinel distinguishing "pack not yet attempted" from "unpackable".
-_PACK_UNSET = object()
 
 
 @dataclass
@@ -36,8 +34,9 @@ class ValidatorConfig:
     class at or under the cap keeps every row; ``layers`` restricts
     validation to a subset of probe indices (``None`` validates every
     hidden layer — rear-layer policies pass an explicit list);
-    ``combiner`` selects how per-layer discrepancies join (the paper uses
-    the unweighted ``"sum"``).
+    ``kernel`` names the one-class SVM kernel (``"rbf"``, ``"linear"`` or
+    ``"poly"``); ``combiner`` selects how per-layer discrepancies join
+    (the paper uses the unweighted ``"sum"``).
 
     ``filter_misclassified`` and ``per_class`` exist for ablations: the
     paper's Algorithm 1 both drops misclassified training images (line 2)
@@ -58,6 +57,8 @@ class ValidatorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.kernel not in ("rbf", "linear", "poly"):
+            raise ValueError(f"kernel must be rbf/linear/poly, got {self.kernel!r}")
         if self.combiner not in {"sum", "mean", "max", "last"}:
             raise ValueError(
                 f"combiner must be sum/mean/max/last, got {self.combiner!r}"
@@ -166,26 +167,20 @@ class LayerValidator:
 
     # -- batched scoring -------------------------------------------------------
 
-    def packed(self) -> PackedClassSVMs | None:
-        """The packed scorer for this layer, or ``None`` if unpackable.
+    def packed(self) -> PackedClassSVMs:
+        """The packed scorer for this layer.
 
         Built lazily from the fitted per-class SVMs and cached on the
         instance; dropped on refit and excluded from pickles (old cached
-        validators re-pack transparently on first batched call). Custom
-        kernel objects the packer does not understand yield ``None`` and
-        the batched path falls back to the reference loop.
+        validators re-pack transparently on first batched call).
         """
         if not self._svms:
             raise RuntimeError("LayerValidator is not fitted")
-        pack = self.__dict__.get("_pack", _PACK_UNSET)
-        if pack is _PACK_UNSET:
-            try:
-                pack = pack_class_svms(
-                    self._svms, self._scalers if self.config.standardize else None
-                )
-            except ValueError:
-                pack = None
-            self.__dict__["_pack"] = pack
+        pack = self.__dict__.get("_pack")
+        if pack is None:
+            pack = self.__dict__["_pack"] = pack_class_svms(
+                self._svms, self._scalers if self.config.standardize else None
+            )
         return pack
 
     def discrepancy_batched(
@@ -203,19 +198,17 @@ class LayerValidator:
         :func:`~repro.svm.packed.group_by_class` of ``predicted``, which
         the engine builds once per chunk and shares across layers; without
         it the rows are grouped here. A class-agnostic layer
-        (``per_class=False``) and the reference fallback ignore it.
+        (``per_class=False``) ignores it and scores every row as class 0.
         """
         pack = self.packed()
-        if pack is None:
-            return self.discrepancy(representations, predicted)
-        predicted = np.asarray(predicted)
+        representations = np.asarray(representations)
         if not self.config.per_class:
-            predicted = np.zeros(len(predicted), dtype=np.int64)
-            groups = None
+            rows = len(representations)
+            groups = ClassGroups(np.arange(rows), np.zeros(1, dtype=np.int64), (0, rows))
+        elif groups is None:
+            groups = group_by_class(predicted)
         try:
-            if groups is None:
-                return pack.discrepancy(representations, predicted)
-            return pack.score_groups(np.asarray(representations), groups)
+            return pack.score_groups(representations, groups)
         except KeyError as exc:
             raise KeyError(
                 f"{exc.args[0]} in layer {self.layer_name!r}"
@@ -301,7 +294,6 @@ class DeepValidator:
         crash-safe: completed (layer, class) solutions are flushed as they
         land and replayed on a rerun of the same data and config.
         """
-        self.__dict__.pop("_engine", None)  # refitting invalidates the engine
         # A refit reports only its own run: stale layer lists and image
         # counts from a previous fit must not accumulate.
         self.fit_summary = _FitSummary(total_training_images=len(train_images))
@@ -421,24 +413,14 @@ class DeepValidator:
 
     # -- deployment ------------------------------------------------------------
 
-    def engine(self):
-        """The batched :class:`~repro.core.engine.ValidationEngine` view.
+    def engine(self) -> ValidationEngine:
+        """A batched :class:`~repro.core.engine.ValidationEngine` view.
 
-        Built lazily, kept on the instance, dropped on refit and excluded
-        from pickles — validators restored from old artifact caches grow an
-        engine transparently on first use.
+        The engine holds only this validator and its model and reads the
+        fitted layers on every call, so a fresh view is as good as a kept
+        one.
         """
-        from repro.core.engine import ValidationEngine
-
-        engine = self.__dict__.get("_engine")
-        if engine is None:
-            engine = self.__dict__["_engine"] = ValidationEngine(self)
-        return engine
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_engine", None)
-        return state
+        return ValidationEngine(self)
 
     def calibrate_threshold(
         self, clean_images: np.ndarray, corner_images: np.ndarray

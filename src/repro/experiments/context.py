@@ -78,11 +78,12 @@ class ExperimentContext:
 
     @property
     def engine(self):
-        """Batched scoring engine over the fitted validator (cached there).
+        """Batched scoring engine over the fitted validator.
 
         Every experiment table/figure scores through this rather than the
-        per-sample reference path; contexts restored from old artifact
-        caches build the engine lazily on first access.
+        per-sample reference path. The engine is a fresh view that reads
+        the validator's layers on each call, so contexts restored from old
+        artifact caches score without any rebuild step.
         """
         return self.validator.engine()
 

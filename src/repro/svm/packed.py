@@ -195,22 +195,6 @@ class PackedClassSVMs:
         out[groups.order] = self._sorted_discrepancy(augmented, positions, groups.bounds)
         return out
 
-    def discrepancy(self, features: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-        """Per-sample discrepancy ``-t^{y'}`` against the predicted class's SVM.
-
-        Groups the rows by class and scores them as one chunk with
-        :meth:`score_groups`.
-        """
-        features = np.asarray(features)
-        predicted = np.asarray(predicted)
-        if len(features) != len(predicted):
-            raise ValueError("features and predicted must have equal length")
-        if len(features) == 0:
-            # Fully-quarantined serving windows score zero samples; skip
-            # the GEMM machinery rather than stressing its edge cases.
-            return np.empty(0)
-        return self.score_groups(features, group_by_class(predicted))
-
 
 def _kernel_params(kernel: Kernel) -> tuple[str, float, int, float]:
     """(name, gamma, degree, coef0) of a packable kernel, else ValueError."""

@@ -13,7 +13,6 @@ seeded, clock-driven soak runs against the serving stack (see
 from repro.testing.chaos import ChaosPlan, SoakInvariantError, SoakReport, run_soak
 
 from repro.testing.faults import (
-    FaultPlan,
     InjectedBatcherError,
     InjectedCrashError,
     InjectedWorkerDeath,
@@ -32,7 +31,6 @@ from repro.testing.faults import (
 
 __all__ = [
     "ChaosPlan",
-    "FaultPlan",
     "InjectedBatcherError",
     "InjectedCrashError",
     "InjectedWorkerDeath",

@@ -37,20 +37,17 @@ The four fault classes mirror the resilience layer's threat model:
   epoch, or the fit dies after a chosen number of task solutions have
   been journaled, exercising checkpoint/journal resume.
 
-:class:`FaultPlan` bundles any number of these into one declarative,
-reusable plan::
+Several injectors compose with :class:`contextlib.ExitStack`::
 
-    plan = (FaultPlan()
-            .nan_activations(model, layer_index=1)
-            .fail_packed_scorer(validator.validators[0], nth=2))
-    with plan.apply():
+    with contextlib.ExitStack() as faults:
+        faults.enter_context(nan_activations(model, layer_index=1))
+        faults.enter_context(fail_packed_scorer(validator.validators[0], nth=2))
         verdicts = monitor.classify(images)   # must degrade, not raise
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -550,111 +547,3 @@ def crash_at_task(task: int) -> Iterator[dict]:
     finally:
         fitting._record_solution = original
 
-
-# -- declarative plans ---------------------------------------------------------
-
-
-@dataclass
-class FaultPlan:
-    """A deterministic, composable set of fault injections.
-
-    Builder methods mirror the module-level context managers and return
-    ``self`` for chaining; :meth:`apply` activates every registered fault
-    for the duration of a ``with`` block (entered in registration order,
-    unwound in reverse). Plans are reusable — applying twice injects the
-    same faults both times.
-    """
-
-    _factories: list[Callable[[], Any]] = field(default_factory=list)
-    _labels: list[str] = field(default_factory=list)
-
-    def nan_activations(self, model, layer_index: int, value: float = float("nan")) -> "FaultPlan":
-        """Register a NaN/Inf activation fault at ``layer_index``."""
-        self._factories.append(lambda: nan_activations(model, layer_index, value))
-        self._labels.append(f"nan_activations(layer={layer_index}, value={value})")
-        return self
-
-    def corrupt_artifact(
-        self, cache, name: str, config: Any, mode: str = "bitflip",
-        seed: int = 0, refresh_checksum: bool = False,
-    ) -> "FaultPlan":
-        """Register on-disk corruption of one cached artifact."""
-        self._factories.append(
-            lambda: corrupt_artifact(
-                cache, name, config, mode=mode, seed=seed,
-                refresh_checksum=refresh_checksum,
-            )
-        )
-        self._labels.append(f"corrupt_artifact({name!r}, mode={mode!r}, seed={seed})")
-        return self
-
-    def fail_packed_scorer(
-        self, layer_validator, nth: int = 1, count: int = 1
-    ) -> "FaultPlan":
-        """Register packed-scorer failures on calls ``nth..nth+count-1``."""
-        self._factories.append(
-            lambda: fail_packed_scorer(layer_validator, nth=nth, count=count)
-        )
-        self._labels.append(f"fail_packed_scorer(nth={nth}, count={count})")
-        return self
-
-    def slow_layer(self, layer_validator, seconds: float, clock=None) -> "FaultPlan":
-        """Register per-call latency on one layer's batched scorer."""
-        self._factories.append(
-            lambda: slow_layer(layer_validator, seconds, clock=clock)
-        )
-        self._labels.append(f"slow_layer(seconds={seconds})")
-        return self
-
-    def slow_classify(self, monitor, seconds: float, clock=None) -> "FaultPlan":
-        """Register per-call latency on a monitor's ``classify``."""
-        self._factories.append(
-            lambda: slow_classify(monitor, seconds, clock=clock)
-        )
-        self._labels.append(f"slow_classify(seconds={seconds})")
-        return self
-
-    def hang_classify(self, monitor, nth: int = 1, count: int = 1) -> "FaultPlan":
-        """Register hanging ``classify`` calls ``nth..nth+count-1``."""
-        self._factories.append(lambda: hang_classify(monitor, nth=nth, count=count))
-        self._labels.append(f"hang_classify(nth={nth}, count={count})")
-        return self
-
-    def kill_worker(self, server, nth: int = 1, count: int = 1) -> "FaultPlan":
-        """Register serve-worker deaths on batches ``nth..nth+count-1``."""
-        self._factories.append(lambda: kill_worker(server, nth=nth, count=count))
-        self._labels.append(f"kill_worker(nth={nth}, count={count})")
-        return self
-
-    def raise_in_batcher(self, batcher, nth: int = 1, count: int = 1) -> "FaultPlan":
-        """Register ``next_batch`` failures on calls ``nth..nth+count-1``."""
-        self._factories.append(lambda: raise_in_batcher(batcher, nth=nth, count=count))
-        self._labels.append(f"raise_in_batcher(nth={nth}, count={count})")
-        return self
-
-    def crash_at_epoch(self, trainer, epoch: int) -> "FaultPlan":
-        """Register a training-loop kill at the start of ``epoch``."""
-        self._factories.append(lambda: crash_at_epoch(trainer, epoch))
-        self._labels.append(f"crash_at_epoch(epoch={epoch})")
-        return self
-
-    def crash_at_task(self, task: int) -> "FaultPlan":
-        """Register a fit kill after ``task`` journaled solves."""
-        self._factories.append(lambda: crash_at_task(task))
-        self._labels.append(f"crash_at_task(task={task})")
-        return self
-
-    def __len__(self) -> int:
-        return len(self._factories)
-
-    def describe(self) -> list[str]:
-        """Human-readable labels of every registered fault, in order."""
-        return list(self._labels)
-
-    @contextlib.contextmanager
-    def apply(self) -> Iterator["FaultPlan"]:
-        """Activate every registered fault for the enclosed block."""
-        with contextlib.ExitStack() as stack:
-            for factory in self._factories:
-                stack.enter_context(factory())
-            yield self

@@ -2,7 +2,8 @@
 
 Every setting is a promise: it has to be documented, validated and
 tested, and a setting nobody sets is code that only looks alive. This
-test pins the field names of the serving configs and the parameters of
+test pins the field names of the serving configs and the validator's
+fitting config, and the parameters of
 the monitor, its input guard and the rollout controller, so adding a
 setting (or bringing a removed one back) shows up as a deliberate edit
 to the pins below.
@@ -15,6 +16,7 @@ import pytest
 
 from repro.core.monitor import RuntimeMonitor
 from repro.core.resilience import InputGuard
+from repro.core.validator import ValidatorConfig
 from repro.serve.rollout import RolloutConfig, RolloutController
 from repro.serve.server import ServeConfig
 from repro.serve.supervisor import SupervisorConfig
@@ -41,6 +43,19 @@ CONFIG_FIELDS = {
         "min_shadow_batches",
         "max_flag_rate_divergence",
         "max_candidate_failures",
+    ),
+    ValidatorConfig: (
+        "nu",
+        "kernel",
+        "gamma",
+        "max_per_class",
+        "layers",
+        "combiner",
+        "weights",
+        "standardize",
+        "filter_misclassified",
+        "per_class",
+        "seed",
     ),
 }
 

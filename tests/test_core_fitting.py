@@ -18,7 +18,7 @@ from repro.core.fitting import (
 )
 from repro.core.validator import DeepValidator, LayerValidator, ValidatorConfig
 from repro.nn.sequential import ProbedSequential
-from repro.svm.kernels import Kernel
+from repro.svm.kernels import Kernel, LinearKernel
 from repro.svm.oneclass import OneClassSVM
 from tests.helpers import misclassifying_model
 from tests.test_fitting_determinism import assert_validators_identical
@@ -329,9 +329,20 @@ class TestReferenceEquivalence:
                     fitted._scalers[klass].mean_, reference._scalers[klass].mean_
                 )
 
-    def test_custom_kernel_object_fits(self):
-        # A Kernel instance, even one holding a lambda, fits like a named
-        # kernel.
+
+class TestKnobs:
+    def test_config_rejects_bad_n_jobs(self):
+        # n_jobs is not a field: a caller still passing it fails loudly
+        # instead of having it silently ignored.
+        with pytest.raises(TypeError):
+            ValidatorConfig(n_jobs=2)
+        with pytest.raises(TypeError):
+            ValidatorConfig(n_jobs=1)
+
+    def test_custom_kernel_object_is_rejected(self):
+        # The config names its kernel; a Kernel instance, even one holding
+        # a lambda, is refused where a validator is configured rather than
+        # fitted into a layer the packed scorer cannot read.
         class LambdaKernel(Kernel):
             name = "lambda-linear"
 
@@ -344,22 +355,34 @@ class TestReferenceEquivalence:
             def diag(self, a):
                 return np.einsum("ij,ij->i", a, a)
 
-        reps, labels = gaussian_classes(d=4)
-        config = ValidatorConfig(kernel=LambdaKernel(), standardize=False)
-        fitted = fit_validators_from_arrays([reps], labels, [0], config)
-        assert fitted[0].classes == [0, 1, 2]
-        scores = fitted[0].discrepancy(reps[:5], labels[:5])
-        assert np.isfinite(scores).all()
+        with pytest.raises(ValueError, match="kernel must be"):
+            ValidatorConfig(kernel=LambdaKernel(), standardize=False)
+        with pytest.raises(ValueError, match="kernel must be"):
+            ValidatorConfig(kernel="sigmoid")
 
+    def test_builtin_kernel_object_is_rejected(self):
+        # Even a built-in kernel's instance: its default repr holds the
+        # object's address, so two equal configs would fingerprint apart.
+        with pytest.raises(ValueError, match="kernel must be"):
+            ValidatorConfig(kernel=LinearKernel())
 
-class TestKnobs:
-    def test_config_rejects_bad_n_jobs(self):
-        # n_jobs is not a field: a caller still passing it fails loudly
-        # instead of having it silently ignored.
-        with pytest.raises(TypeError):
-            ValidatorConfig(n_jobs=2)
-        with pytest.raises(TypeError):
-            ValidatorConfig(n_jobs=1)
+    @pytest.mark.parametrize("kernel", ["rbf", "linear", "poly"])
+    def test_equal_named_configs_fingerprint_equally(self, kernel):
+        # An interrupted fit replays its journal only if a rerun with an
+        # equal config stamps the same fingerprint.
+        reps, labels = gaussian_classes()
+        tasks = {(0, int(klass)): reps[labels == klass] for klass in np.unique(labels)}
+        first, second = (
+            fitting._journal_fingerprint(
+                tasks, fitting._solve_config(ValidatorConfig(kernel=kernel, nu=0.2))
+            )
+            for _ in range(2)
+        )
+        assert first == second
+        other = "linear" if kernel != "linear" else "rbf"
+        assert first != fitting._journal_fingerprint(
+            tasks, fitting._solve_config(ValidatorConfig(kernel=other, nu=0.2))
+        )
 
 
 class TestSharedSolve:

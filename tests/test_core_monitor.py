@@ -1,5 +1,7 @@
 """Tests for the runtime monitoring façade."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -272,17 +274,16 @@ class TestHealthRegression:
     def test_status_failing_when_every_breaker_is_open(
         self, fitted_validator, trained_tiny_model
     ):
-        from repro.testing.faults import FaultPlan
+        from repro.testing.faults import fail_packed_scorer
 
         _, _, _, test_x, _ = trained_tiny_model
         monitor = RuntimeMonitor(
             fitted_validator, breaker_threshold=1, breaker_cooldown=3600.0
         )
         assert monitor.health()["status"] == "ok"
-        plan = FaultPlan()
-        for layer_validator in fitted_validator.validators:
-            plan.fail_packed_scorer(layer_validator, nth=1, count=-1)
-        with plan.apply():
+        with contextlib.ExitStack() as faults:
+            for layer_validator in fitted_validator.validators:
+                faults.enter_context(fail_packed_scorer(layer_validator, nth=1, count=-1))
             with pytest.warns(Warning):
                 verdicts = monitor.classify(test_x[:2])
         assert all(v.status == "QUARANTINED" for v in verdicts)

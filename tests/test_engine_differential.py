@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.core.engine import CHUNK_SIZE
 from repro.core.validator import DeepValidator, LayerValidator, ValidatorConfig
-from repro.svm.kernels import Kernel
 
 TOLERANCE = 1e-8
 
@@ -223,6 +222,17 @@ class TestErrorParity:
             validator.discrepancy_batched(queries, predicted)
         assert scored == []
 
+    @pytest.mark.parametrize("kernel", ["rbf", "linear", "poly"])
+    @pytest.mark.parametrize("per_class", [True, False])
+    def test_zero_rows_on_both_paths(self, kernel, per_class):
+        # A fully-quarantined serving window scores zero rows.
+        reps, labels = np.random.default_rng(0).normal(size=(40, 4)), np.arange(40) % 2
+        config = ValidatorConfig(kernel=kernel, per_class=per_class)
+        validator = LayerValidator(0, "probe0", config).fit(reps, labels, rng=0)
+        empty, predicted = np.empty((0, 4)), np.empty(0, dtype=np.int64)
+        assert validator.discrepancy(empty, predicted).shape == (0,)
+        assert validator.discrepancy_batched(empty, predicted).shape == (0,)
+
     def test_unfitted_raises_on_both_paths(self):
         validator = LayerValidator(0, "probe0", ValidatorConfig())
         with pytest.raises(RuntimeError):
@@ -283,8 +293,9 @@ class TestEngineAgainstValidator:
         np.testing.assert_array_equal(flags, noise_ref > epsilon)
 
     def test_engine_survives_pickle_round_trip(self, trained_tiny_model):
-        # Cached contexts pickle fitted validators; the engine and packs are
-        # rebuilt lazily after restore and must score identically.
+        # Cached contexts pickle fitted validators; the packs are left out
+        # of the pickle, rebuilt lazily after restore, and must score
+        # identically.
         import pickle
 
         model, train_x, train_y, test_x, _ = trained_tiny_model
@@ -292,7 +303,7 @@ class TestEngineAgainstValidator:
         validator.fit(train_x, train_y)
         expected = validator.joint_discrepancy(test_x)
         restored = pickle.loads(pickle.dumps(validator))
-        assert "_engine" not in restored.__dict__
+        assert all("_pack" not in layer.__dict__ for layer in restored.validators)
         np.testing.assert_allclose(
             restored.joint_discrepancy(test_x), expected, atol=TOLERANCE
         )
@@ -352,18 +363,6 @@ class TestEngineEdgeBatches:
         np.testing.assert_allclose(from32, reference, atol=TOLERANCE, rtol=0)
 
 
-class _OpaqueLinear(Kernel):
-    """A linear kernel the packer does not recognise: the layer falls back."""
-
-    name = "opaque-linear"
-
-    def __call__(self, a, b):
-        return a @ b.T
-
-    def diag(self, a):
-        return np.einsum("ij,ij->i", a, a)
-
-
 #: The class the ``conv1-missing`` layer has no SVM for.
 MISSING_CLASS = 1
 
@@ -372,10 +371,9 @@ MISSING_CLASS = 1
 def mixed_layer_validator(trained_tiny_model):
     """A fitted validator whose layers cover every scoring path.
 
-    Besides the three per-class packed layers it validates conv2
-    class-agnostically (``per_class=False``), fc1 through an unpackable
-    custom kernel (the reference loop), and conv1 once more without an SVM
-    for :data:`MISSING_CLASS`. Returns the validator and an image pool.
+    Besides the three per-class layers it validates conv2
+    class-agnostically (``per_class=False``) and conv1 once more without an
+    SVM for :data:`MISSING_CLASS`. Returns the validator and an image pool.
     """
     model, train_x, train_y, test_x, _ = trained_tiny_model
     validator = DeepValidator(model, ValidatorConfig(max_per_class=60))
@@ -387,11 +385,9 @@ def mixed_layer_validator(trained_tiny_model):
         return LayerValidator(index, name, config).fit(reps[index], train_y, rng=index)
 
     agnostic = layer(1, "conv2-agnostic", per_class=False)
-    opaque = layer(2, "fc1-opaque", kernel=_OpaqueLinear(), standardize=False)
     missing = layer(0, "conv1-missing")
     del missing._svms[MISSING_CLASS], missing._scalers[MISSING_CLASS]
-    assert agnostic.packed() is not None and opaque.packed() is None
-    validator.validators += [agnostic, opaque, missing]
+    validator.validators += [agnostic, missing]
     return validator, np.concatenate([test_x, train_x])
 
 
@@ -468,10 +464,10 @@ class TestSharedGrouping:
         _, reference = DeepValidator.discrepancies(_without_last(validator), images)
         np.testing.assert_allclose(per_layer[:, :missing], reference, atol=TOLERANCE, rtol=0)
 
-    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("layers", [1, 3, 4])
     def test_one_stable_argsort_per_chunk(self, mixed_layer_validator, layers, monkeypatch):
-        # Over the per-class packed layers; a class-agnostic layer groups
-        # its single class itself.
+        # Over the per-class layers, and with the class-agnostic layer
+        # (the fourth), which scores all rows as one group without a sort.
         full, pool = mixed_layer_validator
         validator = DeepValidator(full.model, ValidatorConfig(max_per_class=60))
         validator.validators = full.validators[:layers]

@@ -8,6 +8,7 @@ the breaker, and the degraded path on a fault-free replay is bit-identical
 to the normal path.
 """
 
+import contextlib
 import copy
 import dataclasses
 import warnings
@@ -29,7 +30,6 @@ from repro.core.resilience import (
     InputGuard,
 )
 from repro.testing import (
-    FaultPlan,
     corrupt_artifact,
     fail_packed_scorer,
     nan_activations,
@@ -295,10 +295,9 @@ class TestNanActivationFault:
     ):
         model = trained_tiny_model[0]
         monitor, _ = make_monitor(fitted_validator)
-        plan = FaultPlan()
-        for layer in range(3):
-            plan.nan_activations(model, layer)
-        with plan.apply():
+        with contextlib.ExitStack() as faults:
+            for layer in range(3):
+                faults.enter_context(nan_activations(model, layer))
             with pytest.warns(DegradedModeWarning):
                 verdicts = monitor.classify(fresh_images(4))
         assert all(v.status == QUARANTINED for v in verdicts)
@@ -476,21 +475,18 @@ class TestGeneratedFaultPlans:
         seed,
     ):
         model = trained_tiny_model[0]
-        plan = FaultPlan()
-        if nan_layer is not None:
-            plan.nan_activations(model, nan_layer)
-        if fail_layer is not None:
-            plan.fail_packed_scorer(
-                fitted_validator.validators[fail_layer], nth=nth, count=count
-            )
         monitor, _ = make_monitor(fitted_validator)
         images = np.random.default_rng(20_000 + seed).random((batch, 1, 12, 12))
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), contextlib.ExitStack() as faults:
             warnings.simplefilter("ignore", DegradedModeWarning)
-            with plan.apply():
-                verdicts = monitor.classify(images)
+            if nan_layer is not None:
+                faults.enter_context(nan_activations(model, nan_layer))
+            if fail_layer is not None:
+                faults.enter_context(fail_packed_scorer(
+                    fitted_validator.validators[fail_layer], nth=nth, count=count
+                ))
+            verdicts = monitor.classify(images)
         assert len(verdicts) == batch
         assert all(v.status in STATUSES for v in verdicts)
         health = monitor.health()
         assert set(health["layers"]) == {"conv1", "conv2", "fc1"}
-        assert len(plan.describe()) == len(plan)

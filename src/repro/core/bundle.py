@@ -12,7 +12,7 @@ not discovered in production flag rates.
 :class:`ValidatorBundle` packages all of it into one versioned unit:
 
 * the **payload** — the pickled fitted validator, byte-for-byte what was
-  packed;
+  packed, whose SVMs each store their support rows once, as fitted;
 * the **manifest** — version, fit fingerprint (sha256 of the payload),
   the calibrated threshold, the validated layer names, and the per-layer
   contributions, duplicated *outside* the pickle so an operator can
@@ -30,8 +30,9 @@ then the raw payload, whose frame digest is the fit fingerprint. The
 payload is hashed once when it is packed, and once more when a stored
 bundle is loaded; every byte of the file is verified before anything in
 it is unpickled, and a corrupt bundle file is quarantined, never
-half-loaded. Files in the earlier format (one frame around a pickled
-dict) are refused as corrupt and quarantined. The serve-layer
+half-loaded; a loaded bundle keeps the digest, not the payload. Files in
+the earlier format (one frame around a pickled dict) are refused as
+corrupt and quarantined. The serve-layer
 :class:`~repro.serve.rollout.RolloutController` consumes these bundles to
 hot-swap a live server's monitor with shadow scoring and automatic
 rollback; see ``docs/rollout.md``.
@@ -178,8 +179,9 @@ class ValidatorBundle:
     # -- access ----------------------------------------------------------------
 
     @property
-    def payload(self) -> bytes:
-        """The pickled fitted validator (read-only: its digest is cached)."""
+    def payload(self) -> bytes | None:
+        """The pickled fitted validator (read-only: its digest is cached);
+        ``None`` once :meth:`BundleStore.load` has verified and unpickled it."""
         return self._payload
 
     @property
@@ -264,10 +266,12 @@ class ValidatorBundle:
                 "monitor that can never flag (or never accept)"
             )
         for layer in validator.validators:
-            if not getattr(layer, "_svms", None):
+            svms = getattr(layer, "_svms", None)
+            if not svms or any(getattr(s, "support_rows_", None) is None for s in svms.values()):
                 raise BundleValidationError(
-                    f"bundle {self.manifest.key}: layer {layer.layer_name!r} "
-                    "has no fitted class SVMs"
+                    f"bundle {self.manifest.key}: layer {layer.layer_name!r} has no "
+                    "fitted class SVMs with stored support rows (none, unfitted, or "
+                    "an older stored form); refit it"
                 )
         contributions = getattr(validator, "layer_contributions", None)
         if contributions is not None:
@@ -321,9 +325,11 @@ class BundleStore:
         return self.path_for(name, version).exists()
 
     def save(self, bundle: ValidatorBundle) -> Path:
-        """Atomically persist a bundle (verified + validated first), reusing
-        its payload digest: saving neither re-pickles nor re-hashes."""
+        """Atomically persist a packed bundle (verified + validated first),
+        reusing its payload digest: saving neither re-pickles nor re-hashes."""
         bundle.verify().validate()
+        if bundle.payload is None:
+            raise BundleError(f"bundle {bundle.manifest.key} was loaded: it keeps only its digest")
         path = self.path_for(bundle.manifest.name, bundle.manifest.version)
         if path.exists():
             raise BundleError(
@@ -347,7 +353,7 @@ class BundleStore:
         fingerprint, or the manifest/validator cross-checks fail (a file
         whose frames or manifest are corrupt is quarantined), and
         :class:`BundleValidationError` when the bundle is intact but unfit
-        to serve.
+        to serve. The bundle returned keeps the digest, not the payload.
         """
         path = self.path_for(name, version)
         try:
@@ -365,7 +371,9 @@ class BundleStore:
             )
         bundle = ValidatorBundle(manifest, payload)
         bundle._digest = digest.hex()  # read_frame_file just hashed it
-        return bundle.verify().validate()
+        bundle.verify().validate()
+        bundle._payload = None
+        return bundle
 
     def versions(self, name: str) -> list[int]:
         """All saved versions of ``name``, ascending."""

@@ -18,15 +18,15 @@ This module runs ``DeepValidator.fit`` in two stages:
 2. **Solving** — :func:`solve_tasks` runs the independent ``(layer, class)``
    solves (scaler stats, Gram matrix, SMO) in-process, in sorted key order.
    Each goes through :func:`_solve_fit_task`, the one function that fits a
-   task's scaler and SVM; ``LayerValidator.fit`` calls it too, so the
+   task's SVM; ``LayerValidator.fit`` calls it too, so the
    assembled validator is bit-identical to the per-layer reference path
    fitted on the same rows.
 
 Stage 2 is also the pipeline's recovery point. Given a ``journal``
-(:class:`~repro.utils.cache.TaskJournal`), every fitted ``(svm,
-scaler)`` pair is flushed to disk as it lands; a rerun replays the journal
-and solves only the missing tasks, so a crash at task 97/100 costs three
-solves, not a hundred. Replayed and freshly-solved tasks are bit-identical
+(:class:`~repro.utils.cache.TaskJournal`), every fitted SVM is flushed
+to disk as it lands; a rerun replays the journal and solves only the
+missing tasks, so a crash at task 97/100 costs three solves, not a
+hundred. Replayed and freshly-solved tasks are bit-identical
 — both ran the same :func:`_solve_fit_task` math. The journal's header
 frame fingerprints the record format, the solve config and the task
 features, so a stale journal under a reused name, or one written in an
@@ -46,7 +46,6 @@ import numpy as np
 
 from repro import obs
 from repro.svm.oneclass import OneClassSVM
-from repro.svm.scaler import StandardScaler
 from repro.utils.cache import hash_array
 from repro.utils.rng import new_rng
 
@@ -62,16 +61,15 @@ def _tasks_counter():
 #: What a journal record holds, ``(key, TaskFit)``; part of the journal
 #: fingerprint, so a journal of another record format is cleared, never
 #: replayed.
-_RECORD_FORMAT = "TaskFit/2"
+_RECORD_FORMAT = "TaskFit/3"
 
 
 class TaskFit(NamedTuple):
-    """One ``(layer, class)`` task's fitted SVM and scaler (``None`` when
-    ``standardize`` is off): what :func:`solve_tasks` returns per key and
-    what the journal records."""
+    """One ``(layer, class)`` task's fitted SVM, which holds its own
+    scaler: what :func:`solve_tasks` returns per key and what the journal
+    records."""
 
     svm: OneClassSVM
-    scaler: StandardScaler | None
 
     @property
     def iterations(self) -> int:
@@ -218,7 +216,8 @@ def extract_task_features(
 
 
 def _solve_config(config) -> dict:
-    """The slice of ``ValidatorConfig`` a solve needs (and is fingerprinted by)."""
+    """The slice of ``ValidatorConfig`` a solve needs (and is fingerprinted
+    by): the ``OneClassSVM`` keyword arguments of every task."""
     return {
         "nu": config.nu,
         "kernel": config.kernel,
@@ -228,22 +227,15 @@ def _solve_config(config) -> dict:
 
 
 def _solve_fit_task(features: np.ndarray, cfg: dict) -> TaskFit:
-    """Fit one task's scaler and one-class SVM: scaler stats, Gram, SMO.
+    """Fit one task's one-class SVM: scaler stats, Gram, SMO.
 
     The only code that fits a ``(layer, class)`` pair: :func:`solve_tasks`
     and ``LayerValidator.fit`` both call it. Features arrive in the probes'
-    dtype and are converted to float64 (exactly) here, one task at a time.
-    ``StandardScaler.fit_transform`` fits and standardises one private
-    float64 copy, so the caller's array is never written.
+    dtype; the SVM solves one private float64 copy of them (standardised
+    by its own scaler) and keeps its support rows in that dtype, so the
+    caller's array is never written.
     """
-    scaler = None
-    if cfg["standardize"]:
-        scaler = StandardScaler()
-        features = scaler.fit_transform(features)
-    else:
-        features = np.asarray(features, dtype=np.float64)
-    svm = OneClassSVM(nu=cfg["nu"], kernel=cfg["kernel"], gamma=cfg["gamma"])
-    return TaskFit(svm.fit(features), scaler)
+    return TaskFit(OneClassSVM(**cfg).fit(features))
 
 
 def _journal_fingerprint(task_features, cfg) -> str:
@@ -344,7 +336,7 @@ def build_layer_validators(
     layer_names,
     config,
 ) -> list:
-    """Assemble fitted ``LayerValidator``s from the tasks' fitted pairs.
+    """Assemble fitted ``LayerValidator``s from the tasks' fitted SVMs.
 
     Installs them in sorted ``(position, class)`` order, whatever order
     they were solved or replayed in, so every downstream structure is
@@ -356,8 +348,8 @@ def build_layer_validators(
         position: LayerValidator(layer_index, layer_names[layer_index], config)
         for position, layer_index in layer_positions
     }
-    for (position, klass), (svm, scaler) in sorted(solutions.items()):
-        validators[position].install(klass, svm, scaler)
+    for (position, klass), solution in sorted(solutions.items()):
+        validators[position].install(klass, solution.svm)
     return [validators[position] for position, _ in layer_positions]
 
 

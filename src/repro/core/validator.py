@@ -18,7 +18,6 @@ from repro.core.engine import ValidationEngine
 from repro.nn.sequential import ProbedSequential
 from repro.svm.oneclass import OneClassSVM
 from repro.svm.packed import ClassGroups, PackedClassSVMs, group_by_class, pack_class_svms
-from repro.svm.scaler import StandardScaler
 from repro.utils.rng import RngLike, new_rng
 
 
@@ -80,7 +79,6 @@ class LayerValidator:
         self.layer_name = layer_name
         self.config = config
         self._svms: dict[int, OneClassSVM] = {}
-        self._scalers: dict[int, StandardScaler] = {}
 
     @property
     def classes(self) -> list[int]:
@@ -108,7 +106,6 @@ class LayerValidator:
         # Refitting replaces the class set wholesale: SVMs for classes absent
         # from the new labels must not survive into ``classes`` or pickles.
         self._svms = {}
-        self._scalers = {}
         if not self.config.per_class:
             # Ablation: one class-agnostic reference distribution per layer.
             labels = np.zeros(len(labels), dtype=np.int64)
@@ -122,14 +119,11 @@ class LayerValidator:
                     "training images; cannot fit its reference distribution"
                 )
             rows = rows[fitting.bottom_k(keys[rows], self.config.max_per_class)]
-            svm, scaler = fitting._solve_fit_task(representations[rows], cfg)
-            self.install(klass, svm, scaler)
+            self.install(klass, fitting._solve_fit_task(representations[rows], cfg).svm)
         return self
 
-    def install(
-        self, klass: int, svm: OneClassSVM, scaler: StandardScaler | None = None
-    ) -> None:
-        """Install one class's fitted SVM and scaler.
+    def install(self, klass: int, svm: OneClassSVM) -> None:
+        """Install one class's fitted SVM (which holds its own scaler).
 
         Both :meth:`fit` and the :mod:`repro.core.fitting` pipeline
         assemble validators through this; installing invalidates any
@@ -137,14 +131,12 @@ class LayerValidator:
         """
         self.__dict__.pop("_pack", None)
         self._svms[int(klass)] = svm
-        if scaler is not None:
-            self._scalers[int(klass)] = scaler
 
     def discrepancy(self, representations: np.ndarray, predicted: np.ndarray) -> np.ndarray:
         """Per-sample discrepancy ``d_i = -t_i^{y'}(f_i(x))`` (Eq. 2)."""
         if not self._svms:
             raise RuntimeError("LayerValidator is not fitted")
-        representations = np.asarray(representations, dtype=np.float64)
+        representations = np.asarray(representations)
         predicted = np.asarray(predicted)
         if not self.config.per_class:
             predicted = np.zeros(len(predicted), dtype=np.int64)
@@ -159,10 +151,7 @@ class LayerValidator:
                 )
         for klass in classes:
             rows = np.flatnonzero(predicted == klass)
-            features = representations[rows]
-            if self.config.standardize:
-                features = self._scalers[klass].transform(features)
-            values[rows] = -self._svms[klass].signed_distance(features)
+            values[rows] = -self._svms[klass].signed_distance(representations[rows])
         return values
 
     # -- batched scoring -------------------------------------------------------
@@ -178,9 +167,7 @@ class LayerValidator:
             raise RuntimeError("LayerValidator is not fitted")
         pack = self.__dict__.get("_pack")
         if pack is None:
-            pack = self.__dict__["_pack"] = pack_class_svms(
-                self._svms, self._scalers if self.config.standardize else None
-            )
+            pack = self.__dict__["_pack"] = pack_class_svms(self._svms)
         return pack
 
     def discrepancy_batched(

@@ -8,6 +8,7 @@ tests, benchmarks, and examples all reuse the same artifacts.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,20 +23,27 @@ from repro.utils.cache import CheckpointStore, default_cache
 from repro.utils.rng import new_rng
 from repro.zoo.recipes import TrainedClassifier, get_trained_classifier
 
-#: Sources, relative to the ``repro`` package, whose bytes decide what a
-#: fitted validator scores. Cached contexts and the results derived from
-#: them are keyed on their digest, so changing how validators are fitted or
-#: scored rebuilds them.
+#: Sources, relative to the ``repro`` package, whose code decides what a
+#: fitted validator scores and how it is stored. Cached contexts and the
+#: results derived from them are keyed on their digest, so changing how
+#: validators are fitted, scored or pickled rebuilds them.
 VALIDATOR_SOURCES = ("core/fitting.py", "core/validator.py", "core/engine.py", "svm/*.py")
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def validator_source_key(root: Path = Path(repro.__file__).parent) -> str:
-    """Digest of the :data:`VALIDATOR_SOURCES` under ``root``."""
+    """Digest of the code of the :data:`VALIDATOR_SOURCES` under ``root``:
+    each file's AST without docstrings, so an edit to documentation or
+    comments keeps the key and any edit to code changes it."""
     digest = hashlib.sha256()
     for pattern in VALIDATOR_SOURCES:
         for path in sorted(root.glob(pattern)):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, _DOCUMENTED) and ast.get_docstring(node) is not None:
+                    node.body = node.body[1:]
             digest.update(path.relative_to(root).as_posix().encode())
-            digest.update(path.read_bytes())
+            digest.update(ast.dump(tree).encode())
     return digest.hexdigest()[:16]
 
 

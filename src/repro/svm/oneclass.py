@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.svm.kernels import Kernel, make_kernel
+from repro.svm.scaler import StandardScaler
 from repro.utils.validation import check_positive
 
 
@@ -136,6 +137,13 @@ class OneClassSVM:
         :class:`~repro.svm.kernels.Kernel` instance.
     gamma:
         RBF/poly bandwidth; defaults to scikit-learn's ``scale`` heuristic.
+    standardize:
+        Solve (and score) in the space of a
+        :class:`~repro.svm.scaler.StandardScaler` fitted on the training rows.
+
+    Each support row is stored once, as given to :meth:`fit`
+    (``support_rows_``, in its dtype); ``support_vectors_`` derives the
+    solved-space rows from them.
     """
 
     def __init__(
@@ -145,6 +153,7 @@ class OneClassSVM:
         gamma: float | None = None,
         tol: float = 1e-4,
         max_iter: int = 20000,
+        standardize: bool = False,
     ) -> None:
         if not 0.0 < nu <= 1.0:
             raise ValueError(f"nu must be in (0, 1], got {nu}")
@@ -154,8 +163,10 @@ class OneClassSVM:
         self.gamma = gamma
         self.tol = tol
         self.max_iter = max_iter
+        self.standardize = standardize
         self.kernel_: Kernel | None = None
-        self.support_vectors_: np.ndarray | None = None
+        self.scaler_: StandardScaler | None = None
+        self.support_rows_: np.ndarray | None = None
         self.dual_coef_: np.ndarray | None = None
         self.rho_: float | None = None
         self.norm_w_: float | None = None
@@ -164,20 +175,24 @@ class OneClassSVM:
     # -- fitting ---------------------------------------------------------------
 
     def fit(self, features: np.ndarray) -> "OneClassSVM":
-        """Fit the one-class dual on ``features`` (N, d)."""
-        features = np.asarray(features, dtype=np.float64)
+        """Fit the one-class dual on ``features`` (N, d), never written."""
+        features = np.asarray(features)
         if features.ndim != 2:
             raise ValueError(f"expected (N, d) features, got shape {features.shape}")
         if len(features) < 2:
             raise ValueError("one-class SVM needs at least two training points")
-        if isinstance(self._kernel_spec, Kernel):
-            self.kernel_ = self._kernel_spec
+        if self.standardize:
+            self.scaler_ = StandardScaler()
+            solved = self.scaler_.fit_transform(features)
         else:
-            self.kernel_ = make_kernel(self._kernel_spec, features, gamma=self.gamma)
-        gram = self.kernel_(features, features)
+            self.scaler_ = None
+            solved = np.asarray(features, dtype=np.float64)
+        spec = self._kernel_spec
+        self.kernel_ = spec if isinstance(spec, Kernel) else make_kernel(spec, solved, self.gamma)
+        gram = self.kernel_(solved, solved)
         result = solve_oneclass_smo(gram, self.nu, tol=self.tol, max_iter=self.max_iter)
         support = result.alpha > 1e-12
-        self.support_vectors_ = features[support]
+        self.support_rows_ = features[support]
         self.dual_coef_ = result.alpha[support]
         self.rho_ = result.rho
         # ||w||^2 = αᵀQα restricted to the support set.
@@ -187,16 +202,28 @@ class OneClassSVM:
         return self
 
     def _check_fitted(self) -> None:
-        if self.support_vectors_ is None:
+        if self.support_rows_ is None:
             raise RuntimeError("OneClassSVM is not fitted")
+
+    def _solved_space(self, features: np.ndarray) -> np.ndarray:
+        """``features`` as float64 in the space the dual was solved in."""
+        if self.scaler_ is None:
+            return np.asarray(features, dtype=np.float64)
+        return self.scaler_.transform(features)
+
+    @property
+    def support_vectors_(self) -> np.ndarray | None:
+        """``support_rows_`` widened and standardised as at fit: ``==`` to
+        the rows the dual was solved on."""
+        return None if self.support_rows_ is None else self._solved_space(self.support_rows_)
 
     # -- scoring ---------------------------------------------------------------
 
     def decision_function(self, features: np.ndarray) -> np.ndarray:
-        """``Σ α_i k(x_i, x) − ρ``: non-negative inside the learned support."""
+        """``Σ α_i k(x_i, x) − ρ`` of raw ``features``, standardised first
+        like the training rows: non-negative inside the learned support."""
         self._check_fitted()
-        features = np.asarray(features, dtype=np.float64)
-        kernel_values = self.kernel_(features, self.support_vectors_)
+        kernel_values = self.kernel_(self._solved_space(features), self.support_vectors_)
         return kernel_values @ self.dual_coef_ - self.rho_
 
     def signed_distance(self, features: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ the kernel algebra folded into the rows.
 
 The algebraic trick that removes the scaler pass: each class scores
 queries as ``k((x - m_c) / s_c, v)`` against support vectors ``v`` living
-in that class's scaled space. Mapping each support vector back to raw
-input space, ``u = m_c + s_c * v``, turns
+in that class's scaled space. Each SVM stores its support rows as the raw
+probe rows ``u`` they were fitted from (``v = (u - m_c) / s_c``), which
+turns
 
 * the RBF's squared distance into a diagonally-weighted distance
   ``sum_d (x_d - u_d)^2 / s_{c,d}^2``, which expands into one matrix
@@ -35,7 +36,6 @@ import numpy as np
 
 from repro.svm.kernels import Kernel, LinearKernel, PolynomialKernel, RBFKernel
 from repro.svm.oneclass import OneClassSVM
-from repro.svm.scaler import StandardScaler
 
 
 class ClassGroups(NamedTuple):
@@ -207,11 +207,8 @@ def _kernel_params(kernel: Kernel) -> tuple[str, float, int, float]:
     raise ValueError(f"cannot pack kernel of type {type(kernel).__name__}")
 
 
-def pack_class_svms(
-    svms: dict[int, OneClassSVM],
-    scalers: dict[int, StandardScaler] | None = None,
-) -> PackedClassSVMs:
-    """Pack fitted per-class SVMs (and their scalers) into one scorer.
+def pack_class_svms(svms: dict[int, OneClassSVM]) -> PackedClassSVMs:
+    """Pack fitted per-class SVMs, with their own scalers, into one scorer.
 
     Raises ``ValueError`` when the SVMs cannot be packed: no classes, an
     unfitted SVM, a custom kernel type, or polynomial kernels whose
@@ -220,60 +217,48 @@ def pack_class_svms(
     if not svms:
         raise ValueError("cannot pack an empty SVM collection")
     classes = np.array(sorted(svms), dtype=np.int64)
-    scalers = scalers or {}
 
-    names, gammas, degrees, coef0s = [], [], [], []
-    for klass in classes:
-        svm = svms[int(klass)]
-        if svm.support_vectors_ is None or svm.kernel_ is None:
+    fitted = [svms[int(klass)] for klass in classes]
+    for klass, svm in zip(classes, fitted):
+        if svm.support_rows_ is None or svm.kernel_ is None:
             raise ValueError(f"SVM for class {int(klass)} is not fitted")
-        name, gamma, degree, coef0 = _kernel_params(svm.kernel_)
-        names.append(name)
-        gammas.append(gamma)
-        degrees.append(degree)
-        coef0s.append(coef0)
+    names, gammas, degrees, coef0s = zip(*(_kernel_params(svm.kernel_) for svm in fitted))
     if len(set(names)) != 1:
         raise ValueError(f"mixed kernel types cannot be packed: {sorted(set(names))}")
     kernel_name = names[0]
     if kernel_name == "poly" and (len(set(degrees)) != 1 or len(set(coef0s)) != 1):
         raise ValueError("poly kernels must share degree and coef0 to be packed")
 
-    dim = svms[int(classes[0])].support_vectors_.shape[1]
+    dim = fitted[0].support_rows_.shape[1]
     coef_rows, dual_weights = [], []
     bounds = np.zeros(len(classes) + 1, dtype=np.intp)
     offset = np.empty(len(classes))
     metric = np.empty((len(classes), dim)) if kernel_name == "rbf" else None
 
-    for position, klass in enumerate(classes):
-        svm = svms[int(klass)]
-        vectors = svm.support_vectors_
-        scaler = scalers.get(int(klass))
-        if scaler is not None and scaler.mean_ is not None:
-            mean, scale = scaler.mean_, scaler.scale_
-        else:
-            mean = np.zeros(dim)
-            scale = np.ones(dim)
-        gamma = gammas[position]
-        rows = np.empty((len(vectors), dim + 1))
+    for position, (svm, gamma) in enumerate(zip(fitted, gammas)):
+        rows = np.empty((len(svm.support_rows_), dim + 1))
+        scaler = svm.scaler_
+        mean = np.zeros(dim) if scaler is None else scaler.mean_
+        scale = np.ones(dim) if scaler is None else scaler.scale_
         if kernel_name == "rbf":
             # -gamma * sq_dist decomposes into GEMM-foldable pieces:
             #   2 gamma x.(w*u)  -  gamma u.(w*u)  -  gamma x.(w*x)
-            # with u = m + s*v (raw-space SV) and w = 1/s^2. The first two
-            # terms become the augmented rows here; the last is the
+            # with u the stored raw support row and w = 1/s^2. The first
+            # two terms become the augmented rows here; the last is the
             # per-sample quadratic computed at scoring time (``metric``).
             weights = gamma / scale**2
-            raw = mean[None, :] + scale[None, :] * vectors
+            raw = np.asarray(svm.support_rows_, dtype=np.float64)
             rows[:, :-1] = 2.0 * weights[None, :] * raw
             rows[:, -1] = -np.einsum("md,d,md->m", raw, weights, raw)
             metric[position] = weights
         else:
             # gamma_c * (x_hat . v) = x . (g v/s) - g m.(v/s), one GEMM row.
-            scaled = vectors / scale[None, :]
+            scaled = svm.support_vectors_ / scale[None, :]
             rows[:, :-1] = gamma * scaled
             rows[:, -1] = -gamma * (scaled @ mean)
         coef_rows.append(rows)
         dual_weights.append(-svm.dual_coef_ / svm.norm_w_)
-        bounds[position + 1] = bounds[position] + len(vectors)
+        bounds[position + 1] = bounds[position] + len(rows)
         offset[position] = svm.rho_ / svm.norm_w_
 
     return PackedClassSVMs(

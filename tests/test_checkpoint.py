@@ -465,8 +465,9 @@ def _task_features(tasks=6, rows=18, dims=4, seed=0):
 def _assert_solutions_equal(a, b):
     assert sorted(a) == sorted(b)
     for key in a:
-        (svm_a, scaler_a), (svm_b, scaler_b) = a[key], b[key]
-        assert svm_a.support_vectors_.tobytes() == svm_b.support_vectors_.tobytes()
+        (svm_a,), (svm_b,) = a[key], b[key]
+        scaler_a, scaler_b = svm_a.scaler_, svm_b.scaler_
+        assert svm_a.support_rows_.tobytes() == svm_b.support_rows_.tobytes()
         assert svm_a.dual_coef_.tobytes() == svm_b.dual_coef_.tobytes()
         assert svm_a.rho_ == svm_b.rho_
         assert svm_a.norm_w_ == svm_b.norm_w_

@@ -98,12 +98,12 @@ def _features(n_tasks, rows, seed):
 def _solution_bytes(solutions):
     return {
         key: (
-            svm.support_vectors_.tobytes(),
+            svm.support_rows_.tobytes(),
             svm.dual_coef_.tobytes(),
             svm.rho_,
             svm.norm_w_,
         )
-        for key, (svm, _) in solutions.items()
+        for key, (svm,) in solutions.items()
     }
 
 

@@ -41,7 +41,7 @@ class TestRefitStaleness:
         subset = labels < 2
         validator.fit(reps[subset], labels[subset])
         assert validator.classes == [0, 1]
-        assert sorted(validator._scalers) == [0, 1]
+        assert all(validator._svms[k].scaler_ is not None for k in validator.classes)
         # The stale class-2 SVM must not leak into scoring either.
         with pytest.raises(KeyError):
             validator.discrepancy(reps[:1], np.array([2]))
@@ -325,9 +325,7 @@ class TestReferenceEquivalence:
                 np.testing.assert_array_equal(sa.dual_coef_, sb.dual_coef_)
                 assert sa.rho_ == sb.rho_
                 assert sa.norm_w_ == sb.norm_w_
-                np.testing.assert_array_equal(
-                    fitted._scalers[klass].mean_, reference._scalers[klass].mean_
-                )
+                np.testing.assert_array_equal(sa.scaler_.mean_, sb.scaler_.mean_)
 
 
 class TestKnobs:
@@ -414,14 +412,14 @@ class TestSharedSolve:
         reps, labels = gaussian_classes(classes=2)
         features = {(0, klass): reps[labels == klass] for klass in (0, 1)}
         solutions = solve_tasks(features, ValidatorConfig(nu=0.2))
-        for key, (svm, scaler) in solutions.items():
+        for key, (svm,) in solutions.items():
             assert isinstance(svm, OneClassSVM)
-            np.testing.assert_allclose(scaler.mean_, features[key].mean(axis=0))
+            np.testing.assert_allclose(svm.scaler_.mean_, features[key].mean(axis=0))
             assert solutions[key].iterations == svm.result_.iterations > 0
             # The full dual vector stays with the fitted estimator.
             assert len(svm.result_.alpha) == len(features[key])
         unscaled = solve_tasks(features, ValidatorConfig(nu=0.2, standardize=False))
-        assert all(scaler is None for _, scaler in unscaled.values())
+        assert all(svm.scaler_ is None for (svm,) in unscaled.values())
 
 
 class TestCallerArraysUntouched:
@@ -457,6 +455,6 @@ class TestInstall:
         pack = validator.packed()
         assert pack is not None
         donor = LayerValidator(0, "donor", ValidatorConfig()).fit(reps, labels)
-        validator.install(5, donor._svms[0], donor._scalers[0])
+        validator.install(5, donor._svms[0])
         assert validator.classes == [0, 1, 2, 5]
         assert validator.packed() is not pack  # rebuilt with the new class

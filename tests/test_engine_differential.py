@@ -104,7 +104,7 @@ class TestBatchedEqualsPerSample:
         # support vector; packing and scoring must survive a length-1 row range.
         validator, queries = fitted_layer_validator(seed, kernel=kernel)
         svm = validator._svms[0]
-        svm.support_vectors_ = svm.support_vectors_[:1]
+        svm.support_rows_ = svm.support_rows_[:1]
         svm.dual_coef_ = np.array([1.0])
         validator.__dict__.pop("_pack", None)  # rebuild against pruned SVM
         predicted = np.zeros(len(queries), dtype=np.int64)
@@ -120,7 +120,7 @@ class TestBatchedEqualsPerSample:
         # both paths: an empty row range, not a packing failure.
         validator, queries = fitted_layer_validator(seed, kernel=kernel)
         svm = validator._svms[1]
-        svm.support_vectors_ = svm.support_vectors_[:0]
+        svm.support_rows_ = svm.support_rows_[:0]
         svm.dual_coef_ = svm.dual_coef_[:0]
         validator.__dict__.pop("_pack", None)
         assert validator.packed() is not None
@@ -386,7 +386,7 @@ def mixed_layer_validator(trained_tiny_model):
 
     agnostic = layer(1, "conv2-agnostic", per_class=False)
     missing = layer(0, "conv1-missing")
-    del missing._svms[MISSING_CLASS], missing._scalers[MISSING_CLASS]
+    del missing._svms[MISSING_CLASS]
     validator.validators += [agnostic, missing]
     return validator, np.concatenate([test_x, train_x])
 

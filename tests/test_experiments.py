@@ -66,10 +66,37 @@ class TestValidatorSourceKey:
         before = validator_source_key(tmp_path)
         for path in copied:
             original = path.read_bytes()
-            path.write_bytes(original + b"\n")
+            path.write_bytes(original + b"\n_edited = True\n")
             assert validator_source_key(tmp_path) != before, path.name
             path.write_bytes(original)
         assert validator_source_key(tmp_path) == before
+
+    @staticmethod
+    def _edit(path, old, new):
+        source = path.read_text()
+        assert old in source
+        path.write_text(source.replace(old, new, 1))
+
+    def test_docstring_only_edit_keeps_the_key(self, tmp_path):
+        self._copy_sources(tmp_path)
+        before = validator_source_key(tmp_path)
+        self._edit(
+            tmp_path / "core" / "fitting.py",
+            '"""Memory-bounded fitting pipeline',
+            '"""A reworded, memory-bounded fitting pipeline',
+        )
+        self._edit(
+            tmp_path / "core" / "validator.py",
+            '"""Per-sample discrepancy',
+            '"""The per-sample discrepancy',
+        )
+        assert validator_source_key(tmp_path) == before
+
+    def test_one_token_code_edit_changes_the_key(self, tmp_path):
+        self._copy_sources(tmp_path)
+        before = validator_source_key(tmp_path)
+        self._edit(tmp_path / "svm" / "oneclass.py", "alpha > 1e-12", "alpha >= 1e-12")
+        assert validator_source_key(tmp_path) != before
 
     def test_unlisted_sources_do_not_change_the_key(self, tmp_path):
         self._copy_sources(tmp_path)

@@ -63,12 +63,8 @@ def assert_validators_identical(fitted_a, fitted_b):
             assert sa.rho_ == sb.rho_
             assert sa.norm_w_ == sb.norm_w_
             if a.config.standardize:
-                np.testing.assert_array_equal(
-                    a._scalers[klass].mean_, b._scalers[klass].mean_
-                )
-                np.testing.assert_array_equal(
-                    a._scalers[klass].scale_, b._scalers[klass].scale_
-                )
+                np.testing.assert_array_equal(sa.scaler_.mean_, sb.scaler_.mean_)
+                np.testing.assert_array_equal(sa.scaler_.scale_, sb.scaler_.scale_)
 
 
 class TestReferenceBitIdentity:

@@ -11,14 +11,13 @@ stage module recompiles while in-place weight updates reuse the plan; the
 cache never keeps a model alive, and plans are never stored on the model
 itself (model pickling — validator bundles — is unaffected).
 
-``REPRO_INFER=0`` (or :func:`set_plan_enabled`\\ ``(False)``) disables the
-fast path process-wide; every consumer falls back to the Tensor forward,
-which remains bit-identical.
+The Tensor forward stays, bit-identical, for models the compiler cannot
+lower, for ``compiled=False`` callers, and as the differential suite's
+oracle; there is no process-wide switch between the two forwards.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 
@@ -31,28 +30,11 @@ __all__ = [
     "UnsupportedModuleError",
     "WorkspacePool",
     "compile_plan",
-    "plan_enabled",
     "plan_for",
-    "set_plan_enabled",
 ]
 
-_enabled: bool | None = None
 _plans: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _plans_lock = threading.Lock()
-
-
-def plan_enabled() -> bool:
-    """Whether the compiled fast path is on (cached ``REPRO_INFER`` read)."""
-    global _enabled
-    if _enabled is None:
-        _enabled = os.environ.get("REPRO_INFER", "1") != "0"
-    return _enabled
-
-
-def set_plan_enabled(value: bool | None) -> None:
-    """Override the kill switch: True/False force it, None re-reads the env."""
-    global _enabled
-    _enabled = None if value is None else bool(value)
 
 
 def _compile_histogram():
@@ -85,11 +67,8 @@ def plan_for(model, require: bool = False) -> InferencePlan | None:
 
     With ``require=True`` an unsupported model raises
     :class:`UnsupportedModuleError` instead of returning ``None`` (used by
-    ``compiled=True`` callers that must not silently fall back). The kill
-    switch short-circuits to ``None`` unless ``require`` is set.
+    ``compiled=True`` callers that must not silently fall back).
     """
-    if not plan_enabled() and not require:
-        return None
     token = _structure_token(model)
     with _plans_lock:
         cached = _plans.get(model)

@@ -55,14 +55,6 @@ class VerdictFuture:
 
     # -- producer side (the serve worker only) --------------------------------
 
-    def _resolve(self, value) -> None:
-        if not self._try_resolve(value):
-            raise RuntimeError("future already resolved")
-
-    def _fail(self, exception: BaseException) -> None:
-        if not self._try_fail(exception):
-            raise RuntimeError("future already resolved")
-
     def _try_resolve(self, value) -> bool:
         """Resolve if still pending; ``False`` when someone beat us to it.
 

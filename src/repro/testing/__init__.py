@@ -5,9 +5,11 @@ exists so the resilience and checkpoint suites (and operators rehearsing
 incident response) can inject the failure modes the stack claims to
 survive — NaN activations, corrupt artifacts, failing scorers,
 mid-pipeline process deaths, and dying serve workers — deterministically
-and reversibly. :mod:`repro.testing.chaos` composes those injectors into
-seeded, clock-driven soak runs against the serving stack (see
-``docs/serving.md``).
+and reversibly. Every injector patches through one seam
+(:func:`unittest.mock.patch.object`), counts calls in one locked window
+and yields a stats dict. :mod:`repro.testing.chaos` arms any of them,
+through the one builder :meth:`ChaosPlan.fault`, in seeded, clock-driven
+soak runs against the serving stack (see ``docs/serving.md``).
 """
 
 from repro.testing.chaos import ChaosPlan, SoakInvariantError, SoakReport, run_soak

@@ -3,10 +3,9 @@
 DeepXplore and DeepSaucer argue that *systematic, automated* exercise of
 failure-inducing conditions is what surfaces the corner cases humans
 don't anticipate. This module applies that philosophy to our own serving
-infrastructure: a :class:`ChaosPlan` composes the fault injectors from
-:mod:`repro.testing.faults` (``slow_classify``, ``hang_classify``,
-``nan_activations``, ``fail_packed_scorer``, ``kill_worker``,
-``raise_in_batcher``) into a timeline of arm/disarm windows driven by a
+infrastructure: a :class:`ChaosPlan` composes any fault injector from
+:mod:`repro.testing.faults` (through its one builder,
+:meth:`ChaosPlan.fault`) into a timeline of arm/disarm windows driven by a
 :class:`~repro.obs.tracing.ManualClock`, and :func:`run_soak` replays a
 scripted request stream against a live :class:`~repro.serve.server.
 ValidationServer` while the timeline plays out — killing the worker,
@@ -36,13 +35,12 @@ different one each run while the failure schedule stays fixed.
 
 from __future__ import annotations
 
+import functools
 import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-
-from repro.testing import faults as _faults
 
 
 class SoakInvariantError(AssertionError):
@@ -107,10 +105,11 @@ class SoakReport:
 class ChaosPlan:
     """A seeded, declarative timeline of serving faults.
 
-    Builder methods mirror the :mod:`repro.testing.faults` injectors,
-    each taking ``at`` (arm time) and ``until`` (disarm time, ``None`` =
-    end of soak) on the soak's manual clock. The plan is reusable: a
-    fresh soak re-enters every injector from scratch.
+    :meth:`fault` arms any :mod:`repro.testing.faults` injector from
+    ``at`` (arm time) to ``until`` (disarm time, ``None`` = end of soak)
+    on the soak's manual clock, and :meth:`at` fires a one-off action.
+    The plan is reusable: a fresh soak re-enters every injector from
+    scratch.
 
     ``seed`` drives any randomness :func:`run_soak` needs (currently the
     jittered per-step request count when ``requests_per_step`` is a
@@ -124,118 +123,36 @@ class ChaosPlan:
 
     # -- builders --------------------------------------------------------------
 
-    def _add(
-        self, start: float, stop: float | None, label: str, factory
-    ) -> "ChaosPlan":
-        if start < 0:
-            raise ValueError(f"fault start must be >= 0, got {start}")
-        if stop is not None and stop <= start:
-            raise ValueError(f"fault window is empty: [{start}, {stop})")
-        self._faults.append(_TimedFault(start, stop, label, factory))
-        return self
-
-    def kill_worker(
+    def fault(
         self,
-        server,
+        injector: Callable[..., Any],
+        *args: Any,
         at: float = 0.0,
         until: float | None = None,
-        nth: int = 1,
-        count: int = 1,
+        **kwargs: Any,
     ) -> "ChaosPlan":
-        """Kill the worker processing chosen batches while armed."""
-        return self._add(
-            at,
-            until,
-            f"kill_worker(nth={nth}, count={count})",
-            lambda: _faults.kill_worker(server, nth=nth, count=count),
-        )
+        """Arm ``injector(*args, **kwargs)`` for the window ``[at, until)``.
 
-    def raise_in_batcher(
-        self,
-        batcher,
-        at: float = 0.0,
-        until: float | None = None,
-        nth: int = 1,
-        count: int = 1,
-    ) -> "ChaosPlan":
-        """Make chosen ``next_batch`` calls raise while armed."""
-        return self._add(
-            at,
-            until,
-            f"raise_in_batcher(nth={nth}, count={count})",
-            lambda: _faults.raise_in_batcher(batcher, nth=nth, count=count),
-        )
-
-    def slow_classify(
-        self,
-        monitor,
-        seconds: float,
-        at: float = 0.0,
-        until: float | None = None,
-        clock=None,
-    ) -> "ChaosPlan":
-        """Add fixed latency to every ``classify`` call while armed.
-
-        Pass an explicit throwaway clock to keep the *soak* timeline
-        independent of how many batches happen to be scored while the
-        fault is armed (the default advances the active tracer's clock).
+        ``injector`` is any :mod:`repro.testing.faults` context manager,
+        e.g. ``.fault(faults.kill_worker, server, at=0.2, nth=1, count=1)``;
+        it is entered afresh each time the window opens. The window's
+        :meth:`describe` label is the injector's name and its keyword
+        arguments.
         """
-        return self._add(
-            at,
-            until,
-            f"slow_classify(seconds={seconds})",
-            lambda: _faults.slow_classify(monitor, seconds, clock=clock),
+        if at < 0:
+            raise ValueError(f"fault start must be >= 0, got {at}")
+        if until is not None and until <= at:
+            raise ValueError(f"fault window is empty: [{at}, {until})")
+        arguments = ", ".join(f"{key}={value!r}" for key, value in kwargs.items())
+        self._faults.append(
+            _TimedFault(
+                at,
+                until,
+                f"{injector.__name__}({arguments})",
+                functools.partial(injector, *args, **kwargs),
+            )
         )
-
-    def hang_classify(
-        self,
-        monitor,
-        at: float = 0.0,
-        until: float | None = None,
-        nth: int = 1,
-        count: int = 1,
-    ) -> "ChaosPlan":
-        """Wedge chosen ``classify`` calls while armed (released at disarm)."""
-        return self._add(
-            at,
-            until,
-            f"hang_classify(nth={nth}, count={count})",
-            lambda: _faults.hang_classify(monitor, nth=nth, count=count),
-        )
-
-    def nan_activations(
-        self,
-        model,
-        layer_index: int,
-        at: float = 0.0,
-        until: float | None = None,
-        value: float = float("nan"),
-    ) -> "ChaosPlan":
-        """Corrupt one probe's activations while armed."""
-        return self._add(
-            at,
-            until,
-            f"nan_activations(layer={layer_index})",
-            lambda: _faults.nan_activations(model, layer_index, value),
-        )
-
-    def fail_packed_scorer(
-        self,
-        layer_validator,
-        at: float = 0.0,
-        until: float | None = None,
-        nth: int = 1,
-        count: int = -1,
-    ) -> "ChaosPlan":
-        """Make one layer's packed scorer raise on chosen calls while armed."""
-        return self._add(
-            at,
-            until,
-            f"fail_packed_scorer(nth={nth}, count={count})",
-            lambda: _faults.fail_packed_scorer(
-                layer_validator, nth=nth, count=count
-            ),
-        )
+        return self
 
     def at(self, time: float, label: str, action: Callable[[], Any]) -> "ChaosPlan":
         """Fire ``action`` once when the soak clock reaches ``time``.
@@ -293,8 +210,7 @@ class ChaosPlan:
             )
             if in_window and not fault.armed:
                 fault.cm = fault.factory()
-                entered = fault.cm.__enter__()
-                fault.stats = entered if isinstance(entered, dict) else None
+                fault.stats = fault.cm.__enter__()
                 timeline.append(f"t={now:g} arm {fault.label}")
         for event in self._events:
             if not event.fired and now >= event.at:

@@ -7,7 +7,15 @@ flipped) flows from an explicit seed — the same plan always injects the
 same fault, which keeps hypothesis shrinking and failure reproduction
 deterministic.
 
-The four fault classes mirror the resilience layer's threat model:
+Every injector that patches a method goes through one seam,
+:func:`_patched`, which is :func:`unittest.mock.patch.object`: a
+pre-existing instance attribute is put back on exit, a shadowed class
+method is uncovered by deleting the instance attribute, and stacked
+patches unwind in order. The call-numbered injectors share one locked
+:class:`_CallWindow`, and every injector yields a stats dict (empty when
+it counts nothing).
+
+The fault classes mirror the resilience layer's threat model:
 
 * :func:`nan_activations` — a numerically-broken layer: the chosen probe's
   hidden representations are overwritten with NaN (or Inf) before any
@@ -29,9 +37,9 @@ The four fault classes mirror the resilience layer's threat model:
   drain-timeout tests;
 * :func:`kill_worker` / :func:`raise_in_batcher` — serve-worker death: a
   server whose ``_process`` raises a non-``Exception``
-  ``BaseException`` on chosen batches, or a batcher whose ``next_batch`` raises on chosen calls — both kill
-  the worker thread outright, exercising the supervisor's requeue,
-  restart, and restart-budget paths;
+  ``BaseException`` on chosen batches, or a batcher whose ``next_batch``
+  raises on chosen calls — both kill the worker thread outright,
+  exercising the supervisor's requeue, restart, and restart-budget paths;
 * :func:`crash_at_epoch` / :func:`crash_at_task` — process death in the
   offline pipelines: the training loop dies at the start of a chosen
   epoch, or the fit dies after a chosen number of task solutions have
@@ -48,18 +56,138 @@ Several injectors compose with :class:`contextlib.ExitStack`::
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Iterator
+import threading
+import time
+from typing import Any, Callable, ContextManager, Iterator
+from unittest import mock
 
 import numpy as np
 
+from repro import obs
 from repro.utils.cache import FRAME_HEADER, cache_key, frame_header
+
+
+# -- the seam ------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _patched(
+    owner, name: str, wrap: Callable[[Callable], Callable], stats: dict
+) -> Iterator[dict]:
+    """Replace ``owner.<name>`` with ``wrap(original)`` and yield ``stats``.
+
+    ``owner`` is an instance (only that object is affected, its class
+    stays untouched) or a module. Restoring is
+    :func:`unittest.mock.patch.object`'s: whatever ``vars(owner)`` held
+    before entry is exactly what it holds after exit.
+    """
+    with mock.patch.object(owner, name, wrap(getattr(owner, name))):
+        yield stats
+
+
+class _CallWindow:
+    """A locked call counter that fires on calls ``nth .. nth+count-1``.
+
+    Call numbers are 1-based; ``count=0`` never fires, and a negative
+    ``count`` fires every call from ``nth`` on. :meth:`tick` counts one
+    call in ``stats[calls]`` (and, when it fires, in ``stats[fired]``), so
+    concurrent callers are counted exactly.
+    """
+
+    def __init__(self, calls: str, fired: str | None, nth: int, count: int) -> None:
+        self.stats = {calls: 0} if fired is None else {calls: 0, fired: 0}
+        self.calls, self.fired, self.nth, self.count = calls, fired, nth, count
+        self._lock = threading.Lock()
+
+    def covers(self, call: int) -> bool:
+        return call >= self.nth and (self.count < 0 or call < self.nth + self.count)
+
+    def tick(self) -> tuple[int, bool]:
+        """Count one call; return its number and whether it fires."""
+        with self._lock:
+            call = self.stats[self.calls] + 1
+            fire = self.covers(call)
+            self.stats[self.calls] = call
+            if fire and self.fired is not None:
+                self.stats[self.fired] += 1
+        return call, fire
+
+
+def _windowed(
+    owner,
+    name: str,
+    fire: Callable[[int], Any],
+    nth: int = 1,
+    count: int = -1,
+    calls: str = "calls",
+    fired: str | None = None,
+) -> ContextManager[dict]:
+    """Patch ``owner.<name>`` to run ``fire(call)`` before each call in the
+    window (every call by default), then call the original. Yields the
+    window's stats dict."""
+    window = _CallWindow(calls, fired, nth, count)
+
+    def wrap(original):
+        def patched(*args, **kwargs):
+            call, hit = window.tick()
+            if hit:
+                fire(call)
+            return original(*args, **kwargs)
+
+        return patched
+
+    return _patched(owner, name, wrap, window.stats)
+
+
+def _delay(seconds: float, clock) -> None:
+    """Let ``seconds`` pass: advance a fake clock, or sleep on a real one.
+
+    ``clock`` defaults to the current observability tracer's clock; one
+    with an ``advance`` method (:class:`repro.obs.tracing.ManualClock`)
+    is advanced, so tests inject latency without wall-clock cost.
+    """
+    source = clock if clock is not None else obs.get_tracer().clock
+    if hasattr(source, "advance"):
+        source.advance(seconds)
+    else:
+        time.sleep(seconds)
+
+
+@contextlib.contextmanager
+def _corrupted_file(path, corrupt: Callable[[bytes], bytes]) -> Iterator[dict]:
+    """Overwrite ``path`` with ``corrupt(original bytes)``; restore on exit.
+
+    A load in between may have quarantined (moved) the file; writing the
+    original bytes recreates it at its canonical path either way.
+    """
+    original = path.read_bytes()
+    path.write_bytes(corrupt(original))
+    try:
+        yield {}
+    finally:
+        path.write_bytes(original)
+
+
+def _flip_bit(data: bytes, seed: int, low: int) -> bytes:
+    """Flip one seed-chosen bit at an offset in ``[low, len(data))``."""
+    rng = np.random.default_rng(seed)
+    flipped = bytearray(data)
+    offset = int(rng.integers(low, max(low + 1, len(flipped))))
+    flipped[offset] ^= 1 << int(rng.integers(0, 8))
+    return bytes(flipped)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in {"bitflip", "truncate"}:
+        raise ValueError(f"mode must be 'bitflip' or 'truncate', got {mode!r}")
 
 
 # -- activation faults ---------------------------------------------------------
 
 
-@contextlib.contextmanager
-def nan_activations(model, layer_index: int, value: float = float("nan")) -> Iterator[None]:
+def nan_activations(
+    model, layer_index: int, value: float = float("nan")
+) -> ContextManager[dict]:
     """Overwrite one probe's hidden representations with ``value``.
 
     Patches ``model.iter_hidden_representations`` (the single chokepoint
@@ -67,34 +195,24 @@ def nan_activations(model, layer_index: int, value: float = float("nan")) -> Ite
     through) on the *instance*, so only this model object is affected and
     the class stays untouched. Predictions still come from the real
     forward pass — the fault models a broken probe/validator substrate,
-    not a broken classifier.
+    not a broken classifier. Yields an empty stats dict.
     """
-    # Stacked injections patch over each other, so remember whether an
-    # instance-level patch was already present (restore it) or not
-    # (delete ours to uncover the class method).
-    had_instance_attr = "iter_hidden_representations" in model.__dict__
-    original = model.iter_hidden_representations
 
-    def corrupted(images, batch_size: int = 256):
-        for start, probabilities, reps in original(images, batch_size=batch_size):
-            reps = list(reps)
-            reps[layer_index] = np.full_like(reps[layer_index], value)
-            yield start, probabilities, reps
+    def wrap(original):
+        def corrupted(images, batch_size: int = 256):
+            for start, probabilities, reps in original(images, batch_size=batch_size):
+                reps = list(reps)
+                reps[layer_index] = np.full_like(reps[layer_index], value)
+                yield start, probabilities, reps
 
-    model.iter_hidden_representations = corrupted
-    try:
-        yield
-    finally:
-        if had_instance_attr:
-            model.iter_hidden_representations = original
-        else:
-            del model.iter_hidden_representations  # uncover the class method
+        return corrupted
+
+    return _patched(model, "iter_hidden_representations", wrap, {})
 
 
 # -- artifact faults -----------------------------------------------------------
 
 
-@contextlib.contextmanager
 def corrupt_artifact(
     cache,
     name: str,
@@ -102,7 +220,7 @@ def corrupt_artifact(
     mode: str = "bitflip",
     seed: int = 0,
     refresh_checksum: bool = False,
-) -> Iterator[None]:
+) -> ContextManager[dict]:
     """Corrupt the entry for ``(name, config)`` in ``cache`` (a
     :class:`~repro.utils.cache.CheckpointStore`), restoring it on exit.
 
@@ -114,40 +232,33 @@ def corrupt_artifact(
     match the corrupted pickle, so the corruption must be caught by
     unpickling rather than by integrity verification. The original bytes
     are restored on exit even if the entry was quarantined in between.
+    Yields an empty stats dict.
     """
-    if mode not in {"bitflip", "truncate"}:
-        raise ValueError(f"mode must be 'bitflip' or 'truncate', got {mode!r}")
-    path = cache.path_for(cache_key(name, config))
-    original = path.read_bytes()
-    header = original[: FRAME_HEADER.size]
-    body = bytearray(original[FRAME_HEADER.size :])
-    if mode == "bitflip":
-        rng = np.random.default_rng(seed)
-        # Skip the pickle protocol header so the body stays recognisably
-        # a pickle — the interesting corruption is in the payload.
-        offset = int(rng.integers(2, max(3, len(body))))
-        body[offset] ^= 1 << int(rng.integers(0, 8))
-    else:
-        body = body[: max(1, len(body) // 2)]
-    if refresh_checksum:
-        header = frame_header(bytes(body))
-    path.write_bytes(header + bytes(body))
-    try:
-        yield
-    finally:
-        # A load in between may have quarantined (moved) the entry;
-        # write_bytes recreates the file at its canonical path either way.
-        path.write_bytes(original)
+    _check_mode(mode)
+
+    def corrupt(original: bytes) -> bytes:
+        header = original[: FRAME_HEADER.size]
+        body = original[FRAME_HEADER.size :]
+        if mode == "bitflip":
+            # Skip the pickle protocol header so the body stays recognisably
+            # a pickle — the interesting corruption is in the payload.
+            body = _flip_bit(body, seed, low=2)
+        else:
+            body = body[: max(1, len(body) // 2)]
+        if refresh_checksum:
+            header = frame_header(body)
+        return header + body
+
+    return _corrupted_file(cache.path_for(cache_key(name, config)), corrupt)
 
 
-@contextlib.contextmanager
 def corrupt_bundle(
     store,
     name: str,
     version: int,
     mode: str = "bitflip",
     seed: int = 0,
-) -> Iterator[None]:
+) -> ContextManager[dict]:
     """Corrupt a saved validator bundle on disk, restoring it on exit.
 
     Operates on a :class:`~repro.core.bundle.BundleStore` file: a
@@ -159,29 +270,17 @@ def corrupt_bundle(
     :meth:`BundleStore.load` must raise
     :class:`~repro.core.bundle.BundleIntegrityError` and quarantine the
     file. The original bytes are restored on exit even if the file was
-    quarantined in between.
+    quarantined in between. Yields an empty stats dict.
     """
-    if mode not in {"bitflip", "truncate"}:
-        raise ValueError(f"mode must be 'bitflip' or 'truncate', got {mode!r}")
-    path = store.path_for(name, version)
-    original = path.read_bytes()
+    _check_mode(mode)
 
-    payload = bytearray(original)
-    if mode == "bitflip":
-        rng = np.random.default_rng(seed)
+    def corrupt(original: bytes) -> bytes:
+        if mode == "truncate":
+            return original[: max(1, len(original) // 2)]
         (manifest_length, _) = FRAME_HEADER.unpack_from(original)
-        start = 2 * FRAME_HEADER.size + manifest_length
-        offset = int(rng.integers(start, max(start + 1, len(payload))))
-        payload[offset] ^= 1 << int(rng.integers(0, 8))
-    else:
-        payload = payload[: max(1, len(payload) // 2)]
-    path.write_bytes(bytes(payload))
-    try:
-        yield
-    finally:
-        # A load in between may have quarantined (moved) the entry;
-        # write_bytes recreates the file at its canonical path either way.
-        path.write_bytes(original)
+        return _flip_bit(original, seed, low=2 * FRAME_HEADER.size + manifest_length)
+
+    return _corrupted_file(store.path_for(name, version), corrupt)
 
 
 # -- scorer faults -------------------------------------------------------------
@@ -191,13 +290,12 @@ class InjectedScorerError(RuntimeError):
     """The exception raised by :func:`fail_packed_scorer` injections."""
 
 
-@contextlib.contextmanager
 def fail_packed_scorer(
     layer_validator,
     nth: int = 1,
     count: int = 1,
     exc_factory: Callable[[], Exception] | None = None,
-) -> Iterator[dict]:
+) -> ContextManager[dict]:
     """Make one layer's batched scorer fail on chosen call numbers.
 
     Calls ``nth .. nth+count-1`` (1-based) of
@@ -207,37 +305,23 @@ def fail_packed_scorer(
     entry counts invocations, so tests can assert the fault actually
     fired.
     """
-    had_instance_attr = "discrepancy_batched" in layer_validator.__dict__
-    original = layer_validator.discrepancy_batched
-    stats = {"calls": 0, "failures": 0}
 
-    def flaky(representations, predicted, **kwargs):
-        stats["calls"] += 1
-        call = stats["calls"]
-        if call >= nth and (count < 0 or call < nth + count):
-            stats["failures"] += 1
-            raise (
-                exc_factory()
-                if exc_factory is not None
-                else InjectedScorerError(
-                    f"injected packed-scorer fault on call {call} "
-                    f"(layer {layer_validator.layer_name!r})"
-                )
+    def fail(call: int) -> None:
+        raise (
+            exc_factory()
+            if exc_factory is not None
+            else InjectedScorerError(
+                f"injected packed-scorer fault on call {call} "
+                f"(layer {layer_validator.layer_name!r})"
             )
-        return original(representations, predicted, **kwargs)
+        )
 
-    layer_validator.discrepancy_batched = flaky
-    try:
-        yield stats
-    finally:
-        if had_instance_attr:
-            layer_validator.discrepancy_batched = original
-        else:
-            del layer_validator.discrepancy_batched
+    return _windowed(
+        layer_validator, "discrepancy_batched", fail, nth, count, fired="failures"
+    )
 
 
-@contextlib.contextmanager
-def slow_layer(layer_validator, seconds: float, clock=None) -> Iterator[dict]:
+def slow_layer(layer_validator, seconds: float, clock=None) -> ContextManager[dict]:
     """Make one layer's batched scorer take ``seconds`` per call.
 
     Latency-shaping counterpart of :func:`fail_packed_scorer`: every
@@ -252,43 +336,15 @@ def slow_layer(layer_validator, seconds: float, clock=None) -> Iterator[dict]:
     """
     if seconds < 0:
         raise ValueError(f"cannot make a layer {seconds}s slower")
-    had_instance_attr = "discrepancy_batched" in layer_validator.__dict__
-    original = layer_validator.discrepancy_batched
-    stats = {"calls": 0}
-
-    def delay() -> None:
-        source = clock
-        if source is None:
-            from repro import obs
-
-            source = obs.get_tracer().clock
-        if hasattr(source, "advance"):
-            source.advance(seconds)
-        else:
-            import time
-
-            time.sleep(seconds)
-
-    def sluggish(representations, predicted, **kwargs):
-        stats["calls"] += 1
-        delay()
-        return original(representations, predicted, **kwargs)
-
-    layer_validator.discrepancy_batched = sluggish
-    try:
-        yield stats
-    finally:
-        if had_instance_attr:
-            layer_validator.discrepancy_batched = original
-        else:
-            del layer_validator.discrepancy_batched
+    return _windowed(
+        layer_validator, "discrepancy_batched", lambda call: _delay(seconds, clock)
+    )
 
 
 # -- serving faults ------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def slow_classify(monitor, seconds: float, clock=None) -> Iterator[dict]:
+def slow_classify(monitor, seconds: float, clock=None) -> ContextManager[dict]:
     """Make a monitor's ``classify`` take ``seconds`` per call.
 
     The serving-layer counterpart of :func:`slow_layer`: every
@@ -301,36 +357,7 @@ def slow_classify(monitor, seconds: float, clock=None) -> Iterator[dict]:
     """
     if seconds < 0:
         raise ValueError(f"cannot make classify {seconds}s slower")
-    had_instance_attr = "classify" in monitor.__dict__
-    original = monitor.classify
-    stats = {"calls": 0}
-
-    def delay() -> None:
-        source = clock
-        if source is None:
-            from repro import obs
-
-            source = obs.get_tracer().clock
-        if hasattr(source, "advance"):
-            source.advance(seconds)
-        else:
-            import time
-
-            time.sleep(seconds)
-
-    def sluggish(images):
-        stats["calls"] += 1
-        delay()
-        return original(images)
-
-    monitor.classify = sluggish
-    try:
-        yield stats
-    finally:
-        if had_instance_attr:
-            monitor.classify = original
-        else:
-            del monitor.classify
+    return _windowed(monitor, "classify", lambda call: _delay(seconds, clock))
 
 
 @contextlib.contextmanager
@@ -345,34 +372,16 @@ def hang_classify(monitor, nth: int = 1, count: int = 1) -> Iterator[dict]:
     A negative ``count`` hangs every call from ``nth`` on. The yielded
     dict also tracks ``"calls"`` and ``"hangs"``.
     """
-    import threading
-
-    had_instance_attr = "classify" in monitor.__dict__
-    original = monitor.classify
     release = threading.Event()
-    stats = {"calls": 0, "hangs": 0, "release": release}
-    tally = threading.Lock()
-
-    def wedged(images):
-        with tally:
-            stats["calls"] += 1
-            call = stats["calls"]
-            hang = call >= nth and (count < 0 or call < nth + count)
-            if hang:
-                stats["hangs"] += 1
-        if hang:
-            release.wait()
-        return original(images)
-
-    monitor.classify = wedged
-    try:
-        yield stats
-    finally:
-        release.set()
-        if had_instance_attr:
-            monitor.classify = original
-        else:
-            del monitor.classify
+    wedge = _windowed(
+        monitor, "classify", lambda call: release.wait(), nth, count, fired="hangs"
+    )
+    with wedge as stats:
+        stats["release"] = release
+        try:
+            yield stats
+        finally:
+            release.set()
 
 
 class InjectedWorkerDeath(BaseException):
@@ -386,8 +395,7 @@ class InjectedWorkerDeath(BaseException):
     """
 
 
-@contextlib.contextmanager
-def kill_worker(server, nth: int = 1, count: int = 1) -> Iterator[dict]:
+def kill_worker(server, nth: int = 1, count: int = 1) -> ContextManager[dict]:
     """Make chosen serve batches kill the worker processing them.
 
     Patches ``server._process`` on the instance so calls ``nth ..
@@ -399,40 +407,20 @@ def kill_worker(server, nth: int = 1, count: int = 1) -> Iterator[dict]:
     Yields a stats dict tracking ``"batches"`` (total patched calls) and
     ``"kills"``.
     """
-    import threading
 
-    had_instance_attr = "_process" in server.__dict__
-    original = server._process
-    tally = threading.Lock()
-    stats: dict = {"batches": 0, "kills": 0}
+    def kill(call: int) -> None:
+        raise InjectedWorkerDeath(f"injected worker death on batch {call}")
 
-    def lethal(batch):
-        with tally:
-            stats["batches"] += 1
-            call = stats["batches"]
-            kill = call >= nth and (count < 0 or call < nth + count)
-            if kill:
-                stats["kills"] += 1
-        if kill:
-            raise InjectedWorkerDeath(f"injected worker death on batch {call}")
-        return original(batch)
-
-    server._process = lethal
-    try:
-        yield stats
-    finally:
-        if had_instance_attr:
-            server._process = original
-        else:
-            del server._process
+    return _windowed(
+        server, "_process", kill, nth, count, calls="batches", fired="kills"
+    )
 
 
 class InjectedBatcherError(RuntimeError):
     """An injected failure inside ``MicroBatcher.next_batch``."""
 
 
-@contextlib.contextmanager
-def raise_in_batcher(batcher, nth: int = 1, count: int = 1) -> Iterator[dict]:
+def raise_in_batcher(batcher, nth: int = 1, count: int = 1) -> ContextManager[dict]:
     """Make chosen ``next_batch`` calls raise instead of dequeuing.
 
     Calls ``nth .. nth+count-1`` (1-based; negative ``count`` means every
@@ -443,34 +431,13 @@ def raise_in_batcher(batcher, nth: int = 1, count: int = 1) -> Iterator[dict]:
     supervisor's restart. Yields a stats dict tracking ``"calls"`` and
     ``"raises"``.
     """
-    import threading
 
-    had_instance_attr = "next_batch" in batcher.__dict__
-    original = batcher.next_batch
-    tally = threading.Lock()
-    stats = {"calls": 0, "raises": 0}
+    def explode(call: int) -> None:
+        raise InjectedBatcherError(
+            f"injected batcher failure on next_batch call {call}"
+        )
 
-    def explosive():
-        with tally:
-            stats["calls"] += 1
-            call = stats["calls"]
-            explode = call >= nth and (count < 0 or call < nth + count)
-            if explode:
-                stats["raises"] += 1
-        if explode:
-            raise InjectedBatcherError(
-                f"injected batcher failure on next_batch call {call}"
-            )
-        return original()
-
-    batcher.next_batch = explosive
-    try:
-        yield stats
-    finally:
-        if had_instance_attr:
-            batcher.next_batch = original
-        else:
-            del batcher.next_batch
+    return _windowed(batcher, "next_batch", explode, nth, count, fired="raises")
 
 
 # -- offline-pipeline crash faults ---------------------------------------------
@@ -486,8 +453,7 @@ class InjectedCrashError(RuntimeError):
     """
 
 
-@contextlib.contextmanager
-def crash_at_epoch(trainer, epoch: int) -> Iterator[dict]:
+def crash_at_epoch(trainer, epoch: int) -> ContextManager[dict]:
     """Kill a training run at the start of epoch ``epoch`` (0-based).
 
     Patches the trainer instance's ``_begin_epoch`` seam, so epochs
@@ -495,30 +461,23 @@ def crash_at_epoch(trainer, epoch: int) -> Iterator[dict]:
     lands exactly where a real kill between epochs would. Yields a stats
     dict whose ``"crashed"`` flag confirms the fault fired.
     """
-    had_instance_attr = "_begin_epoch" in trainer.__dict__
-    original = trainer._begin_epoch
     stats = {"crashed": False}
 
-    def exploding(current_epoch: int) -> None:
-        if current_epoch == epoch:
-            stats["crashed"] = True
-            raise InjectedCrashError(
-                f"injected crash at the start of epoch {current_epoch}"
-            )
-        return original(current_epoch)
+    def wrap(original):
+        def exploding(current_epoch: int) -> None:
+            if current_epoch == epoch:
+                stats["crashed"] = True
+                raise InjectedCrashError(
+                    f"injected crash at the start of epoch {current_epoch}"
+                )
+            return original(current_epoch)
 
-    trainer._begin_epoch = exploding
-    try:
-        yield stats
-    finally:
-        if had_instance_attr:
-            trainer._begin_epoch = original
-        else:
-            del trainer._begin_epoch
+        return exploding
+
+    return _patched(trainer, "_begin_epoch", wrap, stats)
 
 
-@contextlib.contextmanager
-def crash_at_task(task: int) -> Iterator[dict]:
+def crash_at_task(task: int) -> ContextManager[dict]:
     """Kill ``solve_tasks`` right after its ``task``-th solution lands.
 
     Patches :func:`repro.core.fitting._record_solution` so the first
@@ -529,21 +488,18 @@ def crash_at_task(task: int) -> Iterator[dict]:
     """
     from repro.core import fitting
 
-    original = fitting._record_solution
     stats = {"recorded": 0, "crashed": False}
 
-    def exploding(key, solution, solutions, journal) -> None:
-        original(key, solution, solutions, journal)
-        stats["recorded"] += 1
-        if stats["recorded"] == task:
-            stats["crashed"] = True
-            raise InjectedCrashError(
-                f"injected crash after journaling task {task} (key {key})"
-            )
+    def wrap(original):
+        def exploding(key, solution, solutions, journal) -> None:
+            original(key, solution, solutions, journal)
+            stats["recorded"] += 1
+            if stats["recorded"] == task:
+                stats["crashed"] = True
+                raise InjectedCrashError(
+                    f"injected crash after journaling task {task} (key {key})"
+                )
 
-    fitting._record_solution = exploding
-    try:
-        yield stats
-    finally:
-        fitting._record_solution = original
+        return exploding
 
+    return _patched(fitting, "_record_solution", wrap, stats)

@@ -9,13 +9,15 @@ bit-identical to calling ``RuntimeMonitor.classify`` directly on the
 same singletons.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core import DeepValidator, RuntimeMonitor, ValidatorConfig
 from repro.obs.tracing import ManualClock
 from repro.serve import ServeConfig, SupervisorConfig, ValidationServer
-from repro.testing import ChaosPlan, SoakInvariantError, run_soak
+from repro.testing import ChaosPlan, SoakInvariantError, faults, run_soak
 from tests.helpers import easy_image_task, train_tiny_model
 
 pytestmark = pytest.mark.chaos
@@ -90,11 +92,13 @@ class TestAcceptanceSoak:
             ChaosPlan(seed=7)
             # Latency on every classify (throwaway clock: the delay must
             # not perturb the soak's fault schedule).
-            .slow_classify(server.monitor, 0.01, at=0.0, clock=ManualClock())
+            .fault(
+                faults.slow_classify, server.monitor, 0.01, at=0.0, clock=ManualClock()
+            )
             # The worker dies on its first batch after arming.
-            .kill_worker(server, at=0.0, nth=1, count=1)
+            .fault(faults.kill_worker, server, at=0.0, nth=1, count=1)
             # One classify call wedges until the timeline disarms it.
-            .hang_classify(server.monitor, at=0.3, nth=1, count=1)
+            .fault(faults.hang_classify, server.monitor, at=0.3, nth=1, count=1)
         )
 
         report = run_soak(
@@ -143,13 +147,17 @@ class TestBroaderSoak:
         plan = (
             ChaosPlan(seed=11)
             # Window of corrupted activations on one probe.
-            .nan_activations(model, layer_index=1, at=0.1, until=0.4)
+            .fault(faults.nan_activations, model, layer_index=1, at=0.1, until=0.4)
             # One layer's scorer raises for a while (degraded verdicts).
-            .fail_packed_scorer(
-                fitted_validator.validators[0], at=0.45, until=0.6, count=-1
+            .fault(
+                faults.fail_packed_scorer,
+                fitted_validator.validators[0],
+                at=0.45,
+                until=0.6,
+                count=-1,
             )
             # A next_batch call raises: one worker death, no lost ticket.
-            .raise_in_batcher(server.batcher, at=0.2, nth=1, count=1)
+            .fault(faults.raise_in_batcher, server.batcher, at=0.2, nth=1, count=1)
         )
 
         report = run_soak(
@@ -185,7 +193,9 @@ class TestSoakDetectsNonRecovery:
                 restart_window_s=1_000.0,
             ),
         )
-        plan = ChaosPlan(seed=3).kill_worker(server, at=0.0, count=-1)
+        plan = ChaosPlan(seed=3).fault(
+            faults.kill_worker, server, at=0.0, count=-1
+        )
         try:
             with pytest.raises(SoakInvariantError, match="failed to settle"):
                 run_soak(
@@ -204,16 +214,16 @@ class TestChaosPlanShape:
     def test_rejects_bad_windows(self, fitted_validator):
         monitor = RuntimeMonitor(fitted_validator)
         with pytest.raises(ValueError, match="start"):
-            ChaosPlan().slow_classify(monitor, 0.1, at=-1.0)
+            ChaosPlan().fault(faults.slow_classify, monitor, 0.1, at=-1.0)
         with pytest.raises(ValueError, match="empty"):
-            ChaosPlan().hang_classify(monitor, at=2.0, until=2.0)
+            ChaosPlan().fault(faults.hang_classify, monitor, at=2.0, until=2.0)
 
     def test_describe_lists_windows_in_order(self, fitted_validator):
         monitor = RuntimeMonitor(fitted_validator)
         plan = (
             ChaosPlan()
-            .slow_classify(monitor, 0.5, at=0.0, until=1.0)
-            .hang_classify(monitor, at=2.0)
+            .fault(faults.slow_classify, monitor, 0.5, at=0.0, until=1.0)
+            .fault(faults.hang_classify, monitor, at=2.0)
         )
         described = plan.describe()
         assert len(described) == len(plan) == 2
@@ -225,8 +235,8 @@ class TestChaosPlanShape:
         server = _singleton_server(fitted_validator, clock)
         plan = (
             ChaosPlan()
-            .kill_worker(server, at=0.0)
-            .raise_in_batcher(server.batcher, at=0.0)
+            .fault(faults.kill_worker, server, at=0.0)
+            .fault(faults.raise_in_batcher, server.batcher, at=0.0)
         )
         assert plan.injected_deaths() == 0  # nothing armed yet
         timeline: list = []
@@ -234,3 +244,31 @@ class TestChaosPlanShape:
         plan._disarm_all(0.0, timeline)
         assert plan.injected_deaths() == 0  # armed but never fired
         assert len(timeline) == 4  # two arms + two disarms
+
+    def test_fault_arms_any_injector_in_its_window(self):
+        entered, exited = [], []
+
+        @contextlib.contextmanager
+        def custom_fault(target, level=1, mode="x"):
+            entered.append((target, level, mode))
+            yield {"kills": 2, "raises": 1}
+            exited.append(target)
+
+        plan = ChaosPlan().fault(
+            custom_fault, "target", at=0.5, until=2.0, level=3, mode="y"
+        )
+        label = "custom_fault(level=3, mode='y')"
+        assert plan.describe() == [f"[0.5, 2) {label}"]
+        timeline: list = []
+        plan._sync(0.4, timeline)
+        assert entered == [] and plan.injected_deaths() == 0
+        plan._sync(0.5, timeline)
+        assert entered == [("target", 3, "y")] and exited == []
+        assert plan.injected_deaths() == 3  # read from the yielded stats
+        plan._sync(2.0, timeline)
+        assert exited == ["target"]
+        assert timeline == [f"t=0.5 arm {label}", f"t=2 disarm {label}"]
+        with pytest.raises(ValueError, match="start"):
+            ChaosPlan().fault(custom_fault, "target", at=-0.1)
+        with pytest.raises(ValueError, match="empty"):
+            ChaosPlan().fault(custom_fault, "target", at=1.0, until=0.5)

@@ -15,6 +15,7 @@ Run with ``pytest -q -m infer`` (tier-2 entry point; also exercised under
 
 from __future__ import annotations
 
+import functools
 import gc
 import threading
 import weakref
@@ -469,14 +470,6 @@ class TestRoutingAndFallback:
         for a, b in zip(reps_auto, reps_t):
             np.testing.assert_array_equal(a, b)
 
-    def test_kill_switch_disables_plan(self, zoo):
-        model, _ = zoo["mnist"]
-        try:
-            infer.set_plan_enabled(False)
-            assert infer.plan_for(model) is None
-        finally:
-            infer.set_plan_enabled(None)
-
     def test_plan_is_cached_per_model(self, zoo):
         model, _ = zoo["mnist"]
         assert infer.plan_for(model) is infer.plan_for(model)
@@ -588,13 +581,19 @@ class TestEndToEndScoring:
         validator = DeepValidator(model, ValidatorConfig(max_per_class=40))
         validator.fit(train_x, train_y)
         engine = validator.engine()
-        try:
-            infer.set_plan_enabled(False)
+        # The Tensor side goes through the instance seam the fault
+        # injectors patch: the engine's default-signature call lands on it.
+        tensor_forward = functools.partial(
+            model.iter_hidden_representations, compiled=False
+        )
+        with mock.patch.object(
+            model, "iter_hidden_representations", side_effect=tensor_forward
+        ) as forward:
             preds_t, scores_t = engine.discrepancies(test_x[:32].copy())
-            infer.set_plan_enabled(True)
-            preds_p, scores_p = engine.discrepancies(test_x[:32].copy())
-        finally:
-            infer.set_plan_enabled(None)
+        assert forward.called
+        assert "iter_hidden_representations" not in vars(model)
+        assert infer.plan_for(model) is not None
+        preds_p, scores_p = engine.discrepancies(test_x[:32].copy())
         np.testing.assert_array_equal(preds_p, preds_t)
         # Both paths hand the scorer byte-identical contiguous reps, so
         # even the layout-sensitive last bits of the scoring GEMMs agree.

@@ -35,7 +35,7 @@ from repro.serve import (
     SupervisorConfig,
     ValidationServer,
 )
-from repro.testing import ChaosPlan, corrupt_bundle, run_soak
+from repro.testing import ChaosPlan, corrupt_bundle, faults, run_soak
 from repro.testing.faults import fail_packed_scorer
 from repro.utils import strict_mode
 from tests.helpers import easy_image_task, train_tiny_model
@@ -226,7 +226,7 @@ class TestHealthyRolloutUnderSoak:
                 lambda: controller.begin_shadow(name="tiny", version=1),
             )
             # The worker dies once while the rollout is in flight.
-            .kill_worker(server, at=0.2, nth=1, count=1)
+            .fault(faults.kill_worker, server, at=0.2, nth=1, count=1)
             .at(0.5, "promote", lambda: controller.promote(force=True))
         )
 

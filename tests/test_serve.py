@@ -90,29 +90,28 @@ class TestVerdictFuture:
     def test_resolve_and_result(self):
         future = VerdictFuture()
         assert not future.done()
-        future._resolve("verdict")
+        assert future._try_resolve("verdict")
         assert future.done()
         assert future.result(timeout=0) == "verdict"
 
     def test_fail_reraises(self):
         future = VerdictFuture()
-        future._fail(ValueError("boom"))
+        assert future._try_fail(ValueError("boom"))
         with pytest.raises(ValueError, match="boom"):
             future.result(timeout=0)
 
     def test_write_once(self):
         future = VerdictFuture()
-        future._resolve("verdict")
-        with pytest.raises(RuntimeError):
-            future._resolve("again")
-        with pytest.raises(RuntimeError):
-            future._fail(ValueError())
+        assert future._try_resolve("verdict")
+        assert future._try_resolve("again") is False
+        assert future._try_fail(ValueError()) is False
+        assert future.result(timeout=0) == "verdict"
 
     def test_timeout_then_late_resolve(self):
         future = VerdictFuture()
         with pytest.raises(ResultTimeout):
             future.result(timeout=0.01)
-        future._resolve("late")
+        assert future._try_resolve("late")
         assert future.result(timeout=0) == "late"
 
 
